@@ -1,11 +1,12 @@
 """Command-line pipeline: synth -> release -> simulate-error -> summarize.
 
 Every run that writes an output also writes a `<out>.manifest.json`
-sidecar recording the tool version, the resolved parameters and sha256
-digests of the input files, so any output can be reproduced byte for
-byte by rerunning with the recorded parameters. Seeds are always
-explicit flags; there is deliberately no environment-variable override,
-so a manifest alone is enough to audit a run.
+sidecar recording the tool version, the noise format, the resolved
+parameters, sha256 digests of the input files and the output paths, so
+any output can be reproduced byte for byte by rerunning with the
+recorded parameters. Seeds are always explicit flags; there is
+deliberately no environment-variable override, so a manifest alone is
+enough to audit a run.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
@@ -32,7 +33,7 @@ from dpcoverage.accountant import (
 )
 from dpcoverage.errorsim import ErrorReport, SimulationConfig, bucket_by_households, error_reports_for_release
 from dpcoverage.io import CsvFormatError
-from dpcoverage.mechanism import ParameterError
+from dpcoverage.mechanism import NOISE_FORMAT, ParameterError
 from dpcoverage.release import IngestionError, release_dataset, release_query_plan
 from dpcoverage.synth import SynthSpec, generate
 
@@ -102,6 +103,7 @@ def write_manifest(
     manifest = {
         "tool": "dpcoverage",
         "version": __version__,
+        "noise_format": NOISE_FORMAT,
         "subcommand": subcommand,
         "parameters": parameters,
         "input_digests": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
@@ -167,14 +169,13 @@ def _cmd_release(args: argparse.Namespace) -> int:
         eps,
         args.seed,
         round_counts=args.round_counts,
-        threads=args.threads,
     )
     privs = [priv for priv, _ in pairs]
 
     reports = None
     if args.k > 0 and pairs:
         config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
-        reports = error_reports_for_release(privs, households, config, threads=args.threads)
+        reports = error_reports_for_release(privs, households, config)
 
     io.write_release_csv(args.out, io.release_rows(pairs, reports))
     io.write_private_counts_csv(io.private_counts_path(args.out), privs)
@@ -188,7 +189,6 @@ def _cmd_release(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "k": args.k,
             "round_counts": args.round_counts,
-            "threads": args.threads,
             "out": str(args.out),
         },
         inputs=[args.counts, args.households],
@@ -213,9 +213,20 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
             + (f" and {len(missing) - 5} more" if len(missing) > 5 else "")
         )
 
-    config = SimulationConfig(per_query_epsilon=float(as_epsilon(args.epsilon)), base_seed=args.seed, k=args.k)
+    # the trials must re-noise at the release's own scale: a wrong --epsilon
+    # would publish error ranges for noise the release never had
+    eps = as_epsilon(args.epsilon)
+    implied = total_epsilon(release_query_plan(eps))
     ordered = [privs[row.zone] for row in rows]
-    reports = error_reports_for_release(ordered, households, config, threads=args.threads)
+    mismatched = [priv for priv in ordered if priv.epsilon_total != implied]
+    if mismatched:
+        raise IngestionError(
+            f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records "
+            f"{mismatched[0].epsilon_total} for zone {mismatched[0].zone}"
+        )
+
+    config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
+    reports = error_reports_for_release(ordered, households, config)
     filled = [
         dataclasses.replace(row, mae=report.mae, msd=report.msd, p95=report.p95)
         for row, report in zip(rows, reports)
@@ -228,10 +239,9 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
             "release": str(args.release_path),
             "private_counts": str(sidecar),
             "households": str(args.households),
-            "epsilon": str(as_epsilon(args.epsilon)),
+            "epsilon": str(eps),
             "k": args.k,
             "seed": args.seed,
-            "threads": args.threads,
             "out": str(args.out),
         },
         inputs=[args.release_path, str(sidecar), args.households],
@@ -319,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="error-simulation trials per zone; 0 leaves error columns empty")
     p.add_argument("--out", required=True)
     p.add_argument("--round-counts", action="store_true", help="round noisy counts to whole devices")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--journal", help="privacy-budget journal to charge this release against")
     p.add_argument("--budget", help="total epsilon budget (decimal string); required with --journal")
     p.set_defaults(handler=_cmd_release)
@@ -327,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-error", help="fill error columns of a released table")
     p.add_argument("--release", required=True, dest="release_path")
     p.add_argument("--households", required=True)
-    p.add_argument("--epsilon", default="0.1")
+    p.add_argument("--epsilon", default="0.1",
+                   help="per-query epsilon of the release (decimal string); must match the sidecar")
     p.add_argument("--k", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--private-counts", help="noisy-count sidecar (default: <release>.private-counts.csv)")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_simulate_error)
 
     p = sub.add_parser("summarize", help="bucket per-zone error statistics by household count")

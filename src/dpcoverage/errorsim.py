@@ -16,23 +16,41 @@ defined_fraction instead of being imputed.
 
 Because the raw counts are never touched, everything here is
 post-processing of the released record and spends no privacy budget.
+
+The simulation runs over blocks of zones held as (zones x k) arrays:
+one noise-kernel call per label and block, undefined trials masked, the
+p95 picked with np.partition at the nearest rank. ErrorReport records are
+built only for the caller.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_sample, laplace_stream
-from dpcoverage.release import COUNT_SENSITIVITY, HouseholdRecord, PrivateZipRecord, clip_unit, compute_coverage
+from dpcoverage.release import (
+    COUNT_SENSITIVITY,
+    HouseholdRecord,
+    PrivateZipRecord,
+    clip_unit,
+    compute_coverage,
+    coverage_columns,
+)
 
 # Substreams re-noised per trial; same labels as the release, which uses
 # iteration 0 of each. Trials use iterations 1..k.
 SIMULATED_LABELS = ("high_speed", "services", "non_services")
+
+# Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
+# (zones x k) working array stays near 0.5 MB whatever k is. Larger blocks
+# were measured to raise peak memory without saving time.
+BLOCK_TRIALS = 1 << 16
+
+P95 = 0.95
 
 
 @dataclass(frozen=True)
@@ -151,29 +169,84 @@ def simulate_once(
     return deviation_from_noise(priv, households, *etas)
 
 
-def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
-    """Defined deviations for trials 1..k of one zone, vectorized.
+def _trials(
+    zones: Sequence[str],
+    counts: np.ndarray,
+    households: np.ndarray,
+    config: SimulationConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
-    Undefined trials are dropped, so the result can be shorter than k.
-    Bit-identical to calling simulate_once at each iteration: the batched
-    substream draws and the numpy arithmetic reproduce the scalar path
-    exactly (same IEEE operations in the same order).
+    counts holds each zone's (high_speed, services, non_services) noisy
+    counts; households is positive. Same IEEE operations in the same
+    order as simulate_once, so every defined element is bit-identical to
+    the scalar trial.
     """
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
-    k = config.k
-    eta = {
-        label: laplace_stream(params, config.base_seed, priv.zone, label, start=1, count=k)
+    eta = [
+        laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k)
         for label in SIMULATED_LABELS
-    }
-    released = clip_unit(compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households))
-    high = np.maximum(0.0, priv.high_speed_dp + eta["high_speed"])
-    services = np.maximum(0.0, priv.services_dp + eta["services"])
-    non_services = np.maximum(0.0, priv.non_services_dp + eta["non_services"])
-    defined = services > 0.0
-    high, services, non_services = high[defined], services[defined], non_services[defined]
-    raw = high * (services + non_services) / (services * households)
-    trial = np.minimum(1.0, np.maximum(0.0, raw))
-    return released - trial
+    ]
+    high, services, non_services, households = counts[:, 0:1], counts[:, 1:2], counts[:, 2:3], households[:, None]
+    released = np.minimum(1.0, np.maximum(0.0, coverage_columns(high, services, non_services, households)))
+    trial_high = np.maximum(0.0, high + eta[0])
+    trial_services = np.maximum(0.0, services + eta[1])
+    trial_non_services = np.maximum(0.0, non_services + eta[2])
+    raw = coverage_columns(trial_high, trial_services, trial_non_services, households)
+    return released - np.minimum(1.0, np.maximum(0.0, raw)), trial_services > 0.0
+
+
+def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
+    """Defined deviations for trials 1..k of one zone.
+
+    Undefined trials are dropped, so the result can be shorter than k.
+    Bit-identical to calling simulate_once at each iteration.
+    """
+    # raises when the release itself has no coverage or households is not a positive integer
+    compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households)
+    counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
+    d, defined = _trials([priv.zone], counts, np.array([households]), config)
+    return d[0][defined[0]]
+
+
+def _statistics(d: np.ndarray, defined: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (mae, msd, p95, defined trial count) over the defined trials.
+
+    Rows without a defined trial get nan statistics.
+    """
+    n = defined.sum(axis=1)
+    absolute = np.abs(d, out=np.zeros_like(d), where=defined)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mae = absolute.sum(axis=1) / n
+        msd = np.where(defined, d, 0.0).sum(axis=1) / n
+    # nearest rank among the defined trials: undefined ones sort last
+    absolute[~defined] = np.inf
+    rank = np.maximum(np.ceil(P95 * n).astype(np.int64) - 1, 0)
+    absolute.partition(np.unique(rank))
+    p95 = np.where(n > 0, absolute[np.arange(len(n)), rank], np.nan)
+    return mae, msd, p95, n
+
+
+def _reports(
+    zones: Sequence[str],
+    counts: np.ndarray,
+    households: np.ndarray,
+    config: SimulationConfig,
+) -> list[ErrorReport]:
+    """Reports for zones given as columns; households is 0 where a zone has no figure."""
+    reports: list[ErrorReport | None] = [None] * len(zones)
+    active = np.flatnonzero((households > 0) & (counts[:, 1] > 0))
+    per_block = max(1, BLOCK_TRIALS // config.k)
+    for lo in range(0, len(active), per_block):
+        rows = active[lo : lo + per_block].tolist()
+        d, defined = _trials([zones[i] for i in rows], counts[rows], households[rows], config)
+        for i, mae, msd, p95, n in zip(rows, *(column.tolist() for column in _statistics(d, defined))):
+            if n:
+                reports[i] = ErrorReport(zones[i], mae, msd, p95, config.k, n / config.k)
+    return [
+        report if report is not None else ErrorReport(zone, None, None, None, config.k, 0.0)
+        for zone, report in zip(zones, reports)
+    ]
 
 
 def estimate_error_ranges(
@@ -187,37 +260,34 @@ def estimate_error_ranges(
     household figure) get a report with defined_fraction 0 and absent
     statistics.
     """
-    if households is None or priv.services_dp == 0:
-        return ErrorReport(priv.zone, None, None, None, config.k, 0.0)
-    d = trial_deviations(priv, households, config)
-    if d.size == 0:
-        return ErrorReport(priv.zone, None, None, None, config.k, 0.0)
-    mae, msd, p95 = summarize_deviations(d)
-    return ErrorReport(priv.zone, mae, msd, p95, config.k, d.size / config.k)
+    if households is not None and not (isinstance(households, int) and not isinstance(households, bool) and households >= 1):
+        raise ValueError(f"households must be a positive integer, got {households!r}")
+    counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
+    return _reports([priv.zone], counts, np.array([households or 0]), config)[0]
 
 
 def error_reports_for_release(
     privs: Sequence[PrivateZipRecord],
     households: Mapping[str, HouseholdRecord],
     config: SimulationConfig,
-    *,
-    threads: int = 1,
 ) -> list[ErrorReport]:
     """Reports for a whole release, in input order.
 
-    Each zone is independent, so worker threads change scheduling only.
+    Each zone's report is a pure function of its record, its household
+    figure and the config, whatever the order or company of the others.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    def one(priv: PrivateZipRecord) -> ErrorReport:
-        household = households.get(priv.zone)
-        return estimate_error_ranges(priv, household.households if household is not None else None, config)
-
-    if threads == 1 or len(privs) < 2:
-        return [one(priv) for priv in privs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, privs))
+    zones = [priv.zone for priv in privs]
+    counts = np.fromiter(
+        (value for p in privs for value in (p.high_speed_dp, p.services_dp, p.non_services_dp)),
+        dtype=np.float64,
+        count=3 * len(privs),
+    ).reshape(len(privs), 3)
+    figures = np.fromiter(
+        (h.households if (h := households.get(zone)) is not None else 0 for zone in zones),
+        dtype=np.int64,
+        count=len(zones),
+    )
+    return _reports(zones, counts, figures, config)
 
 
 def bucket_by_households(

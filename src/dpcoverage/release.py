@@ -18,6 +18,10 @@ All four counts are privatized independently with sensitivity-1 Laplace
 noise and clamped at zero. The release is accounted as two sequential
 rounds of two parallel (disjoint-partition) count queries, so its exact
 total privacy cost is twice the per-query epsilon.
+
+A release runs as column passes: one noise-kernel call per count label
+over every zone, then the coverage formula over whole arrays. Frozen
+per-zone records are built only for the caller.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from __future__ import annotations
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, par, seq, total_epsilon
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
@@ -179,6 +184,43 @@ def release_query_plan(per_query_epsilon: EpsilonLike) -> Sequential:
     )
 
 
+def coverage_columns(
+    high_speed: np.ndarray,
+    services: np.ndarray,
+    non_services: np.ndarray,
+    households: np.ndarray,
+) -> np.ndarray:
+    """compute_coverage elementwise over arrays, without its checks.
+
+    Same IEEE operations in the same order as compute_coverage, so each
+    element is bit-identical to the scalar value. Elements whose services
+    count is zero come out inf or nan; callers mask them as UNDEFINED.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return high_speed * (services + non_services) / (services * households)
+
+
+def _noisy_counts(
+    records: Sequence[RawZipRecord],
+    params: LaplaceParams,
+    base_seed: int,
+    round_counts: bool,
+) -> np.ndarray:
+    """(len(records), 4) clamped noisy counts, one kernel call per count label."""
+    zones = tuple(record.zone for record in records)
+    true = np.array(
+        [(r.low_speed, r.high_speed, r.services, r.non_services) for r in records], dtype=np.float64
+    ).reshape(len(records), len(COUNT_LABELS))
+    noisy = np.column_stack(
+        [
+            privatize_count(true[:, column], params, NoiseSeed(base_seed, zones, label, 0))
+            for column, label in enumerate(COUNT_LABELS)
+        ]
+    ).reshape(len(records), len(COUNT_LABELS))
+    # rint rounds ties to even, as round() does
+    return np.rint(noisy) if round_counts else noisy
+
+
 def privatize_record(
     raw: RawZipRecord,
     per_query_epsilon: EpsilonLike,
@@ -194,22 +236,8 @@ def privatize_record(
     (ties to even); the default publishes real values.
     """
     eps = as_epsilon(per_query_epsilon)
-    params = LaplaceParams(COUNT_SENSITIVITY, float(eps))
-    values = (raw.low_speed, raw.high_speed, raw.services, raw.non_services)
-    noisy = [
-        privatize_count(value, params, NoiseSeed(base_seed, raw.zone, label, 0))
-        for label, value in zip(COUNT_LABELS, values)
-    ]
-    if round_counts:
-        noisy = [float(round(value)) for value in noisy]
-    return PrivateZipRecord(
-        zone=raw.zone,
-        low_speed_dp=noisy[0],
-        high_speed_dp=noisy[1],
-        services_dp=noisy[2],
-        non_services_dp=noisy[3],
-        epsilon_total=total_epsilon(release_query_plan(eps)),
-    )
+    noisy = _noisy_counts([raw], LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
+    return PrivateZipRecord(raw.zone, *noisy[0].tolist(), total_epsilon(release_query_plan(eps)))
 
 
 def estimate_coverage(priv: PrivateZipRecord, households: int | None) -> CoverageEstimate:
@@ -227,32 +255,47 @@ def release_dataset(
     base_seed: int,
     *,
     round_counts: bool = False,
-    threads: int = 1,
 ) -> list[tuple[PrivateZipRecord, CoverageEstimate]]:
     """Privatize every zone in the release list, preserving input order.
 
     Duplicate zones are rejected up front. Zones with no household figure
     are released with an UNDEFINED coverage estimate (their noisy counts
-    are still published) and logged, not dropped. Worker threads only
-    change scheduling, never values: each zone is a pure function of its
-    record and the base seed.
+    are still published) and reported in one log warning, not dropped.
+    Each zone's output is a pure function of its record and the base
+    seed, whatever the order or company of the other records.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     seen: set[str] = set()
     for record in records:
         if record.zone in seen:
             raise IngestionError(f"duplicate zone in release list: {record.zone}")
         seen.add(record.zone)
 
-    def one(record: RawZipRecord) -> tuple[PrivateZipRecord, CoverageEstimate]:
-        priv = privatize_record(record, per_query_epsilon, base_seed, round_counts=round_counts)
-        household = households.get(record.zone)
-        if household is None:
-            logger.warning("zone %s has no household figure; releasing UNDEFINED coverage", record.zone)
-        return priv, estimate_coverage(priv, household.households if household is not None else None)
+    eps = as_epsilon(per_query_epsilon)
+    epsilon_total = total_epsilon(release_query_plan(eps))
+    noisy = _noisy_counts(records, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
 
-    if threads == 1 or len(records) < 2:
-        return [one(record) for record in records]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, records))
+    missing = [record.zone for record in records if record.zone not in households]
+    if missing:
+        logger.warning(
+            "%d zone(s) have no household figure and are released with UNDEFINED coverage: %s%s",
+            len(missing),
+            ", ".join(missing[:5]),
+            ", ..." if len(missing) > 5 else "",
+        )
+    figures = np.fromiter(
+        (h.households if (h := households.get(r.zone)) is not None else 0 for r in records),
+        dtype=np.int64,
+        count=len(records),
+    )
+    raw = coverage_columns(noisy[:, 1], noisy[:, 2], noisy[:, 3], figures)
+    defined = (figures > 0) & (noisy[:, 2] > 0)
+    clipped = np.minimum(1.0, np.maximum(0.0, raw))
+
+    pairs = []
+    for record, counts, ok, value, raw_value in zip(
+        records, noisy.tolist(), defined.tolist(), clipped.tolist(), raw.tolist()
+    ):
+        priv = PrivateZipRecord(record.zone, *counts, epsilon_total)
+        estimate = CoverageEstimate(record.zone, value, raw_value) if ok else CoverageEstimate(record.zone, None, None)
+        pairs.append((priv, estimate))
+    return pairs

@@ -140,7 +140,7 @@ def test_c06_error_shrinks_with_households():
             privs.append(privatize_record(raw, "0.1", 606))
             households[zone] = HouseholdRecord(zone, hud)
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=606, k=2000)
-    reports = error_reports_for_release(privs, households, config, threads=4)
+    reports = error_reports_for_release(privs, households, config)
     assert all(r.mae is not None for r in reports)
     pairs = [(r, households[r.zone].households) for r in reports]
     buckets = bucket_by_households(pairs, magnitudes)

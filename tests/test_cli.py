@@ -91,7 +91,6 @@ def test_replaying_a_manifest_reproduces_outputs(tmp_path):
               "--epsilon", params["epsilon"],
               "--seed", str(params["seed"]),
               "--k", str(params["k"]),
-              "--threads", str(params["threads"]),
               "--out", params["out"]]
     if params["round_counts"]:
         replay.append("--round-counts")
@@ -101,14 +100,59 @@ def test_replaying_a_manifest_reproduces_outputs(tmp_path):
     assert (tmp_path / "released.csv.manifest.json").read_bytes() == first_manifest
 
 
-def test_threads_flag_does_not_change_output(tmp_path):
+def test_input_order_does_not_change_zone_rows(tmp_path):
     counts, households = make_inputs(tmp_path, zones=30)
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    base = ["--counts", str(counts), "--households", str(households), "--seed", "42", "--k", "20"]
-    assert run(["release", *base, "--threads", "1", "--out", str(one)]) == 0
-    assert run(["release", *base, "--threads", "4", "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
+    lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+    reversed_counts = tmp_path / "reversed.csv"
+    reversed_counts.write_text(lines[0] + "".join(reversed(lines[1:])), encoding="utf-8")
+    forward = tmp_path / "forward.csv"
+    backward = tmp_path / "backward.csv"
+    base = ["--households", str(households), "--seed", "42", "--k", "20"]
+    assert run(["release", "--counts", str(counts), *base, "--out", str(forward)]) == 0
+    assert run(["release", "--counts", str(reversed_counts), *base, "--out", str(backward)]) == 0
+    forward_rows = forward.read_text(encoding="utf-8").splitlines()
+    backward_rows = backward.read_text(encoding="utf-8").splitlines()
+    assert backward_rows[0] == forward_rows[0]
+    assert backward_rows[1:] == list(reversed(forward_rows[1:]))
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=2)
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+                "--threads", "2", "--out", str(tmp_path / "out.csv")]) == 2
+
+
+def test_manifest_records_noise_format(tmp_path):
+    counts, households = make_inputs(tmp_path, zones=3)
+    released = tmp_path / "released.csv"
+    final = tmp_path / "final.csv"
+    buckets = tmp_path / "buckets.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "42", "--out", str(released)]) == 0
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 0
+    assert run(["summarize", "--in", str(final), "--households", str(households), "--out", str(buckets)]) == 0
+    manifests = [tmp_path / f"{name}.manifest.json" for name in ("counts.csv", "released.csv", "final.csv", "buckets.csv")]
+    for path in manifests:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["noise_format"] == 2
+        assert "threads" not in manifest["parameters"]
+
+
+def test_simulate_error_refuses_epsilon_other_than_the_release(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=5)
+    released = tmp_path / "released.csv"
+    final = tmp_path / "final.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--epsilon", "0.1", "--seed", "42", "--out", str(released)]) == 0
+    base = ["simulate-error", "--release", str(released), "--households", str(households),
+            "--k", "10", "--seed", "42", "--out", str(final)]
+    capsys.readouterr()
+    assert run([*base, "--epsilon", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "0.2" in captured.err
+    assert not final.exists()
+    assert run([*base, "--epsilon", "0.10"]) == 0  # the same decimal, written differently
 
 
 def test_empty_counts_file_releases_header_only(tmp_path):

@@ -13,6 +13,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from dpcoverage import errorsim
 from dpcoverage.errorsim import (
     ErrorReport,
     SimulationConfig,
@@ -187,14 +188,63 @@ def test_no_clamping_keeps_deviations_centered():
     assert abs(report.msd) <= 4 * float(np.std(d)) / math.sqrt(d.size)
 
 
-def test_error_reports_for_release_order_and_threads():
+def test_error_reports_for_release_order_and_block_size(monkeypatch):
     privs = [priv(zone=f"{i:05d}", services=50.0 + i) for i in range(1, 30)]
     households = {p.zone: HouseholdRecord(p.zone, 500) for p in privs}
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=9, k=200)
-    sequential = error_reports_for_release(privs, households, config, threads=1)
-    threaded = error_reports_for_release(privs, households, config, threads=4)
-    assert [r.zone for r in sequential] == [p.zone for p in privs]
-    assert sequential == threaded
+    reports = error_reports_for_release(privs, households, config)
+    assert [r.zone for r in reports] == [p.zone for p in privs]
+    backward = error_reports_for_release(list(reversed(privs)), households, config)
+    assert backward == list(reversed(reports))
+    for block_trials in (1, 200, 7 * 200, 1 << 20):  # one zone per block ... all zones in one
+        monkeypatch.setattr(errorsim, "BLOCK_TRIALS", block_trials)
+        assert error_reports_for_release(privs, households, config) == reports
+
+
+def _scalar_report(record, households, config):
+    """Reference: every trial through simulate_once, statistics by hand."""
+    trials = [
+        simulate_once(record, households, config.per_query_epsilon, NoiseSeed(config.base_seed, record.zone, "", i))
+        for i in range(1, config.k + 1)
+    ]
+    defined = [t for t in trials if t is not None]
+    if not defined:
+        return None
+    absolute = sorted(abs(t) for t in defined)
+    return (
+        math.fsum(absolute) / len(defined),
+        math.fsum(defined) / len(defined),
+        absolute[math.ceil(0.95 * len(defined)) - 1],
+        len(defined) / config.k,
+    )
+
+
+def test_error_reports_match_scalar_oracle():
+    # clamping zones (some trials undefined), an undefined release, no
+    # household figure, and ordinary zones
+    privs = [
+        priv(zone="00001", services=3.0),
+        priv(zone="00002", services=12.0, high=4.0, non=1.0),
+        priv(zone="00003"),
+        priv(zone="00004", services=0.0),
+        priv(zone="00005", services=5000.0, high=2000.0, non=900.0),
+        priv(zone="00006", services=40.0),
+    ]
+    households = {p.zone: HouseholdRecord(p.zone, 150) for p in privs if p.zone != "00006"}
+    config = SimulationConfig(per_query_epsilon=0.1, base_seed=31, k=300)
+    reports = error_reports_for_release(privs, households, config)
+    assert 0.0 < reports[0].defined_fraction < 1.0  # the masked path is exercised
+    for record, report in zip(privs, reports):
+        figure = households.get(record.zone)
+        expected = _scalar_report(record, figure.households, config) if figure and record.services_dp > 0 else None
+        if expected is None:
+            assert (report.mae, report.msd, report.p95, report.defined_fraction) == (None, None, None, 0.0)
+            continue
+        mae, msd, p95, fraction = expected
+        assert report.mae == pytest.approx(mae, rel=1e-12)
+        assert report.msd == pytest.approx(msd, rel=1e-12, abs=1e-12 * mae)
+        assert report.p95 == p95
+        assert report.defined_fraction == fraction
 
 
 def test_simulation_config_validation():

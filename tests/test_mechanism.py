@@ -9,6 +9,7 @@ Frozen oracle values for Laplace(0, scale):
 Statistical checks run on fixed seeds, so they are deterministic.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -157,3 +158,65 @@ def test_stream_start_count_domain():
         laplace_stream(SCALE10, 0, "00001", "high_speed", start=-1)
     with pytest.raises(ParameterError):
         laplace_stream(SCALE10, -1, "00001", "high_speed")
+
+
+# Noise format 2, transcribed independently of the kernel: key
+# (base_seed, "dpcovf02"), counter (i // 4, 0, h0, h1) with h0, h1 the
+# halves of BLAKE2b-128(zone \x1f label), lane i % 4 of the first block a
+# fresh Philox4x64-10 emits, then the odd 52-bit lattice and the inverse CDF.
+FORMAT2_DOMAIN = 0x323066766F637064  # b"dpcovf02" read little-endian
+
+
+def _format2_draw(scale, base_seed, zone, label, iteration):
+    digest = hashlib.blake2b(f"{zone}\x1f{label}".encode("utf-8"), digest_size=16).digest()
+    h0, h1 = int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
+    philox = np.random.Philox(
+        key=np.array([base_seed, FORMAT2_DOMAIN], dtype=np.uint64),
+        counter=np.array([iteration // 4, 0, h0, h1], dtype=np.uint64),
+    )
+    word = int(philox.random_raw(iteration % 4 + 1)[iteration % 4])
+    u = (2 * (word >> 12) + 1) / 2**53 - 0.5
+    assert u != 0.0 and abs(u) < 0.5
+    return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
+
+
+@pytest.mark.parametrize("base_seed,zone,label,iteration", [
+    (0, "00000", "low_speed", 0),
+    (42, "00001", "high_speed", 1),
+    (7, "90210", "services", 3),
+    (7, "90210", "services", 4),
+    (2**64 - 1, "99999", "non_services", 11),
+    (20260815, "00000", "moments", 999_999),
+])
+def test_known_answers_match_a_fresh_philox(base_seed, zone, label, iteration):
+    expected = _format2_draw(SCALE10.scale, base_seed, zone, label, iteration)
+    assert laplace_sample(SCALE10, NoiseSeed(base_seed, zone, label, iteration)) == expected
+
+
+def test_format2_known_answer_is_pinned():
+    # a change of hash, domain, lattice or numpy's Philox shows here
+    assert _format2_draw(10.0, 42, "00001", "high_speed", 0) == -1.6603883521197118
+    assert laplace_sample(SCALE10, NoiseSeed(42, "00001", "high_speed", 0)) == -1.6603883521197118
+
+
+def test_far_offset_seek_matches_the_oracle():
+    start = 10**9
+    draws = laplace_stream(SCALE10, 5, "12345", "services", start=start, count=9)
+    expected = [_format2_draw(SCALE10.scale, 5, "12345", "services", start + i) for i in range(9)]
+    assert list(draws) == expected
+
+
+def test_zone_column_rows_match_single_streams():
+    zones = ("00001", "00002", "31415")
+    column = laplace_stream(SCALE10, 3, zones, "services", start=2, count=6)
+    assert column.shape == (3, 6)
+    for row, zone in zip(column, zones):
+        assert list(row) == list(laplace_stream(SCALE10, 3, zone, "services", start=2, count=6))
+    seeds = NoiseSeed(3, zones, "services", 2)
+    assert list(laplace_sample(SCALE10, seeds)) == list(column[:, 0])
+    released = privatize_count(np.array([0.0, 5.0, 100.0]), SCALE10, seeds)
+    assert list(released) == [max(0.0, c + x) for c, x in zip((0.0, 5.0, 100.0), column[:, 0])]
+    with pytest.raises(ParameterError):
+        privatize_count(np.array([1.0, -1.0, 2.0]), SCALE10, seeds)
+    with pytest.raises(ParameterError):
+        privatize_count(np.array([1.0, 2.0]), SCALE10, seeds)

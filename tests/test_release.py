@@ -207,12 +207,28 @@ def test_zone_output_is_independent_of_other_records():
     assert by_zone_fwd == by_zone_bwd
 
 
-def test_threads_do_not_change_outputs():
+def test_release_dataset_matches_per_zone_records():
+    # the column pass gives every zone exactly what the one-zone path gives
     records = [RawZipRecord(f"{i:05d}", i, 2 * i, 3 * i, i) for i in range(1, 40)]
     households = hh_map(*[HouseholdRecord(r.zone, 50 + r.low_speed) for r in records])
-    sequential = release_dataset(records, households, "0.1", 7, threads=1)
-    threaded = release_dataset(records, households, "0.1", 7, threads=4)
-    assert sequential == threaded
+    for round_counts in (False, True):
+        pairs = release_dataset(records, households, "0.1", 7, round_counts=round_counts)
+        for record, (priv, estimate) in zip(records, pairs):
+            assert priv == privatize_record(record, "0.1", 7, round_counts=round_counts)
+            assert estimate == estimate_coverage(priv, households[record.zone].households)
+        subset = release_dataset(records[5:9], households, "0.1", 7, round_counts=round_counts)
+        assert subset == pairs[5:9]
+
+
+def test_missing_households_log_one_warning(caplog):
+    records = [RawZipRecord(f"{i:05d}", 10, 20, 30, 5) for i in range(1, 1001)]
+    with caplog.at_level(logging.WARNING, logger="dpcoverage.release"):
+        pairs = release_dataset(records, {}, "0.1", 7)
+    assert not any(estimate.defined for _, estimate in pairs)
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "1000 zone(s)" in message
+    assert "00001" in message and "00005" in message and "00006" not in message
 
 
 def test_round_counts_releases_whole_devices():
