@@ -15,7 +15,6 @@ from dpcoverage.accountant import (
     Query,
     Sequential,
     as_epsilon,
-    charge,
     describe_plan,
     parallel_compose,
     sequential_compose,
@@ -29,8 +28,6 @@ from dpcoverage.errorsim import (
     error_reports_for_release,
     estimate_error_ranges,
     nearest_rank,
-    simulate_once,
-    summarize_deviations,
     trial_deviations,
 )
 from dpcoverage.mechanism import (
@@ -81,7 +78,6 @@ __all__ = [
     "SynthSpec",
     "as_epsilon",
     "bucket_by_households",
-    "charge",
     "clip_unit",
     "compute_coverage",
     "describe_plan",
@@ -97,8 +93,6 @@ __all__ = [
     "release_dataset",
     "release_query_plan",
     "sequential_compose",
-    "simulate_once",
-    "summarize_deviations",
     "total_epsilon",
     "trial_deviations",
     "__version__",

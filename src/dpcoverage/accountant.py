@@ -14,6 +14,7 @@ distinct children of a parallel node must not overlap.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -185,7 +186,8 @@ class BudgetLedger:
 
     spent is always the exact decimal sum over entries, and a charge that
     would exceed the budget is rejected without touching the ledger.
-    Single-writer: callers serialize concurrent charges.
+    Single-writer: callers serialize concurrent charges to one journal
+    (the release command holds an exclusive flock on it from load to append).
     """
 
     def __init__(self, budget: EpsilonLike, entries: Iterable[LedgerEntry] = ()) -> None:
@@ -222,22 +224,16 @@ class BudgetLedger:
         return entry
 
 
-def charge(
-    ledger: BudgetLedger,
-    plan: QueryPlan,
-    *,
-    description: str | None = None,
-    timestamp: str | None = None,
-) -> BudgetLedger:
-    """Module-level convenience wrapper around BudgetLedger.charge."""
-    ledger.charge(plan, description=description, timestamp=timestamp)
-    return ledger
-
-
 def append_journal(path: str | Path, entry: LedgerEntry) -> None:
-    """Append one charge to a plain-text journal: timestamp TAB description TAB epsilon."""
+    """Append one charge to a plain-text journal: timestamp TAB description TAB epsilon.
+
+    The line is on disk (fsync) before this returns, so a charge survives a
+    crash of the release that follows it.
+    """
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(f"{entry.timestamp}\t{entry.description}\t{entry.epsilon}\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def load_journal(path: str | Path) -> list[LedgerEntry]:
@@ -260,5 +256,12 @@ def load_journal(path: str | Path) -> list[LedgerEntry]:
 
 
 def load_ledger(path: str | Path, budget: EpsilonLike) -> BudgetLedger:
-    """Rebuild a ledger from its journal, enforcing spent <= budget."""
-    return BudgetLedger(budget, load_journal(path))
+    """Rebuild a ledger from its journal, enforcing spent <= budget.
+
+    A missing journal is an empty one.
+    """
+    try:
+        entries = load_journal(path)
+    except FileNotFoundError:
+        entries = []
+    return BudgetLedger(budget, entries)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import hashlib
 import json
 import sys
@@ -24,16 +25,13 @@ from pathlib import Path
 from dpcoverage import __version__, io
 from dpcoverage.accountant import (
     BudgetExceededError,
-    BudgetLedger,
-    PlanError,
     append_journal,
     as_epsilon,
     load_ledger,
     total_epsilon,
 )
-from dpcoverage.errorsim import ErrorReport, SimulationConfig, bucket_by_households, error_reports_for_release
-from dpcoverage.io import CsvFormatError
-from dpcoverage.mechanism import NOISE_FORMAT, ParameterError
+from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
+from dpcoverage.mechanism import NOISE_FORMAT
 from dpcoverage.release import IngestionError, release_dataset, release_query_plan
 from dpcoverage.synth import SynthSpec, generate
 
@@ -110,7 +108,7 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
     }
     path = Path(f"{out_path}.manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with io.atomic_writer(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
@@ -156,12 +154,15 @@ def _cmd_release(args: argparse.Namespace) -> int:
     plan = release_query_plan(eps)
 
     if args.journal is not None:
-        journal = Path(args.journal)
-        ledger = load_ledger(journal, args.budget) if journal.exists() else BudgetLedger(args.budget)
-        # record the charge before releasing anything, so a crash mid-run
-        # never leaves spent epsilon unaccounted for
-        entry = ledger.charge(plan, description=f"release {args.out}")
-        append_journal(journal, entry)
+        # hold the journal's lock from the budget check to the append, so two
+        # releases at once cannot both pass the check
+        with open(args.journal, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            ledger = load_ledger(args.journal, args.budget)
+            # record the charge before releasing anything, so a crash mid-run
+            # never leaves spent epsilon unaccounted for
+            entry = ledger.charge(plan, description=f"release {args.out}")
+            append_journal(args.journal, entry)
 
     pairs = release_dataset(
         records,
@@ -213,11 +214,20 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
             + (f" and {len(missing) - 5} more" if len(missing) > 5 else "")
         )
 
+    # a sidecar written for another release would simulate this release's
+    # errors around that release's counts and epsilon
+    ordered = [privs[row.zone] for row in rows]
+    for row, priv in zip(rows, ordered):
+        if row.epsilon != priv.epsilon_total:
+            raise IngestionError(
+                f"{args.release_path} records epsilon {row.epsilon} for zone {row.zone}, "
+                f"but {sidecar} records {priv.epsilon_total}"
+            )
+
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
     eps = as_epsilon(args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
-    ordered = [privs[row.zone] for row in rows]
     mismatched = [priv for priv in ordered if priv.epsilon_total != implied]
     if mismatched:
         raise IngestionError(
@@ -255,22 +265,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     rows = io.read_release_csv(args.in_path)
     households = io.read_households_csv(args.households)
 
-    pairs: list[tuple[ErrorReport, int]] = []
-    skipped = 0
-    for row in rows:
-        record = households.get(row.zone)
-        if record is None:
-            skipped += 1
-            continue
-        report = ErrorReport(
-            zone=row.zone,
-            mae=row.mae,
-            msd=row.msd,
-            p95=row.p95,
-            k=0,
-            defined_fraction=1.0 if row.mae is not None else 0.0,
-        )
-        pairs.append((report, record.households))
+    pairs = [(row, households[row.zone].households) for row in rows if row.zone in households]
+    skipped = len(rows) - len(pairs)
     if skipped:
         print(f"warning: {skipped} zone(s) missing household figures were not bucketed", file=sys.stderr)
 
@@ -293,11 +289,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    journal = Path(args.journal)
-    if journal.exists():
-        ledger = load_ledger(journal, args.budget)
-    else:
-        ledger = BudgetLedger(args.budget)
+    ledger = load_ledger(args.journal, args.budget)
     print(f"budget={ledger.budget}")
     print(f"spent={ledger.spent}")
     print(f"remaining={ledger.remaining}")
@@ -368,10 +360,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CsvFormatError, IngestionError, PlanError, BudgetExceededError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (BudgetExceededError, OSError, ValueError) as exc:
+        # CsvFormatError, IngestionError, PlanError and ParameterError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

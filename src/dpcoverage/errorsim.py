@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_sample, laplace_stream
+# laplace_sample is not called here, since trials draw whole blocks through
+# laplace_stream; it stays importable as errorsim.laplace_sample because
+# bench/invoke.py wraps that name to time the simulation's noise draws.
+from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     HouseholdRecord,
@@ -39,7 +42,11 @@ from dpcoverage.release import (
     clip_unit,
     compute_coverage,
     coverage_columns,
+    household_column,
 )
+
+if TYPE_CHECKING:
+    from dpcoverage.io import ReleaseRow
 
 # Substreams re-noised per trial; same labels as the release, which uses
 # iteration 0 of each. Trials use iterations 1..k.
@@ -115,60 +122,6 @@ def nearest_rank(values: Sequence[float] | np.ndarray, q: float) -> float:
     return float(data[math.ceil(q * data.size) - 1])
 
 
-def summarize_deviations(deviations: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
-    """(mae, msd, p95) of a vector of defined deviations."""
-    d = np.asarray(deviations, dtype=float)
-    if d.size == 0:
-        raise ValueError("cannot summarize zero deviations")
-    absolute = np.abs(d)
-    return float(np.mean(absolute)), float(np.mean(d)), nearest_rank(absolute, 0.95)
-
-
-def deviation_from_noise(
-    priv: PrivateZipRecord,
-    households: int,
-    eta_high: float,
-    eta_services: float,
-    eta_non_services: float,
-) -> float | None:
-    """Deviation of one re-noised trial from the released coverage.
-
-    Pure in the noise: the three Laplace draws are passed explicitly.
-    Returns None when the trial (or the release itself) has no defined
-    coverage.
-    """
-    if priv.services_dp == 0:
-        return None
-    released = clip_unit(compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households))
-    high = max(0.0, priv.high_speed_dp + eta_high)
-    services = max(0.0, priv.services_dp + eta_services)
-    non_services = max(0.0, priv.non_services_dp + eta_non_services)
-    if services == 0:
-        return None
-    trial = clip_unit(compute_coverage(high, services, non_services, households))
-    return released - trial
-
-
-def simulate_once(
-    priv: PrivateZipRecord,
-    households: int,
-    per_query_epsilon: float,
-    seed: NoiseSeed,
-) -> float | None:
-    """One re-noised trial at the seed's iteration index.
-
-    The three draws come from substreams (priv.zone, "high_speed"/"services"/"non_services") at
-    seed.iteration; only base_seed and iteration are read from the seed,
-    the zone and labels are fixed by the record and the procedure.
-    """
-    params = LaplaceParams(COUNT_SENSITIVITY, float(per_query_epsilon))
-    etas = [
-        laplace_sample(params, NoiseSeed(seed.base_seed, priv.zone, label, seed.iteration))
-        for label in SIMULATED_LABELS
-    ]
-    return deviation_from_noise(priv, households, *etas)
-
-
 def _trials(
     zones: Sequence[str],
     counts: np.ndarray,
@@ -178,9 +131,7 @@ def _trials(
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
     counts holds each zone's (high_speed, services, non_services) noisy
-    counts; households is positive. Same IEEE operations in the same
-    order as simulate_once, so every defined element is bit-identical to
-    the scalar trial.
+    counts; households is positive.
     """
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
     eta = [
@@ -188,19 +139,18 @@ def _trials(
         for label in SIMULATED_LABELS
     ]
     high, services, non_services, households = counts[:, 0:1], counts[:, 1:2], counts[:, 2:3], households[:, None]
-    released = np.minimum(1.0, np.maximum(0.0, coverage_columns(high, services, non_services, households)))
+    released = clip_unit(coverage_columns(high, services, non_services, households))
     trial_high = np.maximum(0.0, high + eta[0])
     trial_services = np.maximum(0.0, services + eta[1])
     trial_non_services = np.maximum(0.0, non_services + eta[2])
     raw = coverage_columns(trial_high, trial_services, trial_non_services, households)
-    return released - np.minimum(1.0, np.maximum(0.0, raw)), trial_services > 0.0
+    return released - clip_unit(raw), trial_services > 0.0
 
 
 def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
     """Defined deviations for trials 1..k of one zone.
 
     Undefined trials are dropped, so the result can be shorter than k.
-    Bit-identical to calling simulate_once at each iteration.
     """
     # raises when the release itself has no coverage or households is not a positive integer
     compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households)
@@ -260,10 +210,8 @@ def estimate_error_ranges(
     household figure) get a report with defined_fraction 0 and absent
     statistics.
     """
-    if households is not None and not (isinstance(households, int) and not isinstance(households, bool) and households >= 1):
-        raise ValueError(f"households must be a positive integer, got {households!r}")
-    counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
-    return _reports([priv.zone], counts, np.array([households or 0]), config)[0]
+    figures = {} if households is None else {priv.zone: HouseholdRecord(priv.zone, households)}
+    return error_reports_for_release([priv], figures, config)[0]
 
 
 def error_reports_for_release(
@@ -282,20 +230,17 @@ def error_reports_for_release(
         dtype=np.float64,
         count=3 * len(privs),
     ).reshape(len(privs), 3)
-    figures = np.fromiter(
-        (h.households if (h := households.get(zone)) is not None else 0 for zone in zones),
-        dtype=np.int64,
-        count=len(zones),
-    )
-    return _reports(zones, counts, figures, config)
+    return _reports(zones, counts, household_column(zones, households), config)
 
 
 def bucket_by_households(
-    reports: Sequence[tuple[ErrorReport, int]],
+    reports: Sequence[tuple[ErrorReport | ReleaseRow, int]],
     thresholds: Sequence[int],
 ) -> list[BucketSummary]:
     """Group zones into half-open household buckets and average their stats.
 
+    Only each report's zone, mae, msd and p95 are read, so the rows of a
+    published release table serve as well as fresh ErrorReports.
     thresholds must be strictly ascending; they induce buckets
     [t0, t1), ..., [t_{n-2}, t_{n-1}), plus an unbounded [t_{n-1}, inf)
     so every zone at or above the first threshold lands in exactly one
@@ -313,7 +258,7 @@ def bucket_by_households(
     edges: list[tuple[int, int | None]] = [
         (low, high) for low, high in zip(thresholds, thresholds[1:])
     ] + [(thresholds[-1], None)]
-    members: list[list[ErrorReport]] = [[] for _ in edges]
+    members: list[list[ErrorReport | ReleaseRow]] = [[] for _ in edges]
 
     for report, households in reports:
         if households < thresholds[0]:

@@ -7,19 +7,23 @@ written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
 Readers abort on the first malformed row and name its line number.
+Writers replace their target atomically: a crash mid-write leaves the
+old file, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-from dpcoverage.accountant import PlanError, as_epsilon
+from dpcoverage.accountant import as_epsilon
 from dpcoverage.errorsim import BucketSummary, ErrorReport
-from dpcoverage.release import CoverageEstimate, HouseholdRecord, IngestionError, PrivateZipRecord, RawZipRecord
+from dpcoverage.release import CoverageEstimate, HouseholdRecord, PrivateZipRecord, RawZipRecord
 
 COUNTS_HEADER = ["zip", "low_speed_devices", "high_speed_devices", "services_devices", "non_services_devices"]
 HOUSEHOLDS_HEADER = ["zip", "households"]
@@ -55,22 +59,63 @@ def private_counts_path(release_path: str | Path) -> Path:
     return Path(f"{release_path}.private-counts.csv")
 
 
-def _open_reader(path: str | Path, expected_header: list[str]):
-    handle = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(handle)
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temporary file beside path, moved onto path on success.
+
+    On any exception the temporary file is deleted and path keeps its old
+    bytes, so a crash never leaves a truncated file under the final name.
+    """
+    temporary = Path(f"{path}.{os.getpid()}.tmp")
+    handle = open(temporary, "w", encoding="utf-8", newline="")
     try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise CsvFormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
-    if header != expected_header:
-        handle.close()
-        raise CsvFormatError(f"{path}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}")
-    return handle, reader
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    with atomic_writer(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
     return CsvFormatError(f"{path}: line {line_num}: {problem}")
+
+
+def _read_table(path: str | Path, header: list[str], parse_row: Callable[[list[str]], Any]) -> list:
+    """Records parsed from the rows of a CSV file with the given header.
+
+    Rejects an empty file, a wrong header, a row with the wrong number of
+    fields, a row parse_row rejects with ValueError, and a zone seen on an
+    earlier row; row errors name their line.
+    """
+    records = []
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        for row in reader:
+            if len(row) != len(header):
+                raise _row_error(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                record = parse_row(row)
+            except ValueError as exc:
+                raise _row_error(path, reader.line_num, str(exc))
+            if record.zone in seen:
+                raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
+            seen.add(record.zone)
+            records.append(record)
+    return records
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -91,176 +136,74 @@ def _parse_float(text: str, name: str) -> float | None:
 
 def read_counts_csv(path: str | Path) -> list[RawZipRecord]:
     """True per-zone device counts. Duplicate zones are rejected."""
-    handle, reader = _open_reader(path, COUNTS_HEADER)
-    records: list[RawZipRecord] = []
-    seen: set[str] = set()
-    with handle:
-        for row in reader:
-            if len(row) != len(COUNTS_HEADER):
-                raise _row_error(path, reader.line_num, f"expected {len(COUNTS_HEADER)} fields, got {len(row)}")
-            try:
-                record = RawZipRecord(
-                    zone=row[0],
-                    low_speed=_parse_int(row[1], "low_speed_devices"),
-                    high_speed=_parse_int(row[2], "high_speed_devices"),
-                    services=_parse_int(row[3], "services_devices"),
-                    non_services=_parse_int(row[4], "non_services_devices"),
-                )
-            except (ValueError, IngestionError) as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if record.zone in seen:
-                raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
-            seen.add(record.zone)
-            records.append(record)
-    return records
+    return _read_table(
+        path, COUNTS_HEADER, lambda row: RawZipRecord(row[0], *map(_parse_int, row[1:], COUNTS_HEADER[1:]))
+    )
 
 
 def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COUNTS_HEADER)
-        for r in records:
-            writer.writerow([r.zone, r.low_speed, r.high_speed, r.services, r.non_services])
+    rows = ([r.zone, r.low_speed, r.high_speed, r.services, r.non_services] for r in records)
+    _write_table(path, COUNTS_HEADER, rows)
 
 
 def read_households_csv(path: str | Path) -> dict[str, HouseholdRecord]:
     """Public household totals, keyed by zone. Duplicate zones are rejected."""
-    handle, reader = _open_reader(path, HOUSEHOLDS_HEADER)
-    households: dict[str, HouseholdRecord] = {}
-    with handle:
-        for row in reader:
-            if len(row) != len(HOUSEHOLDS_HEADER):
-                raise _row_error(path, reader.line_num, f"expected {len(HOUSEHOLDS_HEADER)} fields, got {len(row)}")
-            try:
-                record = HouseholdRecord(zone=row[0], households=_parse_int(row[1], "households"))
-            except (ValueError, IngestionError) as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if record.zone in households:
-                raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
-            households[record.zone] = record
-    return households
+    records = _read_table(
+        path, HOUSEHOLDS_HEADER, lambda row: HouseholdRecord(row[0], _parse_int(row[1], "households"))
+    )
+    return {record.zone: record for record in records}
 
 
 def write_households_csv(path: str | Path, records: Sequence[HouseholdRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HOUSEHOLDS_HEADER)
-        for r in records:
-            writer.writerow([r.zone, r.households])
+    _write_table(path, HOUSEHOLDS_HEADER, ([r.zone, r.households] for r in records))
 
 
 def _format_float(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _release_fields(r: ReleaseRow) -> list[str]:
+    coverage = "" if r.coverage is None else f"{r.coverage:.3f}"
+    return [r.zone, coverage, *map(_format_float, (r.raw_coverage, r.mae, r.msd, r.p95)), str(r.epsilon)]
+
+
 def write_release_csv(path: str | Path, rows: Sequence[ReleaseRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RELEASE_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.zone,
-                    "" if r.coverage is None else f"{r.coverage:.3f}",
-                    _format_float(r.raw_coverage),
-                    _format_float(r.mae),
-                    _format_float(r.msd),
-                    _format_float(r.p95),
-                    str(r.epsilon),
-                ]
-            )
+    _write_table(path, RELEASE_HEADER, map(_release_fields, rows))
+
+
+def _parse_release_row(row: list[str]) -> ReleaseRow:
+    coverage, raw_coverage = map(_parse_float, row[1:3], RELEASE_HEADER[1:3])
+    if (coverage is None) != (raw_coverage is None):
+        raise ValueError("broadband_usage and broadband_usage_raw must be both set or both empty")
+    errors = map(_parse_float, row[3:6], RELEASE_HEADER[3:6])
+    return ReleaseRow(row[0], coverage, raw_coverage, *errors, epsilon=as_epsilon(row[6]))
 
 
 def read_release_csv(path: str | Path) -> list[ReleaseRow]:
-    handle, reader = _open_reader(path, RELEASE_HEADER)
-    rows: list[ReleaseRow] = []
-    seen: set[str] = set()
-    with handle:
-        for row in reader:
-            if len(row) != len(RELEASE_HEADER):
-                raise _row_error(path, reader.line_num, f"expected {len(RELEASE_HEADER)} fields, got {len(row)}")
-            try:
-                coverage = _parse_float(row[1], "broadband_usage")
-                raw_coverage = _parse_float(row[2], "broadband_usage_raw")
-                if (coverage is None) != (raw_coverage is None):
-                    raise ValueError("broadband_usage and broadband_usage_raw must be both set or both empty")
-                parsed = ReleaseRow(
-                    zone=row[0],
-                    coverage=coverage,
-                    raw_coverage=raw_coverage,
-                    mae=_parse_float(row[3], "error_mae"),
-                    msd=_parse_float(row[4], "error_msd"),
-                    p95=_parse_float(row[5], "error_p95"),
-                    epsilon=as_epsilon(row[6]),
-                )
-            except (ValueError, PlanError) as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if parsed.zone in seen:
-                raise _row_error(path, reader.line_num, f"duplicate zone {parsed.zone}")
-            seen.add(parsed.zone)
-            rows.append(parsed)
-    return rows
+    return _read_table(path, RELEASE_HEADER, _parse_release_row)
 
 
 def write_private_counts_csv(path: str | Path, privs: Sequence[PrivateZipRecord]) -> None:
     """Noisy-count sidecar; lets error simulation run as pure post-processing."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PRIVATE_COUNTS_HEADER)
-        for p in privs:
-            writer.writerow(
-                [
-                    p.zone,
-                    repr(p.low_speed_dp),
-                    repr(p.high_speed_dp),
-                    repr(p.services_dp),
-                    repr(p.non_services_dp),
-                    str(p.epsilon_total),
-                ]
-            )
+    rows = (
+        [p.zone, *map(repr, (p.low_speed_dp, p.high_speed_dp, p.services_dp, p.non_services_dp)), str(p.epsilon_total)]
+        for p in privs
+    )
+    _write_table(path, PRIVATE_COUNTS_HEADER, rows)
 
 
 def read_private_counts_csv(path: str | Path) -> list[PrivateZipRecord]:
-    handle, reader = _open_reader(path, PRIVATE_COUNTS_HEADER)
-    privs: list[PrivateZipRecord] = []
-    seen: set[str] = set()
-    with handle:
-        for row in reader:
-            if len(row) != len(PRIVATE_COUNTS_HEADER):
-                raise _row_error(path, reader.line_num, f"expected {len(PRIVATE_COUNTS_HEADER)} fields, got {len(row)}")
-            try:
-                priv = PrivateZipRecord(
-                    zone=row[0],
-                    low_speed_dp=float(row[1]),
-                    high_speed_dp=float(row[2]),
-                    services_dp=float(row[3]),
-                    non_services_dp=float(row[4]),
-                    epsilon_total=as_epsilon(row[5]),
-                )
-            except (ValueError, PlanError, IngestionError) as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if priv.zone in seen:
-                raise _row_error(path, reader.line_num, f"duplicate zone {priv.zone}")
-            seen.add(priv.zone)
-            privs.append(priv)
-    return privs
+    return _read_table(
+        path, PRIVATE_COUNTS_HEADER, lambda row: PrivateZipRecord(row[0], *map(float, row[1:5]), as_epsilon(row[5]))
+    )
 
 
 def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(BUCKET_HEADER)
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.low,
-                    "" if s.high is None else s.high,
-                    s.zone_count,
-                    _format_float(s.mean_mae),
-                    _format_float(s.mean_msd),
-                    _format_float(s.mean_p95),
-                ]
-            )
+    rows = (
+        [s.low, "" if s.high is None else s.high, s.zone_count, *map(_format_float, (s.mean_mae, s.mean_msd, s.mean_p95))]
+        for s in summaries
+    )
+    _write_table(path, BUCKET_HEADER, rows)
 
 
 def release_rows(
@@ -275,15 +218,6 @@ def release_rows(
         report = reports[index] if reports is not None else None
         if report is not None and report.zone != priv.zone:
             raise ValueError(f"error report zone {report.zone} does not match release zone {priv.zone}")
-        rows.append(
-            ReleaseRow(
-                zone=priv.zone,
-                coverage=estimate.coverage,
-                raw_coverage=estimate.raw_coverage,
-                mae=report.mae if report is not None else None,
-                msd=report.msd if report is not None else None,
-                p95=report.p95 if report is not None else None,
-                epsilon=priv.epsilon_total,
-            )
-        )
+        errors = (None, None, None) if report is None else (report.mae, report.msd, report.p95)
+        rows.append(ReleaseRow(priv.zone, estimate.coverage, estimate.raw_coverage, *errors, priv.epsilon_total))
     return rows

@@ -115,10 +115,6 @@ class NoiseSeed:
         if not (isinstance(self.iteration, int) and self.iteration >= 0):
             raise ParameterError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
-    @property
-    def stream_id(self) -> tuple[str | tuple[str, ...], str, int]:
-        return (self.zone, self.label, self.iteration)
-
 
 def _check_seed(base_seed: int) -> None:
     if not (isinstance(base_seed, int) and 0 <= base_seed <= _U64_MAX):

@@ -148,9 +148,9 @@ class CoverageEstimate:
         return self.coverage is not None
 
 
-def clip_unit(value: float) -> float:
-    """Clip to [0, 1]. Post-processing; idempotent."""
-    return min(1.0, max(0.0, value))
+def clip_unit(value: float | np.ndarray) -> float | np.ndarray:
+    """Clip to [0, 1], elementwise over arrays. Post-processing; idempotent."""
+    return np.minimum(1.0, np.maximum(0.0, value))
 
 
 def compute_coverage(high_speed: float, services: float, non_services: float, households: int) -> float:
@@ -167,7 +167,7 @@ def compute_coverage(high_speed: float, services: float, non_services: float, ho
         raise ValueError(f"households must be a positive integer, got {households!r}")
     if services == 0:
         raise DegenerateCountError("services count is zero; coverage is undefined for this zone")
-    return high_speed * (services + non_services) / (services * households)
+    return coverage_columns(high_speed, services, non_services, households)
 
 
 def release_query_plan(per_query_epsilon: EpsilonLike) -> Sequential:
@@ -190,14 +190,19 @@ def coverage_columns(
     non_services: np.ndarray,
     households: np.ndarray,
 ) -> np.ndarray:
-    """compute_coverage elementwise over arrays, without its checks.
+    """The coverage formula, elementwise over arrays, without compute_coverage's checks.
 
-    Same IEEE operations in the same order as compute_coverage, so each
-    element is bit-identical to the scalar value. Elements whose services
-    count is zero come out inf or nan; callers mask them as UNDEFINED.
+    Elements whose services count is zero come out inf or nan; callers
+    mask them as UNDEFINED.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return high_speed * (services + non_services) / (services * households)
+
+
+def household_column(zones: Sequence[str], households: Mapping[str, HouseholdRecord]) -> np.ndarray:
+    """Each zone's household total as an int64 column, 0 where the zone has no figure."""
+    figures = (h.households if (h := households.get(zone)) is not None else 0 for zone in zones)
+    return np.fromiter(figures, dtype=np.int64, count=len(zones))
 
 
 def _noisy_counts(
@@ -240,14 +245,6 @@ def privatize_record(
     return PrivateZipRecord(raw.zone, *noisy[0].tolist(), total_epsilon(release_query_plan(eps)))
 
 
-def estimate_coverage(priv: PrivateZipRecord, households: int | None) -> CoverageEstimate:
-    """Coverage estimate from noisy counts; UNDEFINED when it has no value."""
-    if households is None or priv.services_dp == 0:
-        return CoverageEstimate(priv.zone, None, None)
-    raw = compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households)
-    return CoverageEstimate(priv.zone, clip_unit(raw), raw)
-
-
 def release_dataset(
     records: Sequence[RawZipRecord],
     households: Mapping[str, HouseholdRecord],
@@ -274,7 +271,8 @@ def release_dataset(
     epsilon_total = total_epsilon(release_query_plan(eps))
     noisy = _noisy_counts(records, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
 
-    missing = [record.zone for record in records if record.zone not in households]
+    zones = [record.zone for record in records]
+    missing = [zone for zone in zones if zone not in households]
     if missing:
         logger.warning(
             "%d zone(s) have no household figure and are released with UNDEFINED coverage: %s%s",
@@ -282,14 +280,10 @@ def release_dataset(
             ", ".join(missing[:5]),
             ", ..." if len(missing) > 5 else "",
         )
-    figures = np.fromiter(
-        (h.households if (h := households.get(r.zone)) is not None else 0 for r in records),
-        dtype=np.int64,
-        count=len(records),
-    )
+    figures = household_column(zones, households)
     raw = coverage_columns(noisy[:, 1], noisy[:, 2], noisy[:, 3], figures)
     defined = (figures > 0) & (noisy[:, 2] > 0)
-    clipped = np.minimum(1.0, np.maximum(0.0, raw))
+    clipped = clip_unit(raw)
 
     pairs = []
     for record, counts, ok, value, raw_value in zip(

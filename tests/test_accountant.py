@@ -19,7 +19,6 @@ from dpcoverage.accountant import (
     Query,
     append_journal,
     as_epsilon,
-    charge,
     describe_plan,
     load_journal,
     load_ledger,
@@ -147,13 +146,6 @@ def test_charge_exactly_to_the_limit_is_allowed():
     assert ledger.remaining == Decimal("0")
 
 
-def test_module_level_charge_wrapper():
-    ledger = BudgetLedger("1.0")
-    returned = charge(ledger, Query("a", "0.1"), timestamp="t")
-    assert returned is ledger
-    assert ledger.spent == Decimal("0.1")
-
-
 def test_loading_an_overspent_journal_fails():
     entries = [LedgerEntry("t1", "a", Decimal("0.3")), LedgerEntry("t2", "b", Decimal("0.3"))]
     with pytest.raises(BudgetExceededError):
@@ -172,6 +164,12 @@ def test_journal_round_trip(tmp_path):
     reloaded = load_ledger(path, "1.0")
     assert reloaded.spent == Decimal("0.25")
     assert reloaded.remaining == Decimal("0.75")
+
+
+def test_missing_journal_is_an_empty_ledger(tmp_path):
+    ledger = load_ledger(tmp_path / "absent.txt", "1.0")
+    assert ledger.entries == [] and ledger.remaining == Decimal("1.0")
+    assert not (tmp_path / "absent.txt").exists()
 
 
 def test_journal_is_append_only_text(tmp_path):

@@ -1,11 +1,14 @@
 """CLI: pipeline wiring, manifests, exit codes, and diagnostics."""
 
 import json
+import threading
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from dpcoverage import io
+from dpcoverage import cli, io
+from dpcoverage.accountant import load_journal
 from dpcoverage.cli import run
 
 
@@ -316,3 +319,58 @@ def test_synth_range_flag_parsing(tmp_path, capsys):
     rc = run(["synth", "--zones", "3", "--households", "bad", "--seed", "1",
               "--out-counts", str(tmp_path / "c.csv"), "--out-households", str(tmp_path / "h.csv")])
     assert rc == 2
+
+
+def test_failed_manifest_write_leaves_the_old_manifest(tmp_path):
+    out = tmp_path / "released.csv"
+    path = cli.write_manifest(out, "release", {"seed": 1}, inputs=[], outputs=[str(out)])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli.write_manifest(out, "release", {"seed": 1, "bad": object()}, inputs=[], outputs=[str(out)])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_concurrent_releases_cannot_both_spend_the_last_budget(tmp_path, monkeypatch, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "journal.txt"
+    journal.touch()
+    base = ["release", "--counts", str(counts), "--households", str(households),
+            "--seed", "42", "--journal", str(journal), "--budget", "0.2"]
+    load_ledger = cli.load_ledger
+    second: list[int] = []
+    threads: list[threading.Thread] = []
+
+    def load_then_race(path, budget):
+        # the first release reads the journal, then a second release starts
+        # on the same journal before the first one has charged it
+        ledger = load_ledger(path, budget)
+        if not threads:
+            out = str(tmp_path / "b.csv")
+            threads.append(threading.Thread(target=lambda: second.append(run([*base, "--out", out]))))
+            threads[0].start()
+            threads[0].join(timeout=0.5)
+        return ledger
+
+    monkeypatch.setattr(cli, "load_ledger", load_then_race)
+    first = run([*base, "--out", str(tmp_path / "a.csv")])
+    threads[0].join(timeout=30)
+    assert not threads[0].is_alive()
+    assert sorted([first, *second]) == [0, 1]
+    assert sum(entry.epsilon for entry in load_journal(journal)) <= Decimal("0.2")
+
+
+def test_simulate_error_refuses_another_releases_sidecar(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=5)
+    common = ["--counts", str(counts), "--households", str(households), "--seed", "42"]
+    assert run(["release", *common, "--epsilon", "0.1", "--out", str(tmp_path / "r01.csv")]) == 0
+    assert run(["release", *common, "--epsilon", "0.2", "--out", str(tmp_path / "r02.csv")]) == 0
+    final = tmp_path / "final.csv"
+    capsys.readouterr()
+    rc = run(["simulate-error", "--release", str(tmp_path / "r01.csv"), "--households", str(households),
+              "--private-counts", str(io.private_counts_path(tmp_path / "r02.csv")), "--epsilon", "0.2",
+              "--k", "10", "--seed", "42", "--out", str(final)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "r01.csv records epsilon 0.2" in captured.err
+    assert not final.exists()

@@ -18,16 +18,14 @@ from dpcoverage.errorsim import (
     ErrorReport,
     SimulationConfig,
     bucket_by_households,
-    deviation_from_noise,
     error_reports_for_release,
     estimate_error_ranges,
     nearest_rank,
-    simulate_once,
-    summarize_deviations,
     trial_deviations,
 )
 from dpcoverage.mechanism import NoiseSeed
 from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, privatize_record
+from oracles import deviation_from_noise, simulate_once, summarize_deviations
 
 EPS2 = Decimal("0.2")
 
@@ -202,7 +200,7 @@ def test_error_reports_for_release_order_and_block_size(monkeypatch):
 
 
 def _scalar_report(record, households, config):
-    """Reference: every trial through simulate_once, statistics by hand."""
+    """Reference: every trial through the scalar oracle, statistics by hand."""
     trials = [
         simulate_once(record, households, config.per_query_epsilon, NoiseSeed(config.base_seed, record.zone, "", i))
         for i in range(1, config.k + 1)
@@ -210,13 +208,7 @@ def _scalar_report(record, households, config):
     defined = [t for t in trials if t is not None]
     if not defined:
         return None
-    absolute = sorted(abs(t) for t in defined)
-    return (
-        math.fsum(absolute) / len(defined),
-        math.fsum(defined) / len(defined),
-        absolute[math.ceil(0.95 * len(defined)) - 1],
-        len(defined) / config.k,
-    )
+    return (*summarize_deviations(defined), len(defined) / config.k)
 
 
 def test_error_reports_match_scalar_oracle():

@@ -141,3 +141,50 @@ def test_lf_line_endings(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+READERS = {
+    "counts": (io.read_counts_csv, io.COUNTS_HEADER, "00001,1,2,3,4", "00002,1,x,3,4"),
+    "households": (io.read_households_csv, io.HOUSEHOLDS_HEADER, "00001,50", "00002,many"),
+    "release": (io.read_release_csv, io.RELEASE_HEADER, "00001,0.500,0.5,,,,0.2", "00002,0.500,0.5,,,,free"),
+    "private-counts": (io.read_private_counts_csv, io.PRIVATE_COUNTS_HEADER, "00001,1.5,2.5,3.5,4.5,0.2", "00002,1.5,x,3.5,4.5,0.2"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case,match", [
+    ("empty", "empty file"),
+    ("bad header", "bad header"),
+    ("short row", "line 3: expected"),
+    ("malformed value", "line 3:"),
+    ("duplicate zone", "line 3: duplicate zone 00001"),
+])
+def test_reader_diagnostics(tmp_path, reader, case, match):
+    read, header, good, bad = READERS[reader]
+    lines = {
+        "empty": [],
+        "bad header": ["zip,nonsense", good],
+        "short row": [",".join(header), good, good.rsplit(",", 1)[0]],
+        "malformed value": [",".join(header), good, bad],
+        "duplicate zone": [",".join(header), good, good],
+    }[case]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=match) as caught:
+        read(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, [RawZipRecord("00001", 1, 2, 3, 4), RawZipRecord("00002", 5, 6, 7, 8)])
+    before = path.read_bytes()
+
+    def rows():
+        yield RawZipRecord("00009", 9, 9, 9, 9)
+        raise RuntimeError("interrupted halfway")
+
+    with pytest.raises(RuntimeError, match="halfway"):
+        io.write_counts_csv(path, rows())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind

@@ -23,10 +23,10 @@ from dpcoverage.release import (
     RawZipRecord,
     clip_unit,
     compute_coverage,
-    estimate_coverage,
     privatize_record,
     release_dataset,
 )
+from oracles import estimate_coverage
 
 
 def hh_map(*records):
