@@ -39,12 +39,12 @@ from dpcoverage.mechanism import (
     privatize_count,
 )
 from dpcoverage.release import (
-    CoverageEstimate,
     DegenerateCountError,
     HouseholdRecord,
     IngestionError,
     PrivateZipRecord,
     RawZipRecord,
+    ReleaseRow,
     clip_unit,
     compute_coverage,
     privatize_record,
@@ -59,7 +59,6 @@ __all__ = [
     "BucketSummary",
     "BudgetExceededError",
     "BudgetLedger",
-    "CoverageEstimate",
     "DegenerateCountError",
     "ErrorReport",
     "HouseholdRecord",
@@ -73,6 +72,7 @@ __all__ = [
     "PrivateZipRecord",
     "Query",
     "RawZipRecord",
+    "ReleaseRow",
     "Sequential",
     "SimulationConfig",
     "SynthSpec",

@@ -15,7 +15,6 @@ a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import fcntl
 import hashlib
 import json
@@ -32,7 +31,7 @@ from dpcoverage.accountant import (
 )
 from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
 from dpcoverage.mechanism import NOISE_FORMAT
-from dpcoverage.release import IngestionError, release_dataset, release_query_plan
+from dpcoverage.release import IngestionError, ReleaseRow, release_dataset, release_query_plan
 from dpcoverage.synth import SynthSpec, generate
 
 _U64_MAX = (1 << 64) - 1
@@ -171,15 +170,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
         args.seed,
         round_counts=args.round_counts,
     )
-    privs = [priv for priv, _ in pairs]
-
-    reports = None
-    if args.k > 0 and pairs:
-        config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
-        reports = error_reports_for_release(privs, households, config)
-
-    io.write_release_csv(args.out, io.release_rows(pairs, reports))
-    io.write_private_counts_csv(io.private_counts_path(args.out), privs)
+    io.write_release_csv(args.out, [row for _, row in pairs])
+    io.write_private_counts_csv(io.private_counts_path(args.out), [priv for priv, _ in pairs])
     write_manifest(
         args.out,
         "release",
@@ -188,14 +180,13 @@ def _cmd_release(args: argparse.Namespace) -> int:
             "households": str(args.households),
             "epsilon": str(eps),
             "seed": args.seed,
-            "k": args.k,
             "round_counts": args.round_counts,
             "out": str(args.out),
         },
         inputs=[args.counts, args.households],
         outputs=[args.out, str(io.private_counts_path(args.out))],
     )
-    undefined = sum(1 for _, estimate in pairs if not estimate.defined)
+    undefined = sum(1 for _, row in pairs if not row.defined)
     print(f"total_epsilon={total_epsilon(plan)}", file=sys.stderr)
     print(f"released {len(pairs)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
     return 0
@@ -238,7 +229,7 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(ordered, households, config)
     filled = [
-        dataclasses.replace(row, mae=report.mae, msd=report.msd, p95=report.p95)
+        ReleaseRow(row.zone, row.coverage, row.raw_coverage, report.mae, report.msd, report.p95, row.epsilon)
         for row, report in zip(rows, reports)
     ]
     io.write_release_csv(args.out, filled)
@@ -317,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--households", required=True)
     p.add_argument("--epsilon", default="0.1", help="per-query epsilon (decimal string)")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--k", type=_nonnegative_int, default=0,
-                   help="error-simulation trials per zone; 0 leaves error columns empty")
     p.add_argument("--out", required=True)
     p.add_argument("--round-counts", action="store_true", help="round noisy counts to whole devices")
     p.add_argument("--journal", help="privacy-budget journal to charge this release against")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,14 +39,12 @@ from dpcoverage.release import (
     COUNT_SENSITIVITY,
     HouseholdRecord,
     PrivateZipRecord,
+    ReleaseRow,
     clip_unit,
     compute_coverage,
     coverage_columns,
     household_column,
 )
-
-if TYPE_CHECKING:
-    from dpcoverage.io import ReleaseRow
 
 # Substreams re-noised per trial; same labels as the release, which uses
 # iteration 0 of each. Trials use iterations 1..k.
@@ -177,28 +175,6 @@ def _statistics(d: np.ndarray, defined: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mae, msd, p95, n
 
 
-def _reports(
-    zones: Sequence[str],
-    counts: np.ndarray,
-    households: np.ndarray,
-    config: SimulationConfig,
-) -> list[ErrorReport]:
-    """Reports for zones given as columns; households is 0 where a zone has no figure."""
-    reports: list[ErrorReport | None] = [None] * len(zones)
-    active = np.flatnonzero((households > 0) & (counts[:, 1] > 0))
-    per_block = max(1, BLOCK_TRIALS // config.k)
-    for lo in range(0, len(active), per_block):
-        rows = active[lo : lo + per_block].tolist()
-        d, defined = _trials([zones[i] for i in rows], counts[rows], households[rows], config)
-        for i, mae, msd, p95, n in zip(rows, *(column.tolist() for column in _statistics(d, defined))):
-            if n:
-                reports[i] = ErrorReport(zones[i], mae, msd, p95, config.k, n / config.k)
-    return [
-        report if report is not None else ErrorReport(zone, None, None, None, config.k, 0.0)
-        for zone, report in zip(zones, reports)
-    ]
-
-
 def estimate_error_ranges(
     priv: PrivateZipRecord,
     households: int | None,
@@ -230,7 +206,20 @@ def error_reports_for_release(
         dtype=np.float64,
         count=3 * len(privs),
     ).reshape(len(privs), 3)
-    return _reports(zones, counts, household_column(zones, households), config)
+    figures = household_column(zones, households)
+    reports: list[ErrorReport | None] = [None] * len(zones)
+    active = np.flatnonzero((figures > 0) & (counts[:, 1] > 0))
+    per_block = max(1, BLOCK_TRIALS // config.k)
+    for lo in range(0, len(active), per_block):
+        rows = active[lo : lo + per_block].tolist()
+        d, defined = _trials([zones[i] for i in rows], counts[rows], figures[rows], config)
+        for i, mae, msd, p95, n in zip(rows, *(column.tolist() for column in _statistics(d, defined))):
+            if n:
+                reports[i] = ErrorReport(zones[i], mae, msd, p95, config.k, n / config.k)
+    return [
+        report if report is not None else ErrorReport(zone, None, None, None, config.k, 0.0)
+        for zone, report in zip(zones, reports)
+    ]
 
 
 def bucket_by_households(

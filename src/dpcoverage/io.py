@@ -9,6 +9,9 @@ broadband_usage column is fixed to 3 decimal places.
 Readers abort on the first malformed row and name its line number.
 Writers replace their target atomically: a crash mid-write leaves the
 old file, never a truncated one.
+
+This module holds only the formats: the records it reads and writes, and
+their validity rules, belong to dpcoverage.release and dpcoverage.errorsim.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from dpcoverage.accountant import as_epsilon
-from dpcoverage.errorsim import BucketSummary, ErrorReport
-from dpcoverage.release import CoverageEstimate, HouseholdRecord, PrivateZipRecord, RawZipRecord
+from dpcoverage.errorsim import BucketSummary
+from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, ReleaseRow
 
 COUNTS_HEADER = ["zip", "low_speed_devices", "high_speed_devices", "services_devices", "non_services_devices"]
 HOUSEHOLDS_HEADER = ["zip", "households"]
@@ -34,24 +35,6 @@ BUCKET_HEADER = ["bucket_low", "bucket_high", "zones", "mean_mae", "mean_msd", "
 
 class CsvFormatError(ValueError):
     """A CSV file has a bad header or a malformed row."""
-
-
-@dataclass(frozen=True)
-class ReleaseRow:
-    """One row of the published per-zone table.
-
-    coverage is the clipped estimate shown to 3 decimals in the file;
-    error statistics are None until a simulation fills them in. Undefined
-    coverage leaves coverage and raw_coverage None.
-    """
-
-    zone: str
-    coverage: float | None
-    raw_coverage: float | None
-    mae: float | None
-    msd: float | None
-    p95: float | None
-    epsilon: Decimal
 
 
 def private_counts_path(release_path: str | Path) -> Path:
@@ -92,29 +75,34 @@ def _read_table(path: str | Path, header: list[str], parse_row: Callable[[list[s
     """Records parsed from the rows of a CSV file with the given header.
 
     Rejects an empty file, a wrong header, a row with the wrong number of
-    fields, a row parse_row rejects with ValueError, and a zone seen on an
-    earlier row; row errors name their line.
+    fields, a row parse_row rejects with ValueError, a row the csv module
+    cannot parse, and a zone seen on an earlier row; row errors name their
+    line.
     """
     records = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
-        if first != header:
-            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
-        for row in reader:
-            if len(row) != len(header):
-                raise _row_error(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                record = parse_row(row)
-            except ValueError as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if record.zone in seen:
-                raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
-            seen.add(record.zone)
-            records.append(record)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+            if first != header:
+                raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise _row_error(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+                try:
+                    record = parse_row(row)
+                except ValueError as exc:
+                    raise _row_error(path, reader.line_num, str(exc))
+                if record.zone in seen:
+                    raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
+                seen.add(record.zone)
+                records.append(record)
+        except csv.Error as exc:
+            # the csv module's own parse errors, such as a field over its size limit
+            raise _row_error(path, reader.line_num, str(exc))
     return records
 
 
@@ -172,11 +160,8 @@ def write_release_csv(path: str | Path, rows: Sequence[ReleaseRow]) -> None:
 
 
 def _parse_release_row(row: list[str]) -> ReleaseRow:
-    coverage, raw_coverage = map(_parse_float, row[1:3], RELEASE_HEADER[1:3])
-    if (coverage is None) != (raw_coverage is None):
-        raise ValueError("broadband_usage and broadband_usage_raw must be both set or both empty")
-    errors = map(_parse_float, row[3:6], RELEASE_HEADER[3:6])
-    return ReleaseRow(row[0], coverage, raw_coverage, *errors, epsilon=as_epsilon(row[6]))
+    values = map(_parse_float, row[1:6], RELEASE_HEADER[1:6])
+    return ReleaseRow(row[0], *values, epsilon=as_epsilon(row[6]))
 
 
 def read_release_csv(path: str | Path) -> list[ReleaseRow]:
@@ -204,20 +189,3 @@ def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> No
         for s in summaries
     )
     _write_table(path, BUCKET_HEADER, rows)
-
-
-def release_rows(
-    pairs: Sequence[tuple[PrivateZipRecord, CoverageEstimate]],
-    reports: Sequence[ErrorReport] | None = None,
-) -> list[ReleaseRow]:
-    """Assemble output rows from release pairs and optional error reports."""
-    if reports is not None and len(reports) != len(pairs):
-        raise ValueError(f"got {len(reports)} error reports for {len(pairs)} release rows")
-    rows: list[ReleaseRow] = []
-    for index, (priv, estimate) in enumerate(pairs):
-        report = reports[index] if reports is not None else None
-        if report is not None and report.zone != priv.zone:
-            raise ValueError(f"error report zone {report.zone} does not match release zone {priv.zone}")
-        errors = (None, None, None) if report is None else (report.mae, report.msd, report.p95)
-        rows.append(ReleaseRow(priv.zone, estimate.coverage, estimate.raw_coverage, *errors, priv.epsilon_total))
-    return rows

@@ -22,6 +22,12 @@ total privacy cost is twice the per-query epsilon.
 A release runs as column passes: one noise-kernel call per count label
 over every zone, then the coverage formula over whole arrays. Frozen
 per-zone records are built only for the caller.
+
+ReleaseRow is the one record of a published row, and its checks are the
+rules of the release table. release_dataset fills a row's coverage and
+leaves its error columns empty; simulate-error is the only producer of
+those columns, computed from the published noisy counts alone (see
+dpcoverage.errorsim). dpcoverage.io holds the file format, not the row.
 """
 
 from __future__ import annotations
@@ -120,18 +126,25 @@ class PrivateZipRecord:
 
 
 @dataclass(frozen=True)
-class CoverageEstimate:
-    """Published coverage for one zone.
+class ReleaseRow:
+    """One row of the published per-zone table.
 
-    coverage is clipped to [0, 1]; raw_coverage keeps the pre-clip value
-    so analysts can see how aggressive the clip was. Both are None when
-    the estimate is undefined (noisy services count of zero, or no
-    household figure for the zone). Undefined is reported, never imputed.
+    coverage is the estimate clipped to [0, 1], shown to 3 decimals in the
+    file; raw_coverage keeps the pre-clip value so analysts can see how
+    aggressive the clip was. Both are None when the estimate is undefined
+    (noisy services count of zero, or no household figure for the zone).
+    Undefined is reported, never imputed. The error statistics mae, msd
+    and p95 are None until simulate-error fills them in, and only a
+    defined coverage can carry them.
     """
 
     zone: str
     coverage: float | None
     raw_coverage: float | None
+    mae: float | None
+    msd: float | None
+    p95: float | None
+    epsilon: Decimal
 
     def __post_init__(self) -> None:
         _check_zone(self.zone)
@@ -142,6 +155,14 @@ class CoverageEstimate:
                 raise IngestionError(f"coverage must lie in [0, 1], got {self.coverage!r}")
             if not math.isfinite(self.raw_coverage):
                 raise IngestionError(f"raw_coverage must be finite, got {self.raw_coverage!r}")
+        stats = [value for value in (self.mae, self.msd, self.p95) if value is not None]
+        if stats:
+            if len(stats) != 3:
+                raise IngestionError("mae, msd and p95 must be all set or all None")
+            if self.coverage is None:
+                raise IngestionError(f"zone {self.zone} has error statistics but no coverage")
+            if not (all(map(math.isfinite, stats)) and self.mae >= 0 and self.p95 >= 0):
+                raise IngestionError(f"mae, msd and p95 must be finite, mae and p95 nonnegative, got {stats!r}")
 
     @property
     def defined(self) -> bool:
@@ -252,8 +273,10 @@ def release_dataset(
     base_seed: int,
     *,
     round_counts: bool = False,
-) -> list[tuple[PrivateZipRecord, CoverageEstimate]]:
+) -> list[tuple[PrivateZipRecord, ReleaseRow]]:
     """Privatize every zone in the release list, preserving input order.
+
+    Each zone's ReleaseRow carries its coverage and empty error columns.
 
     Duplicate zones are rejected up front. Zones with no household figure
     are released with an UNDEFINED coverage estimate (their noisy counts
@@ -290,6 +313,6 @@ def release_dataset(
         records, noisy.tolist(), defined.tolist(), clipped.tolist(), raw.tolist()
     ):
         priv = PrivateZipRecord(record.zone, *counts, epsilon_total)
-        estimate = CoverageEstimate(record.zone, value, raw_value) if ok else CoverageEstimate(record.zone, None, None)
-        pairs.append((priv, estimate))
+        coverage = (value, raw_value) if ok else (None, None)
+        pairs.append((priv, ReleaseRow(record.zone, *coverage, None, None, None, epsilon_total)))
     return pairs

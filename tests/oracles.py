@@ -10,7 +10,7 @@ reference.
 import math
 
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_sample
-from dpcoverage.release import CoverageEstimate, PrivateZipRecord
+from dpcoverage.release import PrivateZipRecord, ReleaseRow
 
 SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
@@ -23,12 +23,12 @@ def _clip(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def estimate_coverage(priv: PrivateZipRecord, households: int | None) -> CoverageEstimate:
-    """Coverage estimate from noisy counts; UNDEFINED when it has no value."""
+def estimate_coverage(priv: PrivateZipRecord, households: int | None) -> ReleaseRow:
+    """Release row from noisy counts, error columns empty; UNDEFINED when coverage has no value."""
     if households is None or priv.services_dp == 0:
-        return CoverageEstimate(priv.zone, None, None)
+        return ReleaseRow(priv.zone, None, None, None, None, None, priv.epsilon_total)
     raw = _coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households)
-    return CoverageEstimate(priv.zone, _clip(raw), raw)
+    return ReleaseRow(priv.zone, _clip(raw), raw, None, None, None, priv.epsilon_total)
 
 
 def deviation_from_noise(

@@ -1,6 +1,7 @@
 """CLI: pipeline wiring, manifests, exit codes, and diagnostics."""
 
 import json
+import re
 import threading
 from decimal import Decimal
 from pathlib import Path
@@ -52,15 +53,6 @@ def test_release_logs_total_epsilon(tmp_path, capsys):
     assert "total_epsilon=0.2" in captured.err
 
 
-def test_release_inline_error_simulation(tmp_path):
-    counts, households = make_inputs(tmp_path, zones=5)
-    out = tmp_path / "released.csv"
-    assert run(["release", "--counts", str(counts), "--households", str(households),
-                "--seed", "42", "--k", "50", "--out", str(out)]) == 0
-    rows = io.read_release_csv(out)
-    assert all(r.mae is not None for r in rows if r.coverage is not None)
-
-
 def test_manifest_records_params_and_digests(tmp_path):
     counts, households = make_inputs(tmp_path, zones=5)
     out = tmp_path / "released.csv"
@@ -71,6 +63,7 @@ def test_manifest_records_params_and_digests(tmp_path):
     assert manifest["subcommand"] == "release"
     assert manifest["parameters"]["seed"] == 42
     assert manifest["parameters"]["epsilon"] == "0.1"
+    assert "k" not in manifest["parameters"]  # release never fills the error columns
     assert set(manifest["input_digests"]) == {str(counts), str(households)}
     assert all(d.startswith("sha256:") for d in manifest["input_digests"].values())
 
@@ -79,7 +72,7 @@ def test_replaying_a_manifest_reproduces_outputs(tmp_path):
     counts, households = make_inputs(tmp_path, zones=10)
     out = tmp_path / "released.csv"
     argv = ["release", "--counts", str(counts), "--households", str(households),
-            "--epsilon", "0.1", "--seed", "42", "--k", "25", "--out", str(out)]
+            "--epsilon", "0.1", "--seed", "42", "--out", str(out)]
     assert run(argv) == 0
     first_out = out.read_bytes()
     first_sidecar = io.private_counts_path(out).read_bytes()
@@ -93,7 +86,6 @@ def test_replaying_a_manifest_reproduces_outputs(tmp_path):
               "--households", params["households"],
               "--epsilon", params["epsilon"],
               "--seed", str(params["seed"]),
-              "--k", str(params["k"]),
               "--out", params["out"]]
     if params["round_counts"]:
         replay.append("--round-counts")
@@ -108,21 +100,30 @@ def test_input_order_does_not_change_zone_rows(tmp_path):
     lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
     reversed_counts = tmp_path / "reversed.csv"
     reversed_counts.write_text(lines[0] + "".join(reversed(lines[1:])), encoding="utf-8")
-    forward = tmp_path / "forward.csv"
-    backward = tmp_path / "backward.csv"
-    base = ["--households", str(households), "--seed", "42", "--k", "20"]
-    assert run(["release", "--counts", str(counts), *base, "--out", str(forward)]) == 0
-    assert run(["release", "--counts", str(reversed_counts), *base, "--out", str(backward)]) == 0
-    forward_rows = forward.read_text(encoding="utf-8").splitlines()
-    backward_rows = backward.read_text(encoding="utf-8").splitlines()
-    assert backward_rows[0] == forward_rows[0]
-    assert backward_rows[1:] == list(reversed(forward_rows[1:]))
+    base = ["--households", str(households), "--seed", "42"]
+    tables = {}
+    for name, source in (("forward", counts), ("backward", reversed_counts)):
+        released, final = tmp_path / f"{name}.csv", tmp_path / f"{name}.final.csv"
+        assert run(["release", "--counts", str(source), *base, "--out", str(released)]) == 0
+        assert run(["simulate-error", "--release", str(released), *base, "--k", "20", "--out", str(final)]) == 0
+        tables[name] = final.read_text(encoding="utf-8").splitlines()
+    assert any(line.split(",")[3] for line in tables["forward"][1:])  # error columns were filled
+    assert tables["backward"][0] == tables["forward"][0]
+    assert tables["backward"][1:] == list(reversed(tables["forward"][1:]))
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):
     counts, households = make_inputs(tmp_path, zones=2)
     assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
                 "--threads", "2", "--out", str(tmp_path / "out.csv")]) == 2
+
+
+def test_release_k_flag_is_gone(tmp_path, capsys):
+    # error columns are filled only by simulate-error
+    counts, households = make_inputs(tmp_path, zones=2)
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+                "--k", "5", "--out", str(tmp_path / "out.csv")]) == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_manifest_records_noise_format(tmp_path):
@@ -373,4 +374,61 @@ def test_simulate_error_refuses_another_releases_sidecar(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "r01.csv records epsilon 0.2" in captured.err
+    assert not final.exists()
+
+
+@pytest.mark.parametrize("row", [
+    "00001,1.500,1.5,,,,0.2",  # coverage above 1
+    "00001,1.000,inf,,,,0.2",  # raw coverage not finite
+    "00001,0.500,,,,,0.2",  # coverage without raw coverage
+    "00001,0.500,0.5,nan,0.0,0.1,0.2",  # statistic not finite
+    "00001,0.500,0.5,-0.1,0.0,0.1,0.2",  # negative mae
+    "00001,0.500,0.5,0.1,0.0,-1.0,0.2",  # negative p95
+    "00001,0.500,0.5,0.1,,0.2,0.2",  # only some statistics
+    "00001,,,0.1,0.0,0.2,0.2",  # statistics on an UNDEFINED zone
+])
+def test_impossible_release_rows_are_refused(tmp_path, capsys, row):
+    released = tmp_path / "final.csv"
+    released.write_text(",".join(io.RELEASE_HEADER) + "\n" + row + "\n", encoding="utf-8")
+    households = tmp_path / "households.csv"
+    households.write_text("zip,households\n00001,500\n", encoding="utf-8")
+    with pytest.raises(io.CsvFormatError, match=f"^{re.escape(str(released))}: line 2: "):
+        io.read_release_csv(released)
+    capsys.readouterr()
+    assert run(["summarize", "--in", str(released), "--households", str(households),
+                "--out", str(tmp_path / "buckets.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "buckets.csv").exists()
+
+
+def test_oversized_csv_field_is_a_one_line_error(tmp_path, capsys):
+    counts, _ = make_inputs(tmp_path, zones=2)
+    households = tmp_path / "households.csv"
+    households.write_text('zip,households\n00001,"' + "9" * 200_000 + '"\n', encoding="utf-8")
+    capsys.readouterr()
+    rc = run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+              "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {households}: line 2: field larger than field limit")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_simulate_error_refuses_households_the_release_lacked(tmp_path, capsys):
+    # a zone released UNDEFINED for want of a household figure cannot get
+    # error ranges from a households file that has one
+    counts, households = make_inputs(tmp_path, zones=5)
+    lines = households.read_text(encoding="utf-8").splitlines(keepends=True)
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join(lines[:-1]), encoding="utf-8")
+    released = tmp_path / "released.csv"
+    final = tmp_path / "final.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(partial),
+                "--seed", "42", "--out", str(released)]) == 0
+    capsys.readouterr()
+    rc = run(["simulate-error", "--release", str(released), "--households", str(households),
+              "--k", "10", "--seed", "42", "--out", str(final)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "has error statistics but no coverage" in captured.err
     assert not final.exists()

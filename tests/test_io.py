@@ -5,9 +5,8 @@ from decimal import Decimal
 import pytest
 
 from dpcoverage import io
-from dpcoverage.errorsim import ErrorReport
 from dpcoverage.io import CsvFormatError, ReleaseRow
-from dpcoverage.release import CoverageEstimate, HouseholdRecord, PrivateZipRecord, RawZipRecord
+from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord
 
 
 def test_counts_round_trip(tmp_path):
@@ -120,21 +119,6 @@ def test_empty_file_is_rejected(tmp_path):
         io.read_counts_csv(path)
 
 
-def test_release_rows_assembly_checks_alignment():
-    priv = PrivateZipRecord("00001", 1.0, 2.0, 3.0, 4.0, Decimal("0.2"))
-    estimate = CoverageEstimate("00001", 0.5, 0.5)
-    report = ErrorReport("00001", 0.1, 0.0, 0.2, 10, 1.0)
-    rows = io.release_rows([(priv, estimate)], [report])
-    assert rows[0].mae == 0.1
-    rows_without = io.release_rows([(priv, estimate)])
-    assert rows_without[0].mae is None
-    with pytest.raises(ValueError):
-        io.release_rows([(priv, estimate)], [])
-    mismatched = ErrorReport("00002", 0.1, 0.0, 0.2, 10, 1.0)
-    with pytest.raises(ValueError):
-        io.release_rows([(priv, estimate)], [mismatched])
-
-
 def test_lf_line_endings(tmp_path):
     path = tmp_path / "counts.csv"
     io.write_counts_csv(path, [RawZipRecord("00001", 1, 2, 3, 4)])
@@ -158,6 +142,7 @@ READERS = {
     ("short row", "line 3: expected"),
     ("malformed value", "line 3:"),
     ("duplicate zone", "line 3: duplicate zone 00001"),
+    ("oversized field", "line 3: field larger than field limit"),
 ])
 def test_reader_diagnostics(tmp_path, reader, case, match):
     read, header, good, bad = READERS[reader]
@@ -167,6 +152,7 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
         "short row": [",".join(header), good, good.rsplit(",", 1)[0]],
         "malformed value": [",".join(header), good, bad],
         "duplicate zone": [",".join(header), good, good],
+        "oversized field": [",".join(header), good, '00002,"' + "x" * 200_000 + '"' + good[5:]],
     }[case]
     path = tmp_path / "in.csv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -15,12 +15,12 @@ import pytest
 
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
 from dpcoverage.release import (
-    CoverageEstimate,
     DegenerateCountError,
     HouseholdRecord,
     IngestionError,
     PrivateZipRecord,
     RawZipRecord,
+    ReleaseRow,
     clip_unit,
     compute_coverage,
     privatize_record,
@@ -98,13 +98,27 @@ def test_private_record_validation():
         PrivateZipRecord("00501", 0.0, float("inf"), 2.5, 0.0, Decimal("0.2"))
 
 
-def test_coverage_estimate_validation():
-    CoverageEstimate("00501", None, None)
-    CoverageEstimate("00501", 0.5, 0.5)
-    with pytest.raises(IngestionError):
-        CoverageEstimate("00501", 0.5, None)
-    with pytest.raises(IngestionError):
-        CoverageEstimate("00501", 1.5, 1.5)
+def test_release_row_validation():
+    eps = Decimal("0.2")
+    ReleaseRow("00501", None, None, None, None, None, eps)
+    ReleaseRow("00501", 0.5, 0.5, None, None, None, eps)
+    ReleaseRow("00501", 1.0, 3.25, 0.0, -0.5, 0.0, eps)
+    assert not ReleaseRow("00501", None, None, None, None, None, eps).defined
+    for fields in [
+        ("0501", 0.5, 0.5, None, None, None),  # not a zip code
+        ("00501", 0.5, None, None, None, None),  # coverage without raw_coverage
+        ("00501", 1.5, 1.5, None, None, None),  # coverage outside [0, 1]
+        ("00501", float("nan"), 0.5, None, None, None),
+        ("00501", 1.0, float("inf"), None, None, None),
+        ("00501", 0.5, 0.5, 0.1, None, 0.2),  # only some error statistics
+        ("00501", None, None, 0.1, 0.0, 0.2),  # error statistics on an undefined zone
+        ("00501", 0.5, 0.5, float("nan"), 0.0, 0.2),
+        ("00501", 0.5, 0.5, 0.1, float("-inf"), 0.2),
+        ("00501", 0.5, 0.5, -0.1, 0.0, 0.2),
+        ("00501", 0.5, 0.5, 0.1, 0.0, -1.0),
+    ]:
+        with pytest.raises(IngestionError):
+            ReleaseRow(*fields, eps)
 
 
 def test_privatize_record_is_deterministic_and_accounted():
