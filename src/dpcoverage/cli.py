@@ -18,8 +18,11 @@ import argparse
 import fcntl
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from dpcoverage import __version__, io
 from dpcoverage.accountant import (
@@ -29,9 +32,25 @@ from dpcoverage.accountant import (
     load_ledger,
     total_epsilon,
 )
-from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
+from dpcoverage.errorsim import (
+    SIMULATED_LABELS,
+    SimulationConfig,
+    bucket_by_households,
+    error_reports_for_release,
+)
 from dpcoverage.mechanism import NOISE_FORMAT
-from dpcoverage.release import IngestionError, ReleaseRow, release_dataset, release_query_plan
+from dpcoverage.release import (
+    Columns,
+    Households,
+    IngestionError,
+    Pairs,
+    PrivateZipRecord,
+    ReleaseRow,
+    coverage_columns,
+    household_column,
+    release_dataset,
+    release_query_plan,
+)
 from dpcoverage.synth import SynthSpec, generate
 
 _U64_MAX = (1 << 64) - 1
@@ -89,6 +108,20 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_path(out_path: str | Path) -> Path:
+    return Path(f"{out_path}.manifest.json")
+
+
+def _refuse_overwriting_inputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
+    """Refuse, before anything is read or written, an output that is one of the inputs."""
+    for output in outputs:
+        for source in inputs:
+            if Path(output).resolve() == Path(source).resolve() or (
+                os.path.exists(output) and os.path.exists(source) and os.path.samefile(output, source)
+            ):
+                raise ValueError(f"output {output} would overwrite the input {source}")
+
+
 def write_manifest(
     out_path: str | Path,
     subcommand: str,
@@ -106,7 +139,7 @@ def write_manifest(
         "input_digests": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    path = Path(f"{out_path}.manifest.json")
+    path = _manifest_path(out_path)
     with io.atomic_writer(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -147,6 +180,9 @@ def _cmd_release(args: argparse.Namespace) -> int:
     if (args.journal is None) != (args.budget is None):
         print("error: --journal and --budget must be given together", file=sys.stderr)
         return 2
+    sidecar = io.private_counts_path(args.out)
+    inputs = [args.counts, args.households] + ([args.journal] if args.journal is not None else [])
+    _refuse_overwriting_inputs(inputs, [args.out, sidecar, _manifest_path(args.out)])
     eps = as_epsilon(args.epsilon)
     records = io.read_counts_csv(args.counts)
     households = io.read_households_csv(args.households)
@@ -170,8 +206,9 @@ def _cmd_release(args: argparse.Namespace) -> int:
         args.seed,
         round_counts=args.round_counts,
     )
-    io.write_release_csv(args.out, [row for _, row in pairs])
-    io.write_private_counts_csv(io.private_counts_path(args.out), [priv for priv, _ in pairs])
+    rows = pairs.second
+    io.write_release_csv(args.out, rows)
+    io.write_private_counts_csv(sidecar, pairs.first)
     write_manifest(
         args.out,
         "release",
@@ -184,55 +221,58 @@ def _cmd_release(args: argparse.Namespace) -> int:
             "out": str(args.out),
         },
         inputs=[args.counts, args.households],
-        outputs=[args.out, str(io.private_counts_path(args.out))],
+        outputs=[args.out, str(sidecar)],
     )
-    undefined = sum(1 for _, row in pairs if not row.defined)
+    undefined = int(np.isnan(rows.column("coverage")).sum())
     print(f"total_epsilon={total_epsilon(plan)}", file=sys.stderr)
     print(f"released {len(pairs)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
-    rows = io.read_release_csv(args.release_path)
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release_path)
-    privs = {priv.zone: priv for priv in io.read_private_counts_csv(sidecar)}
+    _refuse_overwriting_inputs([args.release_path, sidecar, args.households], [args.out, _manifest_path(args.out)])
+    rows = io.read_release_csv(args.release_path)
+    privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)
 
-    missing = [row.zone for row in rows if row.zone not in privs]
+    zones = rows.column("zone")
+    position = {zone: row for row, zone in enumerate(privs.column("zone"))}
+    missing = [zone for zone in zones if zone not in position]
     if missing:
         raise IngestionError(
             f"{sidecar}: missing noisy counts for zone(s) {', '.join(missing[:5])}"
             + (f" and {len(missing) - 5} more" if len(missing) > 5 else "")
         )
+    ordered = privs.take([position[zone] for zone in zones])
 
     # a sidecar written for another release would simulate this release's
     # errors around that release's counts and epsilon
-    ordered = [privs[row.zone] for row in rows]
-    for row, priv in zip(rows, ordered):
-        if row.epsilon != priv.epsilon_total:
+    epsilons = ordered.column("epsilon_total")
+    for zone, published, spent in zip(zones, rows.column("epsilon"), epsilons):
+        if published != spent:
             raise IngestionError(
-                f"{args.release_path} records epsilon {row.epsilon} for zone {row.zone}, "
-                f"but {sidecar} records {priv.epsilon_total}"
+                f"{args.release_path} records epsilon {published} for zone {zone}, but {sidecar} records {spent}"
             )
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
     eps = as_epsilon(args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
-    mismatched = [priv for priv in ordered if priv.epsilon_total != implied]
-    if mismatched:
-        raise IngestionError(
-            f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records "
-            f"{mismatched[0].epsilon_total} for zone {mismatched[0].zone}"
-        )
+    for zone, spent in zip(zones, epsilons):
+        if spent != implied:
+            raise IngestionError(
+                f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
+            )
+
+    # the error ranges belong to the published coverage only if the noisy
+    # counts and this households file give that coverage back exactly
+    _check_coverage_reproduces(rows, ordered, households, args.households, args.release_path)
 
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(ordered, households, config)
-    filled = [
-        ReleaseRow(row.zone, row.coverage, row.raw_coverage, report.mae, report.msd, report.p95, row.epsilon)
-        for row, report in zip(rows, reports)
-    ]
-    io.write_release_csv(args.out, filled)
+    statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
+    io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
     write_manifest(
         args.out,
         "simulate-error",
@@ -252,16 +292,48 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_coverage_reproduces(
+    rows: Columns[ReleaseRow],
+    privs: Columns[PrivateZipRecord],
+    households: Households,
+    households_path: str,
+    release_path: str,
+) -> None:
+    """Refuse households or noisy counts that do not give back each zone's published raw coverage.
+
+    Both sides run the same float64 formula on the same values (repr
+    round-trips), so a defined zone must match bit for bit, and a zone must
+    be UNDEFINED on both sides or on neither.
+    """
+    zones = rows.column("zone")
+    figures = household_column(zones, households)
+    high, services, non_services = (privs.column(f"{label}_dp") for label in SIMULATED_LABELS)
+    recomputed = coverage_columns(high, services, non_services, figures)
+    defined = (figures > 0) & (services > 0)
+    published = rows.column("raw_coverage")
+    wrong = np.flatnonzero((defined == np.isnan(published)) | (defined & (recomputed != published)))
+    if wrong.size:
+        row = int(wrong[0])
+        found = repr(float(recomputed[row])) if defined[row] else "UNDEFINED"
+        shown = "UNDEFINED" if np.isnan(published[row]) else repr(float(published[row]))
+        raise IngestionError(
+            f"{households_path} and the noisy counts give zone {zones[row]} a raw coverage of {found}, "
+            f"but {release_path} published {shown}"
+        )
+
+
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    _refuse_overwriting_inputs([args.in_path, args.households], [args.out, _manifest_path(args.out)])
     rows = io.read_release_csv(args.in_path)
     households = io.read_households_csv(args.households)
 
-    pairs = [(row, households[row.zone].households) for row in rows if row.zone in households]
-    skipped = len(rows) - len(pairs)
+    figures = household_column(rows.column("zone"), households)
+    kept = np.flatnonzero(figures > 0)
+    skipped = len(rows) - len(kept)
     if skipped:
         print(f"warning: {skipped} zone(s) missing household figures were not bucketed", file=sys.stderr)
 
-    summaries = bucket_by_households(pairs, args.thresholds)
+    summaries = bucket_by_households(Pairs(rows.take(kept), figures[kept]), args.thresholds)
     io.write_bucket_csv(args.out, summaries)
     write_manifest(
         args.out,
@@ -275,7 +347,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         inputs=[args.in_path, args.households],
         outputs=[args.out],
     )
-    print(f"summarized {len(pairs)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
+    print(f"summarized {len(kept)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -19,8 +19,8 @@ post-processing of the released record and spends no privacy budget.
 
 The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
-p95 picked with np.partition at the nearest rank. ErrorReport records are
-built only for the caller.
+p95 picked with np.partition at the nearest rank. The reports come back as
+Columns; an ErrorReport is built only for a row the caller reads.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ import numpy as np
 from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
+    Columns,
     HouseholdRecord,
+    Pairs,
     PrivateZipRecord,
     ReleaseRow,
+    as_columns,
     clip_unit,
     compute_coverage,
     coverage_columns,
@@ -194,32 +197,46 @@ def error_reports_for_release(
     privs: Sequence[PrivateZipRecord],
     households: Mapping[str, HouseholdRecord],
     config: SimulationConfig,
-) -> list[ErrorReport]:
+) -> Columns[ErrorReport]:
     """Reports for a whole release, in input order.
 
-    Each zone's report is a pure function of its record, its household
-    figure and the config, whatever the order or company of the others.
+    privs are Columns of PrivateZipRecord or a list of them; the reports
+    come back as Columns of ErrorReport. Each zone's report is a pure
+    function of its record, its household figure and the config, whatever
+    the order or company of the others.
     """
-    zones = [priv.zone for priv in privs]
-    counts = np.fromiter(
-        (value for p in privs for value in (p.high_speed_dp, p.services_dp, p.non_services_dp)),
-        dtype=np.float64,
-        count=3 * len(privs),
-    ).reshape(len(privs), 3)
+    table = as_columns(privs, PrivateZipRecord)
+    zones = table.column("zone")
+    counts = np.column_stack([table.column(f"{label}_dp") for label in SIMULATED_LABELS]).astype(np.float64)
     figures = household_column(zones, households)
-    reports: list[ErrorReport | None] = [None] * len(zones)
+    mae, msd, p95 = (np.full(len(zones), np.nan) for _ in range(3))
+    trials = np.zeros(len(zones), dtype=np.int64)
     active = np.flatnonzero((figures > 0) & (counts[:, 1] > 0))
     per_block = max(1, BLOCK_TRIALS // config.k)
     for lo in range(0, len(active), per_block):
-        rows = active[lo : lo + per_block].tolist()
-        d, defined = _trials([zones[i] for i in rows], counts[rows], figures[rows], config)
-        for i, mae, msd, p95, n in zip(rows, *(column.tolist() for column in _statistics(d, defined))):
-            if n:
-                reports[i] = ErrorReport(zones[i], mae, msd, p95, config.k, n / config.k)
-    return [
-        report if report is not None else ErrorReport(zone, None, None, None, config.k, 0.0)
-        for zone, report in zip(zones, reports)
-    ]
+        rows = active[lo : lo + per_block]
+        d, defined = _trials([zones[i] for i in rows.tolist()], counts[rows], figures[rows], config)
+        mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
+    return Columns(
+        ErrorReport,
+        zone=zones,
+        mae=mae,
+        msd=msd,
+        p95=p95,
+        k=np.full(len(zones), config.k, dtype=np.int64),
+        defined_fraction=trials / config.k,
+    )
+
+
+def _bucket_columns(reports: Sequence[tuple[ErrorReport | ReleaseRow, int]]) -> tuple[Sequence[str], np.ndarray, list]:
+    """(zones, households, [mae, msd, p95]) columns of (report, households) pairs, NaN for None."""
+    names = ("mae", "msd", "p95")
+    if isinstance(reports, Pairs) and isinstance(reports.first, Columns):
+        first = reports.first
+        return first.column("zone"), np.asarray(reports.second), [first.column(name) for name in names]
+    pairs = list(reports)
+    stats = [np.array([getattr(report, name) for report, _ in pairs], dtype=np.float64) for name in names]
+    return [report.zone for report, _ in pairs], np.array([figure for _, figure in pairs], dtype=np.int64), stats
 
 
 def bucket_by_households(
@@ -228,7 +245,9 @@ def bucket_by_households(
 ) -> list[BucketSummary]:
     """Group zones into half-open household buckets and average their stats.
 
-    Only each report's zone, mae, msd and p95 are read, so the rows of a
+    reports are (report, households) pairs: a list of them, or Pairs of
+    Columns of ErrorReport or ReleaseRow and a households column. Only
+    each report's zone, mae, msd and p95 are read, so the rows of a
     published release table serve as well as fresh ErrorReports.
     thresholds must be strictly ascending; they induce buckets
     [t0, t1), ..., [t_{n-2}, t_{n-1}), plus an unbounded [t_{n-1}, inf)
@@ -244,29 +263,25 @@ def bucket_by_households(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError(f"thresholds must be strictly ascending, got {thresholds!r}")
 
-    edges: list[tuple[int, int | None]] = [
-        (low, high) for low, high in zip(thresholds, thresholds[1:])
-    ] + [(thresholds[-1], None)]
-    members: list[list[ErrorReport | ReleaseRow]] = [[] for _ in edges]
+    zones, households, (mae, msd, p95) = _bucket_columns(reports)
+    bucket = np.searchsorted(np.asarray(thresholds, dtype=np.int64), households, side="right") - 1
+    below = np.flatnonzero(bucket < 0)
+    if below.size:
+        row = int(below[0])
+        raise ValueError(
+            f"zone {zones[row]} has households={int(households[row])}, below the first threshold {thresholds[0]}"
+        )
 
-    for report, households in reports:
-        if households < thresholds[0]:
-            raise ValueError(
-                f"zone {report.zone} has households={households}, below the first threshold {thresholds[0]}"
-            )
-        for index, (low, high) in enumerate(edges):
-            if households >= low and (high is None or households < high):
-                members[index].append(report)
-                break
-
+    highs: list[int | None] = [*thresholds[1:], None]
+    defined = ~np.isnan(mae)
     summaries = []
-    for (low, high), bucket in zip(edges, members):
-        defined = [r for r in bucket if r.mae is not None]
-        if defined:
-            mean_mae = float(np.mean([r.mae for r in defined]))
-            mean_msd = float(np.mean([r.msd for r in defined]))
-            mean_p95 = float(np.mean([r.p95 for r in defined]))
+    for index, (low, high) in enumerate(zip(thresholds, highs)):
+        members = bucket == index
+        chosen = members & defined
+        if chosen.any():
+            # np.mean over the member zones' values in zone order, as a list of them would give
+            means = [float(np.mean(column[chosen])) for column in (mae, msd, p95)]
         else:
-            mean_mae = mean_msd = mean_p95 = None
-        summaries.append(BucketSummary(low, high, len(bucket), mean_mae, mean_msd, mean_p95))
+            means = [None, None, None]
+        summaries.append(BucketSummary(low, high, int(members.sum()), *means))
     return summaries

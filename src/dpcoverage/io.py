@@ -6,9 +6,12 @@ are written as empty fields, never imputed. Full-precision floats are
 written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
-Readers abort on the first malformed row and name its line number.
-Writers replace their target atomically: a crash mid-write leaves the
-old file, never a truncated one.
+Readers parse a file into columns (release.Columns; households become a
+release.Households mapping) and check them with the record's row rule,
+run down whole columns. They abort on the first malformed row in file
+order and name its line number. Writers take Columns, or a list of
+records that they convert once, and replace their target atomically: a
+crash mid-write leaves the old file, never a truncated one.
 
 This module holds only the formats: the records it reads and writes, and
 their validity rules, belong to dpcoverage.release and dpcoverage.errorsim.
@@ -19,12 +22,32 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from dpcoverage.accountant import as_epsilon
 from dpcoverage.errorsim import BucketSummary
-from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, ReleaseRow
+from dpcoverage.release import (
+    COUNT_LABELS,
+    Columns,
+    Failure,
+    HouseholdRecord,
+    Households,
+    PrivateZipRecord,
+    RawZipRecord,
+    ReleaseRow,
+    as_columns,
+    columns_of,
+    first_duplicate,
+    first_failure,
+    household_problem,
+    private_zip_problem,
+    raw_zip_problem,
+    release_row_problem,
+)
 
 COUNTS_HEADER = ["zip", "low_speed_devices", "high_speed_devices", "services_devices", "non_services_devices"]
 HOUSEHOLDS_HEADER = ["zip", "households"]
@@ -71,116 +94,185 @@ def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
     return CsvFormatError(f"{path}: line {line_num}: {problem}")
 
 
-def _read_table(path: str | Path, header: list[str], parse_row: Callable[[list[str]], Any]) -> list:
-    """Records parsed from the rows of a CSV file with the given header.
+def _read_table(
+    path: str | Path,
+    header: list[str],
+    parsers: Sequence[Callable[[list[str]], tuple[list, Failure | None]]],
+    rule: Callable[..., str | None],
+) -> list[list]:
+    """Checked columns of values from a CSV file with the given header, zones first.
 
-    Rejects an empty file, a wrong header, a row with the wrong number of
-    fields, a row parse_row rejects with ValueError, a row the csv module
-    cannot parse, and a zone seen on an earlier row; row errors name their
-    line.
+    parsers turn the text of each column after the zone into values, and
+    rule, the record's row rule, runs over the parsed columns. Rejects an
+    empty file, a wrong header, a row with the wrong number of fields, a
+    value a parser or the rule refuses, a row the csv module cannot parse,
+    and a zone seen on an earlier row. The error names the line of the
+    first bad row in file order and, within that row, the first problem a
+    row-by-row reader would meet: the fields' parse in column order, then
+    the rule, then the duplicate zone.
     """
-    records = []
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             first = next(reader, None)
-            if first is None:
-                raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
-            if first != header:
-                raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        except csv.Error as exc:
+            raise _row_error(path, reader.line_num, str(exc))
+        if first is None:
+            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        texts: list[list[str]] = [[] for _ in header]
+        lines: list[int] = []  # each row's last line: a quoted field may span lines
+        rows: list[list[str]] = []  # rows not yet moved into texts
+        stop = None  # why reading ended before the end of the file
+        try:
             for row in reader:
                 if len(row) != len(header):
-                    raise _row_error(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-                try:
-                    record = parse_row(row)
-                except ValueError as exc:
-                    raise _row_error(path, reader.line_num, str(exc))
-                if record.zone in seen:
-                    raise _row_error(path, reader.line_num, f"duplicate zone {record.zone}")
-                seen.add(record.zone)
-                records.append(record)
+                    stop = f"expected {len(header)} fields, got {len(row)}"
+                    break
+                lines.append(reader.line_num)
+                rows.append(row)
+                if len(rows) == 4096:  # move rows into texts in slices, never holding the whole file twice
+                    _extend_columns(texts, rows)
+                    rows = []
         except csv.Error as exc:
             # the csv module's own parse errors, such as a field over its size limit
-            raise _row_error(path, reader.line_num, str(exc))
-    return records
+            stop = str(exc)
+        _extend_columns(texts, rows)
+        if stop is not None:
+            lines.append(reader.line_num)
+
+    zones = texts[0]
+    parsed = [parse(column) for parse, column in zip(parsers, texts[1:])]
+    parse_failure = _earliest(failure for _, failure in parsed)
+    parsed_rows = len(zones) if parse_failure is None else parse_failure[0]
+    values = [zones[:parsed_rows], *(column[:parsed_rows] for column, _ in parsed)]
+    duplicate = first_duplicate(zones)
+    failure = _earliest([
+        parse_failure,
+        first_failure(rule, *values),
+        None if duplicate is None else (duplicate, f"duplicate zone {zones[duplicate]}"),
+        None if stop is None else (len(zones), stop),
+    ])
+    if failure is not None:
+        raise _row_error(path, lines[failure[0]], failure[1])
+    return values
 
 
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}")
+def _earliest(failures: Iterable[Failure | None]) -> Failure | None:
+    """The failure on the earliest row; on a tie, the first one given."""
+    return min((failure for failure in failures if failure is not None), key=itemgetter(0), default=None)
 
 
-def _parse_float(text: str, name: str) -> float | None:
-    if text == "":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{name} must be a real number, got {text!r}")
+def _extend_columns(columns: list[list[str]], rows: list[list[str]]) -> None:
+    for column, fields in zip(columns, zip(*rows)):
+        column.extend(fields)
 
 
-def read_counts_csv(path: str | Path) -> list[RawZipRecord]:
+def _parse_each(convert: Callable[[str], Any], message: Callable[[str, ValueError], str]):
+    """Parser applying convert to each text; the first text it refuses fails with message(text, error)."""
+
+    def parse(texts: list[str]) -> tuple[list, Failure | None]:
+        values: list = []
+        try:
+            values.extend(map(convert, texts))  # keeps the values before a refused text
+        except ValueError as exc:
+            return values, (len(values), message(texts[len(values)], exc))
+        return values, None
+
+    return parse
+
+
+def _integers(name: str):
+    return _parse_each(int, lambda text, _: f"{name} must be an integer, got {text!r}")
+
+
+def _optional_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+def _optional_reals(name: str):
+    return _parse_each(_optional_float, lambda text, _: f"{name} must be a real number, got {text!r}")
+
+
+_reals = _parse_each(float, lambda _, exc: str(exc))
+
+
+def _epsilons(texts: list[str]) -> tuple[list, Failure | None]:
+    """as_epsilon of each text, parsed once per distinct text."""
+    parsed = {}
+    for text in dict.fromkeys(texts):  # distinct texts, in order of first row
+        try:
+            parsed[text] = as_epsilon(text)
+        except ValueError as exc:
+            row = texts.index(text)
+            return list(map(parsed.__getitem__, texts[:row])), (row, str(exc))
+    return list(map(parsed.__getitem__, texts)), None
+
+
+def read_counts_csv(path: str | Path) -> Columns[RawZipRecord]:
     """True per-zone device counts. Duplicate zones are rejected."""
-    return _read_table(
-        path, COUNTS_HEADER, lambda row: RawZipRecord(row[0], *map(_parse_int, row[1:], COUNTS_HEADER[1:]))
-    )
+    values = _read_table(path, COUNTS_HEADER, [_integers(name) for name in COUNTS_HEADER[1:]], raw_zip_problem)
+    return columns_of(RawZipRecord, *values)
 
 
 def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
-    rows = ([r.zone, r.low_speed, r.high_speed, r.services, r.non_services] for r in records)
-    _write_table(path, COUNTS_HEADER, rows)
+    table = as_columns(records, RawZipRecord)
+    counts = (table.column(label).tolist() for label in COUNT_LABELS)
+    _write_table(path, COUNTS_HEADER, zip(table.column("zone"), *counts))
 
 
-def read_households_csv(path: str | Path) -> dict[str, HouseholdRecord]:
+def read_households_csv(path: str | Path) -> Households:
     """Public household totals, keyed by zone. Duplicate zones are rejected."""
-    records = _read_table(
-        path, HOUSEHOLDS_HEADER, lambda row: HouseholdRecord(row[0], _parse_int(row[1], "households"))
-    )
-    return {record.zone: record for record in records}
+    zones, figures = _read_table(path, HOUSEHOLDS_HEADER, [_integers("households")], household_problem)
+    return Households(dict(zip(zones, figures)))
 
 
 def write_households_csv(path: str | Path, records: Sequence[HouseholdRecord]) -> None:
-    _write_table(path, HOUSEHOLDS_HEADER, ([r.zone, r.households] for r in records))
+    table = as_columns(records, HouseholdRecord)
+    _write_table(path, HOUSEHOLDS_HEADER, zip(table.column("zone"), table.column("households").tolist()))
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _format_floats(column: np.ndarray, form: Callable[[float], str] = repr) -> list[str]:
+    """Each value in its text form, NaN (None) as an empty field."""
+    return ["" if value != value else form(value) for value in column.tolist()]
 
 
-def _release_fields(r: ReleaseRow) -> list[str]:
-    coverage = "" if r.coverage is None else f"{r.coverage:.3f}"
-    return [r.zone, coverage, *map(_format_float, (r.raw_coverage, r.mae, r.msd, r.p95)), str(r.epsilon)]
+def _three_decimals(value: float) -> str:
+    return f"{value:.3f}"
 
 
 def write_release_csv(path: str | Path, rows: Sequence[ReleaseRow]) -> None:
-    _write_table(path, RELEASE_HEADER, map(_release_fields, rows))
+    table = as_columns(rows, ReleaseRow)
+    fields = [
+        table.column("zone"),
+        _format_floats(table.column("coverage"), _three_decimals),
+        *(_format_floats(table.column(name)) for name in ("raw_coverage", "mae", "msd", "p95")),
+        map(str, table.column("epsilon")),
+    ]
+    _write_table(path, RELEASE_HEADER, zip(*fields))
 
 
-def _parse_release_row(row: list[str]) -> ReleaseRow:
-    values = map(_parse_float, row[1:6], RELEASE_HEADER[1:6])
-    return ReleaseRow(row[0], *values, epsilon=as_epsilon(row[6]))
-
-
-def read_release_csv(path: str | Path) -> list[ReleaseRow]:
-    return _read_table(path, RELEASE_HEADER, _parse_release_row)
+def read_release_csv(path: str | Path) -> Columns[ReleaseRow]:
+    parsers = [*map(_optional_reals, RELEASE_HEADER[1:6]), _epsilons]
+    return columns_of(ReleaseRow, *_read_table(path, RELEASE_HEADER, parsers, release_row_problem))
 
 
 def write_private_counts_csv(path: str | Path, privs: Sequence[PrivateZipRecord]) -> None:
     """Noisy-count sidecar; lets error simulation run as pure post-processing."""
-    rows = (
-        [p.zone, *map(repr, (p.low_speed_dp, p.high_speed_dp, p.services_dp, p.non_services_dp)), str(p.epsilon_total)]
-        for p in privs
-    )
-    _write_table(path, PRIVATE_COUNTS_HEADER, rows)
+    table = as_columns(privs, PrivateZipRecord)
+    counts = (map(repr, table.column(f"{label}_dp").tolist()) for label in COUNT_LABELS)
+    epsilons = map(str, table.column("epsilon_total"))
+    _write_table(path, PRIVATE_COUNTS_HEADER, zip(table.column("zone"), *counts, epsilons))
 
 
-def read_private_counts_csv(path: str | Path) -> list[PrivateZipRecord]:
-    return _read_table(
-        path, PRIVATE_COUNTS_HEADER, lambda row: PrivateZipRecord(row[0], *map(float, row[1:5]), as_epsilon(row[5]))
-    )
+def read_private_counts_csv(path: str | Path) -> Columns[PrivateZipRecord]:
+    parsers = [_reals] * len(COUNT_LABELS) + [_epsilons]
+    return columns_of(PrivateZipRecord, *_read_table(path, PRIVATE_COUNTS_HEADER, parsers, private_zip_problem))
+
+
+def _format_float(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> None:

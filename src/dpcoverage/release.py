@@ -20,11 +20,17 @@ rounds of two parallel (disjoint-partition) count queries, so its exact
 total privacy cost is twice the per-query epsilon.
 
 A release runs as column passes: one noise-kernel call per count label
-over every zone, then the coverage formula over whole arrays. Frozen
-per-zone records are built only for the caller.
+over every zone, then the coverage formula over whole arrays.
 
-ReleaseRow is the one record of a published row, and its checks are the
-rules of the release table. release_dataset fills a row's coverage and
+Tables travel as columns, from file to kernel to file: Columns holds one
+list or numpy array per field of a record type, and builds a frozen
+record only for a row that a caller reads, at the API edge. Each record
+type's checks are one row rule here (raw_zip_problem, household_problem,
+private_zip_problem, release_row_problem); first_failure runs a rule down
+whole columns for the readers, and each record runs it on itself.
+
+ReleaseRow is the one record of a published row, and its rule is the
+rule of the release table. release_dataset fills a row's coverage and
 leaves its error columns empty; simulate-error is the only producer of
 those columns, computed from the published noisy counts alone (see
 dpcoverage.errorsim). dpcoverage.io holds the file format, not the row.
@@ -35,9 +41,10 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,16 +69,120 @@ class DegenerateCountError(ValueError):
     """The services count is zero, so the coverage formula has no value."""
 
 
-def _check_zone(zone: str) -> str:
-    if not (isinstance(zone, str) and _ZIP_RE.match(zone)):
-        raise IngestionError(f"zone must be a 5-digit zip string, got {zone!r}")
-    return zone
+# ---------------------------------------------------------------- row rules
+#
+# Each record's rule is written once, as a function of one row's values,
+# every field in field order, that returns the message of the first check
+# the row fails, or None. first_failure runs a rule down whole columns, and a
+# record's __post_init__ runs it on the record's own values: passing them
+# as one-row columns through first_failure made a record three times as
+# dear to build.
+
+Failure = tuple[int, str]  # a column's first failing row and the message its record would raise
 
 
-def _check_count(name: str, value: int) -> None:
-    # bool is an int subclass; reject it explicitly
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
-        raise IngestionError(f"{name} must be a nonnegative integer, got {value!r}")
+def first_failure(rule: Callable[..., str | None], *columns: Sequence) -> Failure | None:
+    """The first row of the columns that rule refuses, with rule's message for it."""
+    for row, problem in enumerate(map(rule, *columns)):
+        if problem is not None:
+            return row, problem
+    return None
+
+
+def _check_row(rule: Callable[..., str | None], *values: object) -> None:
+    problem = rule(*values)
+    if problem is not None:
+        raise IngestionError(problem)
+
+
+def _zone_problem(zone: object) -> str | None:
+    if isinstance(zone, str) and _ZIP_RE.match(zone):
+        return None
+    return f"zone must be a 5-digit zip string, got {zone!r}"
+
+
+def _integer_problem(name: str, value: object, minimum: int, kind: str) -> str | None:
+    # bool is an int subclass; reject it explicitly. Columns hold ints as int64.
+    if type(value) is int and minimum <= value < 2**63:  # the common case, tested first
+        return None
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+        return f"{name} must be a {kind} integer, got {value!r}"
+    if value >= 2**63:
+        return f"{name} must be below 2**63, got {value!r}"
+    return None
+
+
+def _real_problem(name: str, value: object) -> str | None:
+    if type(value) is float and 0.0 <= value < math.inf:  # the common case, tested first
+        return None
+    if isinstance(value, (int, float)) and math.isfinite(value) and value >= 0:
+        return None
+    return f"{name} must be a nonnegative finite real, got {value!r}"
+
+
+def raw_zip_problem(zone, low_speed, high_speed, services, non_services) -> str | None:
+    """Rule of a RawZipRecord row."""
+    return (
+        _zone_problem(zone)
+        or _integer_problem("low_speed", low_speed, 0, "nonnegative")
+        or _integer_problem("high_speed", high_speed, 0, "nonnegative")
+        or _integer_problem("services", services, 0, "nonnegative")
+        or _integer_problem("non_services", non_services, 0, "nonnegative")
+    )
+
+
+def household_problem(zone, households) -> str | None:
+    """Rule of a HouseholdRecord row."""
+    return _zone_problem(zone) or _integer_problem("households", households, 1, "positive")
+
+
+def private_zip_problem(zone, low_speed_dp, high_speed_dp, services_dp, non_services_dp, epsilon_total) -> str | None:
+    """Rule of a PrivateZipRecord row; as_epsilon checks its epsilon."""
+    return (
+        _zone_problem(zone)
+        or _real_problem("low_speed_dp", low_speed_dp)
+        or _real_problem("high_speed_dp", high_speed_dp)
+        or _real_problem("services_dp", services_dp)
+        or _real_problem("non_services_dp", non_services_dp)
+    )
+
+
+def release_row_problem(zone, coverage, raw_coverage, mae, msd, p95, epsilon) -> str | None:
+    """Rule of a ReleaseRow: the rules of a row of the release table."""
+    problem = _zone_problem(zone)
+    if problem is not None:
+        return problem
+    if (coverage is None) != (raw_coverage is None):
+        return "coverage and raw_coverage must be both set or both None"
+    if coverage is not None:
+        if not (0.0 <= coverage <= 1.0):
+            return f"coverage must lie in [0, 1], got {coverage!r}"
+        if not math.isfinite(raw_coverage):
+            return f"raw_coverage must be finite, got {raw_coverage!r}"
+    if mae is None and msd is None and p95 is None:
+        return None
+    if mae is None or msd is None or p95 is None:
+        return "mae, msd and p95 must be all set or all None"
+    if coverage is None:
+        return f"zone {zone} has error statistics but no coverage"
+    if not (math.isfinite(mae) and math.isfinite(msd) and math.isfinite(p95) and mae >= 0 and p95 >= 0):
+        return f"mae, msd and p95 must be finite, mae and p95 nonnegative, got {[mae, msd, p95]!r}"
+    return None
+
+
+def first_duplicate(zones: Sequence[str]) -> int | None:
+    """Row of the first zone that an earlier row already has."""
+    if len(set(zones)) == len(zones):
+        return None
+    seen: set[str] = set()
+    for row, zone in enumerate(zones):
+        if zone in seen:
+            return row
+        seen.add(zone)
+    return None
+
+
+# ---------------------------------------------------------------- records
 
 
 @dataclass(frozen=True)
@@ -85,11 +196,7 @@ class RawZipRecord:
     non_services: int
 
     def __post_init__(self) -> None:
-        _check_zone(self.zone)
-        _check_count("low_speed", self.low_speed)
-        _check_count("high_speed", self.high_speed)
-        _check_count("services", self.services)
-        _check_count("non_services", self.non_services)
+        _check_row(raw_zip_problem, self.zone, self.low_speed, self.high_speed, self.services, self.non_services)
 
 
 @dataclass(frozen=True)
@@ -100,9 +207,7 @@ class HouseholdRecord:
     households: int
 
     def __post_init__(self) -> None:
-        _check_zone(self.zone)
-        if not (isinstance(self.households, int) and not isinstance(self.households, bool) and self.households >= 1):
-            raise IngestionError(f"households must be a positive integer, got {self.households!r}")
+        _check_row(household_problem, self.zone, self.households)
 
 
 @dataclass(frozen=True)
@@ -117,11 +222,11 @@ class PrivateZipRecord:
     epsilon_total: Decimal
 
     def __post_init__(self) -> None:
-        _check_zone(self.zone)
-        for name in ("low_speed_dp", "high_speed_dp", "services_dp", "non_services_dp"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-                raise IngestionError(f"{name} must be a nonnegative finite real, got {value!r}")
+        _check_row(
+            private_zip_problem,
+            self.zone, self.low_speed_dp, self.high_speed_dp, self.services_dp, self.non_services_dp,
+            self.epsilon_total,
+        )
         object.__setattr__(self, "epsilon_total", as_epsilon(self.epsilon_total))
 
 
@@ -147,26 +252,140 @@ class ReleaseRow:
     epsilon: Decimal
 
     def __post_init__(self) -> None:
-        _check_zone(self.zone)
-        if (self.coverage is None) != (self.raw_coverage is None):
-            raise IngestionError("coverage and raw_coverage must be both set or both None")
-        if self.coverage is not None:
-            if not (0.0 <= self.coverage <= 1.0):
-                raise IngestionError(f"coverage must lie in [0, 1], got {self.coverage!r}")
-            if not math.isfinite(self.raw_coverage):
-                raise IngestionError(f"raw_coverage must be finite, got {self.raw_coverage!r}")
-        stats = [value for value in (self.mae, self.msd, self.p95) if value is not None]
-        if stats:
-            if len(stats) != 3:
-                raise IngestionError("mae, msd and p95 must be all set or all None")
-            if self.coverage is None:
-                raise IngestionError(f"zone {self.zone} has error statistics but no coverage")
-            if not (all(map(math.isfinite, stats)) and self.mae >= 0 and self.p95 >= 0):
-                raise IngestionError(f"mae, msd and p95 must be finite, mae and p95 nonnegative, got {stats!r}")
+        _check_row(
+            release_row_problem,
+            self.zone, self.coverage, self.raw_coverage, self.mae, self.msd, self.p95, self.epsilon,
+        )
 
     @property
     def defined(self) -> bool:
         return self.coverage is not None
+
+
+# ---------------------------------------------------------------- columns
+
+R = TypeVar("R")
+
+
+def _dtype(annotation: str) -> type | None:
+    """numpy dtype of a record field held as an array, by its annotation; None for a list."""
+    return {"int": np.int64, "float": np.float64, "float | None": np.float64}.get(annotation)
+
+
+class Columns(Sequence[R]):
+    """Rows of one record type, held as one column per field.
+
+    int and float fields are numpy arrays, with NaN standing for None (no
+    record holds a NaN: the row rules refuse non-finite values, and the
+    kernels make none); other fields, such as zones and epsilons, are
+    lists. len() is free. Indexing or iterating builds each row's record,
+    and so runs its checks, only for the rows read.
+    """
+
+    def __init__(self, record: type[R], **columns: Sequence) -> None:
+        self.record = record
+        self.columns = {f.name: columns[f.name] for f in fields(record)}
+
+    def column(self, name: str) -> Sequence:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        return len(self.columns["zone"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Columns(self.record, **{name: column[index] for name, column in self.columns.items()})
+        return self.record(*(_value(column[index]) for column in self.columns.values()))
+
+    def __iter__(self) -> Iterator[R]:
+        return map(self.record, *map(_values, self.columns.values()))
+
+    def take(self, rows: Sequence[int]) -> Columns[R]:
+        """The given rows, in the given order."""
+        return Columns(
+            self.record,
+            **{
+                name: column[rows] if isinstance(column, np.ndarray) else [column[row] for row in rows]
+                for name, column in self.columns.items()
+            },
+        )
+
+
+def _value(value: object) -> object:
+    """One column entry as a Python object, None for NaN."""
+    if isinstance(value, np.generic):
+        value = value.item()
+        return None if value != value else value
+    return value
+
+
+def _values(column: Sequence) -> list:
+    """A column's values as Python objects, None for NaN."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    if column.dtype.kind == "f" and np.isnan(column).any():
+        values = [None if value != value else value for value in values]
+    return values
+
+
+def columns_of(record: type[R], *values: list) -> Columns[R]:
+    """Columns of record from one list of Python values per field, in field order."""
+    columns = {}
+    for field, column in zip(fields(record), values, strict=True):
+        dtype = _dtype(field.type)
+        columns[field.name] = column if dtype is None else np.array(column, dtype=dtype)
+    return Columns(record, **columns)
+
+
+def as_columns(rows: Iterable[R], record: type[R]) -> Columns[R]:
+    """rows as Columns of record: unchanged if they already are, else converted once."""
+    if isinstance(rows, Columns):
+        return rows
+    rows = list(rows)
+    return columns_of(record, *([getattr(row, field.name) for row in rows] for field in fields(record)))
+
+
+class Pairs(Sequence[tuple]):
+    """Two sequences of equal length read side by side, as (first[i], second[i])."""
+
+    def __init__(self, first: Sequence, second: Sequence) -> None:
+        self.first = first
+        self.second = second
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Pairs(self.first[index], self.second[index])
+        return self.first[index], self.second[index]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(self.first, self.second)
+
+
+class Households(Mapping[str, HouseholdRecord]):
+    """Household totals held as a zone -> figure dict.
+
+    Looking a zone up builds its HouseholdRecord; household_column reads
+    the figures directly.
+    """
+
+    def __init__(self, figures: dict[str, int]) -> None:
+        self.figures = figures
+
+    def __getitem__(self, zone: str) -> HouseholdRecord:
+        return HouseholdRecord(zone, self.figures[zone])
+
+    def __contains__(self, zone: object) -> bool:
+        return zone in self.figures
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.figures)
+
+    def __len__(self) -> int:
+        return len(self.figures)
 
 
 def clip_unit(value: float | np.ndarray) -> float | np.ndarray:
@@ -181,11 +400,14 @@ def compute_coverage(high_speed: float, services: float, non_services: float, ho
     Raises DegenerateCountError when services == 0; callers publish
     UNDEFINED for that zone rather than imputing a value.
     """
-    for name, value in (("high_speed", high_speed), ("services", services), ("non_services", non_services)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be a nonnegative finite real, got {value!r}")
-    if not (isinstance(households, int) and not isinstance(households, bool) and households >= 1):
-        raise ValueError(f"households must be a positive integer, got {households!r}")
+    problem = (
+        _real_problem("high_speed", high_speed)
+        or _real_problem("services", services)
+        or _real_problem("non_services", non_services)
+        or _integer_problem("households", households, 1, "positive")
+    )
+    if problem is not None:
+        raise ValueError(problem)
     if services == 0:
         raise DegenerateCountError("services count is zero; coverage is undefined for this zone")
     return coverage_columns(high_speed, services, non_services, households)
@@ -222,27 +444,28 @@ def coverage_columns(
 
 def household_column(zones: Sequence[str], households: Mapping[str, HouseholdRecord]) -> np.ndarray:
     """Each zone's household total as an int64 column, 0 where the zone has no figure."""
-    figures = (h.households if (h := households.get(zone)) is not None else 0 for zone in zones)
-    return np.fromiter(figures, dtype=np.int64, count=len(zones))
+    if isinstance(households, Households):
+        figures = households.figures
+    else:
+        figures = {zone: record.households for zone, record in households.items()}
+    return np.fromiter(map(figures.get, zones, repeat(0)), dtype=np.int64, count=len(zones))
 
 
 def _noisy_counts(
-    records: Sequence[RawZipRecord],
+    zones: Sequence[str],
+    true: np.ndarray,
     params: LaplaceParams,
     base_seed: int,
     round_counts: bool,
 ) -> np.ndarray:
-    """(len(records), 4) clamped noisy counts, one kernel call per count label."""
-    zones = tuple(record.zone for record in records)
-    true = np.array(
-        [(r.low_speed, r.high_speed, r.services, r.non_services) for r in records], dtype=np.float64
-    ).reshape(len(records), len(COUNT_LABELS))
+    """(zones, 4) clamped noisy counts from (zones, 4) true counts, one kernel call per count label."""
+    zones = tuple(zones)
     noisy = np.column_stack(
         [
             privatize_count(true[:, column], params, NoiseSeed(base_seed, zones, label, 0))
             for column, label in enumerate(COUNT_LABELS)
         ]
-    ).reshape(len(records), len(COUNT_LABELS))
+    ).reshape(len(zones), len(COUNT_LABELS))
     # rint rounds ties to even, as round() does
     return np.rint(noisy) if round_counts else noisy
 
@@ -262,7 +485,8 @@ def privatize_record(
     (ties to even); the default publishes real values.
     """
     eps = as_epsilon(per_query_epsilon)
-    noisy = _noisy_counts([raw], LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
+    true = np.array([[raw.low_speed, raw.high_speed, raw.services, raw.non_services]], dtype=np.float64)
+    noisy = _noisy_counts([raw.zone], true, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
     return PrivateZipRecord(raw.zone, *noisy[0].tolist(), total_epsilon(release_query_plan(eps)))
 
 
@@ -273,10 +497,13 @@ def release_dataset(
     base_seed: int,
     *,
     round_counts: bool = False,
-) -> list[tuple[PrivateZipRecord, ReleaseRow]]:
+) -> Pairs:
     """Privatize every zone in the release list, preserving input order.
 
-    Each zone's ReleaseRow carries its coverage and empty error columns.
+    records are Columns of RawZipRecord or a list of them. The result
+    reads as (PrivateZipRecord, ReleaseRow) pairs, one per zone; its first
+    and second are the two tables as Columns, for the two writers. Each
+    ReleaseRow carries its coverage and empty error columns.
 
     Duplicate zones are rejected up front. Zones with no household figure
     are released with an UNDEFINED coverage estimate (their noisy counts
@@ -284,35 +511,44 @@ def release_dataset(
     Each zone's output is a pure function of its record and the base
     seed, whatever the order or company of the other records.
     """
-    seen: set[str] = set()
-    for record in records:
-        if record.zone in seen:
-            raise IngestionError(f"duplicate zone in release list: {record.zone}")
-        seen.add(record.zone)
+    table = as_columns(records, RawZipRecord)
+    zones = table.column("zone")
+    duplicate = first_duplicate(zones)
+    if duplicate is not None:
+        raise IngestionError(f"duplicate zone in release list: {zones[duplicate]}")
 
     eps = as_epsilon(per_query_epsilon)
     epsilon_total = total_epsilon(release_query_plan(eps))
-    noisy = _noisy_counts(records, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
+    true = np.column_stack([table.column(label) for label in COUNT_LABELS]).astype(np.float64)
+    noisy = _noisy_counts(zones, true, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
 
-    zones = [record.zone for record in records]
-    missing = [zone for zone in zones if zone not in households]
-    if missing:
+    figures = household_column(zones, households)
+    missing = np.flatnonzero(figures == 0)
+    if missing.size:
         logger.warning(
             "%d zone(s) have no household figure and are released with UNDEFINED coverage: %s%s",
-            len(missing),
-            ", ".join(missing[:5]),
-            ", ..." if len(missing) > 5 else "",
+            missing.size,
+            ", ".join(zones[row] for row in missing[:5].tolist()),
+            ", ..." if missing.size > 5 else "",
         )
-    figures = household_column(zones, households)
     raw = coverage_columns(noisy[:, 1], noisy[:, 2], noisy[:, 3], figures)
     defined = (figures > 0) & (noisy[:, 2] > 0)
-    clipped = clip_unit(raw)
-
-    pairs = []
-    for record, counts, ok, value, raw_value in zip(
-        records, noisy.tolist(), defined.tolist(), clipped.tolist(), raw.tolist()
-    ):
-        priv = PrivateZipRecord(record.zone, *counts, epsilon_total)
-        coverage = (value, raw_value) if ok else (None, None)
-        pairs.append((priv, ReleaseRow(record.zone, *coverage, None, None, None, epsilon_total)))
-    return pairs
+    epsilons = [epsilon_total] * len(zones)
+    absent = np.full(len(zones), np.nan)
+    privs = Columns(
+        PrivateZipRecord,
+        zone=zones,
+        **{f"{label}_dp": noisy[:, column] for column, label in enumerate(COUNT_LABELS)},
+        epsilon_total=epsilons,
+    )
+    rows = Columns(
+        ReleaseRow,
+        zone=zones,
+        coverage=np.where(defined, clip_unit(raw), np.nan),
+        raw_coverage=np.where(defined, raw, np.nan),
+        mae=absent,
+        msd=absent,
+        p95=absent,
+        epsilon=epsilons,
+    )
+    return Pairs(privs, rows)

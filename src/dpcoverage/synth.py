@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcoverage.release import HouseholdRecord, RawZipRecord
+from dpcoverage.release import Columns, HouseholdRecord, RawZipRecord
 
 _U64_MAX = (1 << 64) - 1
 
@@ -58,29 +58,27 @@ class SynthSpec:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
-def generate(spec: SynthSpec) -> tuple[list[RawZipRecord], list[HouseholdRecord]]:
-    """Deterministic dataset for a spec; identical specs give identical bits."""
+def generate(spec: SynthSpec) -> tuple[Columns[RawZipRecord], Columns[HouseholdRecord]]:
+    """Deterministic dataset for a spec; identical specs give identical bits.
+
+    The counts and households come back as Columns, computed over whole
+    arrays; np.rint rounds ties to even, as round() does.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n = spec.zone_count
     households = rng.integers(spec.household_range[0], spec.household_range[1] + 1, size=n)
     targets = rng.uniform(spec.coverage_range[0], spec.coverage_range[1], size=n)
     shares = rng.uniform(spec.services_share_range[0], spec.services_share_range[1], size=n)
 
-    counts: list[RawZipRecord] = []
-    totals: list[HouseholdRecord] = []
-    for i in range(n):
-        zone = f"{i + 1:05d}"
-        total = int(households[i])
-        services = min(total, max(1, round(float(shares[i]) * total)))
-        high_speed = min(services, max(0, round(float(targets[i]) * services)))
-        counts.append(
-            RawZipRecord(
-                zone=zone,
-                low_speed=services - high_speed,
-                high_speed=high_speed,
-                services=services,
-                non_services=total - services,
-            )
-        )
-        totals.append(HouseholdRecord(zone=zone, households=total))
-    return counts, totals
+    services = np.minimum(households, np.maximum(1, np.rint(shares * households).astype(np.int64)))
+    high_speed = np.minimum(services, np.maximum(0, np.rint(targets * services).astype(np.int64)))
+    zones = [f"{i + 1:05d}" for i in range(n)]
+    counts = Columns(
+        RawZipRecord,
+        zone=zones,
+        low_speed=services - high_speed,
+        high_speed=high_speed,
+        services=services,
+        non_services=households - services,
+    )
+    return counts, Columns(HouseholdRecord, zone=zones, households=households)

@@ -430,5 +430,84 @@ def test_simulate_error_refuses_households_the_release_lacked(tmp_path, capsys):
               "--k", "10", "--seed", "42", "--out", str(final)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error:") and "has error statistics but no coverage" in captured.err
+    assert captured.err.startswith("error:") and f"{released} published UNDEFINED" in captured.err
     assert not final.exists()
+
+
+def test_simulate_error_refuses_households_that_change_the_coverage(tmp_path, capsys):
+    # the error ranges must belong to the published coverage: a households
+    # file other than the release's gives another coverage for zone 00001
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        ",".join(io.COUNTS_HEADER) + "\n00001,1000,3000,3500,1230\n00002,10,20,40,10\n00003,5,50,60,20\n",
+        encoding="utf-8",
+    )
+    households, other = tmp_path / "households.csv", tmp_path / "other.csv"
+    households.write_text("zip,households\n00001,4730\n00002,500\n00003,90\n", encoding="utf-8")
+    other.write_text("zip,households\n00001,5000000\n00002,500\n00003,90\n", encoding="utf-8")
+    released, final = tmp_path / "released.csv", tmp_path / "final.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "42", "--out", str(released)]) == 0
+    base = ["simulate-error", "--release", str(released), "--k", "10", "--seed", "42", "--out", str(final)]
+    capsys.readouterr()
+    assert run([*base, "--households", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "zone 00001" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not final.exists()
+    assert run([*base, "--households", str(households)]) == 0
+
+
+@pytest.mark.parametrize("command,target", [
+    ("release", "counts"),
+    ("simulate-error", "release"),
+    ("summarize", "in"),
+])
+def test_an_output_that_is_an_input_is_refused(tmp_path, capsys, command, target):
+    counts, households = make_inputs(tmp_path, zones=5)
+    released = tmp_path / "released.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "42", "--out", str(released)]) == 0
+    inputs = {"counts": counts, "release": released, "in": released}
+    argv = {
+        "release": ["release", "--counts", str(counts), "--households", str(households), "--seed", "1"],
+        "simulate-error": ["simulate-error", "--release", str(released), "--households", str(households),
+                           "--k", "10", "--seed", "1"],
+        "summarize": ["summarize", "--in", str(released), "--households", str(households)],
+    }[command]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    # the same file under another spelling of its path
+    assert run([*argv, "--out", str(tmp_path / "." / inputs[target].name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before  # nothing written
+
+
+def test_cli_path_builds_no_record_per_zone(tmp_path, monkeypatch):
+    # records are for the API edge: the commands move columns, so the number
+    # of records they build must not grow with the number of zones
+    from dpcoverage.errorsim import BucketSummary, ErrorReport
+    from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, ReleaseRow
+
+    def built(zones):
+        directory = tmp_path / str(zones)
+        directory.mkdir()
+        counts, households = make_inputs(directory, zones=zones)
+        released, final = directory / "released.csv", directory / "final.csv"
+        constructed = []
+        with monkeypatch.context() as patch:
+            for record in (RawZipRecord, HouseholdRecord, PrivateZipRecord, ReleaseRow, ErrorReport, BucketSummary):
+                def counted(self, *args, __init__=record.__init__, **kwargs):
+                    constructed.append(type(self).__name__)
+                    __init__(self, *args, **kwargs)
+                patch.setattr(record, "__init__", counted)
+            assert run(["release", "--counts", str(counts), "--households", str(households),
+                        "--seed", "42", "--out", str(released)]) == 0
+            assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                        "--k", "5", "--seed", "42", "--out", str(final)]) == 0
+            assert run(["summarize", "--in", str(final), "--households", str(households),
+                        "--out", str(directory / "buckets.csv")]) == 0
+        return sorted(constructed)
+
+    assert built(40) == built(80)

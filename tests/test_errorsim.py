@@ -193,10 +193,10 @@ def test_error_reports_for_release_order_and_block_size(monkeypatch):
     reports = error_reports_for_release(privs, households, config)
     assert [r.zone for r in reports] == [p.zone for p in privs]
     backward = error_reports_for_release(list(reversed(privs)), households, config)
-    assert backward == list(reversed(reports))
+    assert list(backward) == list(reversed(reports))
     for block_trials in (1, 200, 7 * 200, 1 << 20):  # one zone per block ... all zones in one
         monkeypatch.setattr(errorsim, "BLOCK_TRIALS", block_trials)
-        assert error_reports_for_release(privs, households, config) == reports
+        assert list(error_reports_for_release(privs, households, config)) == list(reports)
 
 
 def _scalar_report(record, households, config):

@@ -1,8 +1,12 @@
 """CSV schemas: round trips, formatting, and malformed-row diagnostics."""
 
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcoverage import io
 from dpcoverage.io import CsvFormatError, ReleaseRow
@@ -13,7 +17,7 @@ def test_counts_round_trip(tmp_path):
     path = tmp_path / "counts.csv"
     records = [RawZipRecord("00001", 1, 2, 3, 4), RawZipRecord("99999", 0, 0, 0, 0)]
     io.write_counts_csv(path, records)
-    assert io.read_counts_csv(path) == records
+    assert list(io.read_counts_csv(path)) == records
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "zip,low_speed_devices,high_speed_devices,services_devices,non_services_devices"
 
@@ -60,7 +64,7 @@ def test_private_counts_round_trip_is_exact(tmp_path):
     path = tmp_path / "priv.csv"
     privs = [PrivateZipRecord("00001", 41.076189823048225, 88.72176663630663, 110.30837417520895, 21.45672954675789, Decimal("0.2"))]
     io.write_private_counts_csv(path, privs)
-    assert io.read_private_counts_csv(path) == privs  # repr round-trips floats exactly
+    assert list(io.read_private_counts_csv(path)) == privs  # repr round-trips floats exactly
 
 
 def test_malformed_count_row_reports_line_number(tmp_path):
@@ -134,6 +138,15 @@ READERS = {
     "private-counts": (io.read_private_counts_csv, io.PRIVATE_COUNTS_HEADER, "00001,1.5,2.5,3.5,4.5,0.2", "00002,1.5,x,3.5,4.5,0.2"),
 }
 
+# per reader: a row whose last field is bad, a row whose first field (the
+# zone) is bad, and a good row with a quoted field spanning two lines
+SPLIT_ROWS = {
+    "counts": ("00002,1,2,3,-4", "0003,1,2,3,4", '00004,1,2,3,"4\n"'),
+    "households": ("00002,0", "0003,50", '00004,"50\n"'),
+    "release": ("00002,0.500,0.5,,,,0", "0003,0.500,0.5,,,,0.2", '00004,0.500,0.5,,,,"0.2\n"'),
+    "private-counts": ("00002,1.5,2.5,3.5,4.5,0", "0003,1.5,2.5,3.5,4.5,0.2", '00004,1.5,2.5,3.5,"4.5\n",0.2'),
+}
+
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("case,match", [
@@ -159,6 +172,76 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
     with pytest.raises(CsvFormatError, match=match) as caught:
         read(path)
     assert str(caught.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reader_reports_the_first_bad_row_in_file_order(tmp_path, reader):
+    # the columns are checked one after another, but the error must name
+    # line 3 (bad last field), not line 4 (bad first field)
+    read, header, good, _ = READERS[reader]
+    bad_last, bad_first, _ = SPLIT_ROWS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in [",".join(header), good, bad_last, bad_first]), encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=f"^{path}: line 3: "):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reader_line_numbers_count_quoted_newlines(tmp_path, reader):
+    # lines 2-3 hold one good row; the bad row after it is on line 4
+    read, header, good, _ = READERS[reader]
+    bad_last, _, spanning = SPLIT_ROWS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in [",".join(header), spanning, bad_last]), encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=f"^{path}: line 4: "):
+        read(path)
+    path.write_text("".join(line + "\n" for line in [",".join(header), spanning, good]), encoding="utf-8")
+    assert len(read(path)) == 2
+
+
+zones = st.lists(st.integers(1, 99999).map(lambda n: f"{n:05d}"), unique=True, max_size=8)
+counts = st.integers(0, 2**63 - 1)
+reals = st.floats(min_value=0.0, allow_infinity=False)
+epsilons = st.decimals(min_value="0.001", max_value="100", places=3).map(lambda e: Decimal(str(e)))
+statistics = st.one_of(
+    st.none(),
+    st.tuples(reals, st.floats(allow_nan=False, allow_infinity=False), reals),
+)
+release_rows = st.tuples(
+    st.one_of(st.none(), st.tuples(st.integers(0, 1000).map(lambda n: n / 1000),  # 3 decimals survive the file
+                                   st.floats(allow_nan=False, allow_infinity=False))),
+    statistics,
+    epsilons,
+)
+
+
+def _round_trip(write, read, records):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        write(path, records)
+        return read(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zones, st.data())
+def test_every_format_round_trips(zones, data):
+    raws = [RawZipRecord(zone, *data.draw(st.tuples(counts, counts, counts, counts))) for zone in zones]
+    assert list(_round_trip(io.write_counts_csv, io.read_counts_csv, raws)) == raws
+
+    households = [HouseholdRecord(zone, data.draw(st.integers(1, 2**63 - 1))) for zone in zones]
+    assert list(_round_trip(io.write_households_csv, io.read_households_csv, households).values()) == households
+
+    privs = [PrivateZipRecord(zone, *data.draw(st.tuples(reals, reals, reals, reals)), data.draw(epsilons))
+             for zone in zones]
+    assert list(_round_trip(io.write_private_counts_csv, io.read_private_counts_csv, privs)) == privs
+
+    rows = []
+    for zone in zones:
+        coverage, stats, epsilon = data.draw(release_rows)
+        coverage, raw = coverage if coverage is not None else (None, None)
+        stats = stats if stats is not None and coverage is not None else (None, None, None)
+        rows.append(ReleaseRow(zone, coverage, raw, *stats, epsilon))
+    assert list(_round_trip(io.write_release_csv, io.read_release_csv, rows)) == rows
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):

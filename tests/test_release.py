@@ -11,16 +11,19 @@ import logging
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
 from dpcoverage.release import (
+    Columns,
     DegenerateCountError,
     HouseholdRecord,
     IngestionError,
     PrivateZipRecord,
     RawZipRecord,
     ReleaseRow,
+    as_columns,
     clip_unit,
     compute_coverage,
     privatize_record,
@@ -231,7 +234,7 @@ def test_release_dataset_matches_per_zone_records():
             assert priv == privatize_record(record, "0.1", 7, round_counts=round_counts)
             assert estimate == estimate_coverage(priv, households[record.zone].households)
         subset = release_dataset(records[5:9], households, "0.1", 7, round_counts=round_counts)
-        assert subset == pairs[5:9]
+        assert list(subset) == list(pairs[5:9])
 
 
 def test_missing_households_log_one_warning(caplog):
@@ -260,3 +263,20 @@ def test_raw_coverage_is_at_least_clipped_coverage():
         if estimate.defined:
             assert estimate.raw_coverage >= estimate.coverage
             assert 0.0 <= estimate.coverage <= 1.0
+
+
+def test_columns_build_checked_records_on_access():
+    eps = Decimal("0.2")
+    rows = [
+        ReleaseRow("00001", 0.5, 0.5, None, None, None, eps),
+        ReleaseRow("00002", None, None, None, None, None, eps),
+    ]
+    table = as_columns(rows, ReleaseRow)
+    assert as_columns(table, ReleaseRow) is table  # converted once
+    assert len(table) == 2 and list(table) == rows
+    assert table[-1] == rows[-1] and list(table[1:]) == rows[1:] and list(table.take([1, 0])) == rows[::-1]
+    assert table[0].mae is None  # NaN in a float column reads back as None
+    broken = Columns(ReleaseRow, **{**table.columns, "coverage": np.array([1.5, np.nan])})
+    with pytest.raises(IngestionError, match="coverage must lie in"):
+        broken[0]  # the row is checked when its record is built
+    assert broken[1] == rows[1]

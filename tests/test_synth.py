@@ -32,9 +32,9 @@ def replay_draws(spec):
 def test_identical_specs_give_identical_datasets():
     first = generate(default_spec())
     again = generate(default_spec())
-    assert first == again
+    assert [list(table) for table in first] == [list(table) for table in again]
     different = generate(default_spec(seed=8))
-    assert different != first
+    assert [list(table) for table in different] != [list(table) for table in first]
 
 
 def test_zone_ids_are_sequential_zero_padded():
@@ -76,8 +76,8 @@ def test_true_coverage_round_trips_the_target():
 
 def test_zero_zones_gives_empty_outputs():
     counts, households = generate(default_spec(zone_count=0))
-    assert counts == []
-    assert households == []
+    assert list(counts) == []
+    assert list(households) == []
 
 
 @pytest.mark.parametrize("overrides", [
