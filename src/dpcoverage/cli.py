@@ -32,21 +32,14 @@ from dpcoverage.accountant import (
     load_ledger,
     total_epsilon,
 )
-from dpcoverage.errorsim import (
-    SIMULATED_LABELS,
-    SimulationConfig,
-    bucket_by_households,
-    error_reports_for_release,
-)
+from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
 from dpcoverage.mechanism import NOISE_FORMAT
 from dpcoverage.release import (
     Columns,
-    Households,
     IngestionError,
     Pairs,
-    PrivateZipRecord,
     ReleaseRow,
-    coverage_columns,
+    coverage_rows,
     household_column,
     release_dataset,
     release_query_plan,
@@ -246,14 +239,19 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
         )
     ordered = privs.take([position[zone] for zone in zones])
 
+    # the error ranges belong to the published table only if the noisy
+    # counts and this households file give it back, column by column
+    expected = coverage_rows(ordered, household_column(zones, households))
+
     # a sidecar written for another release would simulate this release's
     # errors around that release's counts and epsilon
-    epsilons = ordered.column("epsilon_total")
-    for zone, published, spent in zip(zones, rows.column("epsilon"), epsilons):
-        if published != spent:
-            raise IngestionError(
-                f"{args.release_path} records epsilon {published} for zone {zone}, but {sidecar} records {spent}"
-            )
+    epsilons = expected.column("epsilon")
+    row = _first_difference(rows.column("epsilon"), epsilons)
+    if row is not None:
+        raise IngestionError(
+            f"{args.release_path} records epsilon {rows.column('epsilon')[row]} for zone {zones[row]}, "
+            f"but {sidecar} records {epsilons[row]}"
+        )
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
@@ -265,9 +263,19 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
                 f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
             )
 
-    # the error ranges belong to the published coverage only if the noisy
-    # counts and this households file give that coverage back exactly
-    _check_coverage_reproduces(rows, ordered, households, args.households, args.release_path)
+    # the raw coverage bit for bit, NaN (UNDEFINED) on both sides or neither,
+    # and broadband_usage as write_release_csv writes it, "" for UNDEFINED
+    coverage = {
+        "raw coverage": (rows.column("raw_coverage").tolist(), expected.column("raw_coverage").tolist()),
+        "coverage": [io._format_floats(table.column("coverage"), io._three_decimals) for table in (rows, expected)],
+    }
+    for name, (published, found) in coverage.items():
+        row = _first_difference(published, found)
+        if row is not None:
+            raise IngestionError(
+                f"{args.households} and the noisy counts give zone {zones[row]} a {name} of {_shown(found[row])}, "
+                f"but {args.release_path} published {_shown(published[row])}"
+            )
 
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(ordered, households, config)
@@ -292,34 +300,13 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_coverage_reproduces(
-    rows: Columns[ReleaseRow],
-    privs: Columns[PrivateZipRecord],
-    households: Households,
-    households_path: str,
-    release_path: str,
-) -> None:
-    """Refuse households or noisy counts that do not give back each zone's published raw coverage.
+def _first_difference(published: list, expected: list) -> int | None:
+    """First row where two columns differ, NaN matching NaN, or None."""
+    return next((row for row, (a, b) in enumerate(zip(published, expected)) if a != b and (a == a or b == b)), None)
 
-    Both sides run the same float64 formula on the same values (repr
-    round-trips), so a defined zone must match bit for bit, and a zone must
-    be UNDEFINED on both sides or on neither.
-    """
-    zones = rows.column("zone")
-    figures = household_column(zones, households)
-    high, services, non_services = (privs.column(f"{label}_dp") for label in SIMULATED_LABELS)
-    recomputed = coverage_columns(high, services, non_services, figures)
-    defined = (figures > 0) & (services > 0)
-    published = rows.column("raw_coverage")
-    wrong = np.flatnonzero((defined == np.isnan(published)) | (defined & (recomputed != published)))
-    if wrong.size:
-        row = int(wrong[0])
-        found = repr(float(recomputed[row])) if defined[row] else "UNDEFINED"
-        shown = "UNDEFINED" if np.isnan(published[row]) else repr(float(published[row]))
-        raise IngestionError(
-            f"{households_path} and the noisy counts give zone {zones[row]} a raw coverage of {found}, "
-            f"but {release_path} published {shown}"
-        )
+
+def _shown(value: float | str) -> str:
+    return "UNDEFINED" if value != value or value == "" else str(value)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:

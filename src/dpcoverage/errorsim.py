@@ -46,6 +46,7 @@ from dpcoverage.release import (
     clip_unit,
     compute_coverage,
     coverage_columns,
+    coverage_rows,
     household_column,
 )
 
@@ -127,12 +128,13 @@ def _trials(
     zones: Sequence[str],
     counts: np.ndarray,
     households: np.ndarray,
+    released: np.ndarray,
     config: SimulationConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
     counts holds each zone's (high_speed, services, non_services) noisy
-    counts; households is positive.
+    counts and released their published coverage; households is positive.
     """
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
     eta = [
@@ -140,12 +142,11 @@ def _trials(
         for label in SIMULATED_LABELS
     ]
     high, services, non_services, households = counts[:, 0:1], counts[:, 1:2], counts[:, 2:3], households[:, None]
-    released = clip_unit(coverage_columns(high, services, non_services, households))
     trial_high = np.maximum(0.0, high + eta[0])
     trial_services = np.maximum(0.0, services + eta[1])
     trial_non_services = np.maximum(0.0, non_services + eta[2])
     raw = coverage_columns(trial_high, trial_services, trial_non_services, households)
-    return released - clip_unit(raw), trial_services > 0.0
+    return released[:, None] - clip_unit(raw), trial_services > 0.0
 
 
 def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
@@ -154,9 +155,9 @@ def trial_deviations(priv: PrivateZipRecord, households: int, config: Simulation
     Undefined trials are dropped, so the result can be shorter than k.
     """
     # raises when the release itself has no coverage or households is not a positive integer
-    compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households)
+    released = clip_unit(compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households))
     counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
-    d, defined = _trials([priv.zone], counts, np.array([households]), config)
+    d, defined = _trials([priv.zone], counts, np.array([households]), np.array([released]), config)
     return d[0][defined[0]]
 
 
@@ -209,13 +210,14 @@ def error_reports_for_release(
     zones = table.column("zone")
     counts = np.column_stack([table.column(f"{label}_dp") for label in SIMULATED_LABELS]).astype(np.float64)
     figures = household_column(zones, households)
+    released = coverage_rows(table, figures).column("coverage")
     mae, msd, p95 = (np.full(len(zones), np.nan) for _ in range(3))
     trials = np.zeros(len(zones), dtype=np.int64)
-    active = np.flatnonzero((figures > 0) & (counts[:, 1] > 0))
+    active = np.flatnonzero(~np.isnan(released))
     per_block = max(1, BLOCK_TRIALS // config.k)
     for lo in range(0, len(active), per_block):
         rows = active[lo : lo + per_block]
-        d, defined = _trials([zones[i] for i in rows.tolist()], counts[rows], figures[rows], config)
+        d, defined = _trials([zones[i] for i in rows.tolist()], counts[rows], figures[rows], released[rows], config)
         mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
     return Columns(
         ErrorReport,

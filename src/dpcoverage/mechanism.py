@@ -20,9 +20,6 @@ word ``lane`` of the block a freshly built
 ``np.random.Philox(key=key, counter=counter)`` emits first, so reaching
 any position of any substream costs O(1). One generator per thread is
 re-addressed by setting its state; no per-stream generator is built.
-The pipeline itself runs in one thread: the release and the error
-simulation are whole-column passes, so the former --threads pools, which
-only slowed runs down under the interpreter lock, are gone.
 
 Sampling uses the inverse CDF of the Laplace distribution,
 

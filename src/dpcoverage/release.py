@@ -30,10 +30,12 @@ private_zip_problem, release_row_problem); first_failure runs a rule down
 whole columns for the readers, and each record runs it on itself.
 
 ReleaseRow is the one record of a published row, and its rule is the
-rule of the release table. release_dataset fills a row's coverage and
-leaves its error columns empty; simulate-error is the only producer of
-those columns, computed from the published noisy counts alone (see
-dpcoverage.errorsim). dpcoverage.io holds the file format, not the row.
+rule of the release table. coverage_rows is the one function from noisy
+counts and household figures to those rows: it fills a row's coverage,
+decides UNDEFINED, and leaves the error columns empty. simulate-error is
+the only producer of those columns, computed from the published noisy
+counts alone (see dpcoverage.errorsim). dpcoverage.io holds the file
+format, not the row.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
 
 logger = logging.getLogger(__name__)
 
-_ZIP_RE = re.compile(r"^[0-9]{5}$")
+_ZIP_RE = re.compile(r"[0-9]{5}")
 
 # Substream labels for the four counts, in CSV column order.
 COUNT_LABELS = ("low_speed", "high_speed", "services", "non_services")
@@ -96,7 +98,7 @@ def _check_row(rule: Callable[..., str | None], *values: object) -> None:
 
 
 def _zone_problem(zone: object) -> str | None:
-    if isinstance(zone, str) and _ZIP_RE.match(zone):
+    if isinstance(zone, str) and _ZIP_RE.fullmatch(zone):
         return None
     return f"zone must be a 5-digit zip string, got {zone!r}"
 
@@ -435,8 +437,8 @@ def coverage_columns(
 ) -> np.ndarray:
     """The coverage formula, elementwise over arrays, without compute_coverage's checks.
 
-    Elements whose services count is zero come out inf or nan; callers
-    mask them as UNDEFINED.
+    Elements whose services count is zero come out inf or nan;
+    coverage_rows masks them as UNDEFINED.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return high_speed * (services + non_services) / (services * households)
@@ -449,6 +451,21 @@ def household_column(zones: Sequence[str], households: Mapping[str, HouseholdRec
     else:
         figures = {zone: record.households for zone, record in households.items()}
     return np.fromiter(map(figures.get, zones, repeat(0)), dtype=np.int64, count=len(zones))
+
+
+def coverage_rows(privs: Columns[PrivateZipRecord], figures: np.ndarray) -> Columns[ReleaseRow]:
+    """The release table of a set of noisy counts: coverage and epsilon columns, empty error columns.
+
+    figures comes from household_column, 0 where a zone has no household
+    figure. A zone is UNDEFINED when its figure or its services_dp is 0:
+    its raw coverage is NaN, and clip_unit carries the NaN into its coverage.
+    """
+    services = privs.column("services_dp")
+    raw = coverage_columns(privs.column("high_speed_dp"), services, privs.column("non_services_dp"), figures)
+    raw = np.where((figures > 0) & (services > 0), raw, np.nan)
+    absent = np.full(len(privs), np.nan)
+    return Columns(ReleaseRow, zone=privs.column("zone"), coverage=clip_unit(raw), raw_coverage=raw,
+                   mae=absent, msd=absent, p95=absent, epsilon=privs.column("epsilon_total"))
 
 
 def _noisy_counts(
@@ -502,8 +519,8 @@ def release_dataset(
 
     records are Columns of RawZipRecord or a list of them. The result
     reads as (PrivateZipRecord, ReleaseRow) pairs, one per zone; its first
-    and second are the two tables as Columns, for the two writers. Each
-    ReleaseRow carries its coverage and empty error columns.
+    and second are the two tables as Columns, for the two writers; the
+    second is coverage_rows of the first.
 
     Duplicate zones are rejected up front. Zones with no household figure
     are released with an UNDEFINED coverage estimate (their noisy counts
@@ -531,24 +548,10 @@ def release_dataset(
             ", ".join(zones[row] for row in missing[:5].tolist()),
             ", ..." if missing.size > 5 else "",
         )
-    raw = coverage_columns(noisy[:, 1], noisy[:, 2], noisy[:, 3], figures)
-    defined = (figures > 0) & (noisy[:, 2] > 0)
-    epsilons = [epsilon_total] * len(zones)
-    absent = np.full(len(zones), np.nan)
     privs = Columns(
         PrivateZipRecord,
         zone=zones,
         **{f"{label}_dp": noisy[:, column] for column, label in enumerate(COUNT_LABELS)},
-        epsilon_total=epsilons,
+        epsilon_total=[epsilon_total] * len(zones),
     )
-    rows = Columns(
-        ReleaseRow,
-        zone=zones,
-        coverage=np.where(defined, clip_unit(raw), np.nan),
-        raw_coverage=np.where(defined, raw, np.nan),
-        mae=absent,
-        msd=absent,
-        p95=absent,
-        epsilon=epsilons,
-    )
-    return Pairs(privs, rows)
+    return Pairs(privs, coverage_rows(privs, figures))

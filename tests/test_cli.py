@@ -434,20 +434,28 @@ def test_simulate_error_refuses_households_the_release_lacked(tmp_path, capsys):
     assert not final.exists()
 
 
-def test_simulate_error_refuses_households_that_change_the_coverage(tmp_path, capsys):
-    # the error ranges must belong to the published coverage: a households
-    # file other than the release's gives another coverage for zone 00001
+def _three_zone_release(tmp_path):
+    """Release three zones, all defined; returns the households file and the release."""
     counts = tmp_path / "counts.csv"
     counts.write_text(
         ",".join(io.COUNTS_HEADER) + "\n00001,1000,3000,3500,1230\n00002,10,20,40,10\n00003,5,50,60,20\n",
         encoding="utf-8",
     )
-    households, other = tmp_path / "households.csv", tmp_path / "other.csv"
+    households = tmp_path / "households.csv"
     households.write_text("zip,households\n00001,4730\n00002,500\n00003,90\n", encoding="utf-8")
-    other.write_text("zip,households\n00001,5000000\n00002,500\n00003,90\n", encoding="utf-8")
-    released, final = tmp_path / "released.csv", tmp_path / "final.csv"
+    released = tmp_path / "released.csv"
     assert run(["release", "--counts", str(counts), "--households", str(households),
                 "--seed", "42", "--out", str(released)]) == 0
+    return households, released
+
+
+def test_simulate_error_refuses_households_that_change_the_coverage(tmp_path, capsys):
+    # the error ranges must belong to the published coverage: a households
+    # file other than the release's gives another coverage for zone 00001
+    households, released = _three_zone_release(tmp_path)
+    other = tmp_path / "other.csv"
+    other.write_text("zip,households\n00001,5000000\n00002,500\n00003,90\n", encoding="utf-8")
+    final = tmp_path / "final.csv"
     base = ["simulate-error", "--release", str(released), "--k", "10", "--seed", "42", "--out", str(final)]
     capsys.readouterr()
     assert run([*base, "--households", str(other)]) == 1
@@ -456,6 +464,60 @@ def test_simulate_error_refuses_households_that_change_the_coverage(tmp_path, ca
     assert len(captured.err.strip().splitlines()) == 1
     assert not final.exists()
     assert run([*base, "--households", str(households)]) == 0
+
+
+def _edit_zone_field(path, zone, column, text):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[0] == zone:
+            old, fields[column] = fields[column], text
+            lines[index] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    return old
+
+
+@pytest.mark.parametrize("edit", ["published coverage", "households lack the zone", "sidecar services zero"])
+def test_simulate_error_refuses_a_table_the_inputs_do_not_give_back(tmp_path, capsys, edit):
+    # every published coverage column must be what the noisy counts and the
+    # households file give, in both directions: a defined zone cannot turn
+    # UNDEFINED, and the rounded broadband_usage must match too
+    households, released = _three_zone_release(tmp_path)
+    final = tmp_path / "final.csv"
+    published = io.read_release_csv(released)[0]
+    assert published.zone == "00001" and published.coverage is not None
+    if edit == "published coverage":
+        edited = "0.000" if f"{published.coverage:.3f}" != "0.000" else "1.000"
+        old = _edit_zone_field(released, "00001", 1, edited)
+        expected = f"a coverage of {old}, but {released} published {edited}"
+    elif edit == "households lack the zone":
+        households.write_text("zip,households\n00002,500\n00003,90\n", encoding="utf-8")
+        expected = f"a raw coverage of UNDEFINED, but {released} published {published.raw_coverage!r}"
+    else:
+        _edit_zone_field(io.private_counts_path(released), "00001", 3, "0.0")
+        expected = f"a raw coverage of UNDEFINED, but {released} published {published.raw_coverage!r}"
+    capsys.readouterr()
+    rc = run(["simulate-error", "--release", str(released), "--households", str(households),
+              "--k", "10", "--seed", "42", "--out", str(final)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert "zone 00001 " + expected in captured.err
+    assert not final.exists() and not cli._manifest_path(final).exists()
+
+
+def test_release_refuses_a_zone_with_a_trailing_newline(tmp_path, capsys):
+    counts, households = tmp_path / "counts.csv", tmp_path / "households.csv"
+    counts.write_text(",".join(io.COUNTS_HEADER) + '\n"00001\n",1,2,3,4\n', encoding="utf-8")
+    households.write_text('zip,households\n"00001\n",50\n', encoding="utf-8")
+    out = tmp_path / "released.csv"
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {counts}: line 3: zone must be a 5-digit zip string")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists() and not io.private_counts_path(out).exists()
 
 
 @pytest.mark.parametrize("command,target", [

@@ -156,6 +156,7 @@ SPLIT_ROWS = {
     ("malformed value", "line 3:"),
     ("duplicate zone", "line 3: duplicate zone 00001"),
     ("oversized field", "line 3: field larger than field limit"),
+    ("zone with a trailing newline", "line 4: zone must be a 5-digit zip string"),
 ])
 def test_reader_diagnostics(tmp_path, reader, case, match):
     read, header, good, bad = READERS[reader]
@@ -166,6 +167,7 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
         "malformed value": [",".join(header), good, bad],
         "duplicate zone": [",".join(header), good, good],
         "oversized field": [",".join(header), good, '00002,"' + "x" * 200_000 + '"' + good[5:]],
+        "zone with a trailing newline": [",".join(header), good, '"00002\n"' + good[5:]],  # lines 3-4
     }[case]
     path = tmp_path / "in.csv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

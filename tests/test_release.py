@@ -78,6 +78,8 @@ def test_raw_record_validation():
     with pytest.raises(IngestionError):
         RawZipRecord("abcde", 0, 0, 0, 0)
     with pytest.raises(IngestionError):
+        RawZipRecord("00501\n", 0, 0, 0, 0)  # $ would match before a final newline
+    with pytest.raises(IngestionError):
         RawZipRecord("00501", -1, 0, 0, 0)
     with pytest.raises(IngestionError):
         RawZipRecord("00501", 0, True, 0, 0)
