@@ -17,7 +17,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -27,12 +28,24 @@ class PlanError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A charge would push spent privacy loss past the budget."""
+    """A charge would push spent privacy loss past the budget, or a journal already spends more."""
 
-    def __init__(self, requested: Decimal, remaining: Decimal) -> None:
+    def __init__(self, message: str, requested: Decimal | None = None, remaining: Decimal | None = None) -> None:
         self.requested = requested
         self.remaining = remaining
-        super().__init__(f"charge of {requested} exceeds remaining budget {remaining}")
+        super().__init__(message)
+
+
+# Decimal's default 28 digits, with every result that would round refused
+# rather than rounded: a published total or a budget check is exact or absent.
+_EXACT = Context(traps=[Inexact])
+
+
+def _add(a: Decimal, b: Decimal) -> Decimal:
+    try:
+        return _EXACT.add(a, b)
+    except Inexact:
+        raise PlanError(f"{a} + {b} cannot be computed exactly in {_EXACT.prec} digits") from None
 
 
 EpsilonLike = Union[Decimal, str, int, float]
@@ -133,7 +146,7 @@ def sequential_compose(epsilons: Iterable[EpsilonLike]) -> Decimal:
     values = [as_epsilon(e) for e in epsilons]
     if not values:
         raise PlanError("sequential composition of an empty list is undefined")
-    return sum(values, Decimal(0))
+    return reduce(_add, values, Decimal(0))
 
 
 def parallel_compose(epsilons: Iterable[EpsilonLike]) -> Decimal:
@@ -184,8 +197,9 @@ class LedgerEntry:
 class BudgetLedger:
     """Append-only record of privacy charges against a fixed budget.
 
-    spent is always the exact decimal sum over entries, and a charge that
-    would exceed the budget is rejected without touching the ledger.
+    spent is always the exact decimal sum over entries (PlanError where it
+    would round), and a charge that would exceed the budget is rejected
+    without touching the ledger.
     Single-writer: callers serialize concurrent charges to one journal
     (the release command holds an exclusive flock on it from load to append).
     """
@@ -194,15 +208,15 @@ class BudgetLedger:
         self.budget = as_epsilon(budget)
         self.entries: list[LedgerEntry] = list(entries)
         if self.spent > self.budget:
-            raise BudgetExceededError(self.spent, self.budget - self.spent)
+            raise BudgetExceededError(f"the journal already spends {self.spent}, more than the budget {self.budget}")
 
     @property
     def spent(self) -> Decimal:
-        return sum((entry.epsilon for entry in self.entries), Decimal(0))
+        return reduce(_add, (entry.epsilon for entry in self.entries), Decimal(0))
 
     @property
     def remaining(self) -> Decimal:
-        return self.budget - self.spent
+        return _add(self.budget, -self.spent)
 
     def charge(
         self,
@@ -213,8 +227,9 @@ class BudgetLedger:
     ) -> LedgerEntry:
         """Charge a plan's total cost; atomic, rejects instead of overspending."""
         cost = total_epsilon(plan)
-        if self.spent + cost > self.budget:
-            raise BudgetExceededError(cost, self.remaining)
+        if _add(self.spent, cost) > self.budget:
+            remaining = self.remaining
+            raise BudgetExceededError(f"charge of {cost} exceeds remaining budget {remaining}", cost, remaining)
         entry = LedgerEntry(
             timestamp=timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(),
             description=description if description is not None else describe_plan(plan),
@@ -264,4 +279,7 @@ def load_ledger(path: str | Path, budget: EpsilonLike) -> BudgetLedger:
         entries = load_journal(path)
     except FileNotFoundError:
         entries = []
-    return BudgetLedger(budget, entries)
+    try:
+        return BudgetLedger(budget, entries)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{path}: {exc}") from None

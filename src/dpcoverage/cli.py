@@ -33,8 +33,9 @@ from dpcoverage.accountant import (
     total_epsilon,
 )
 from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
-from dpcoverage.mechanism import NOISE_FORMAT
+from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams
 from dpcoverage.release import (
+    COUNT_SENSITIVITY,
     Columns,
     IngestionError,
     Pairs,
@@ -105,9 +106,11 @@ def _manifest_path(out_path: str | Path) -> Path:
     return Path(f"{out_path}.manifest.json")
 
 
-def _refuse_overwriting_inputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
-    """Refuse, before anything is read or written, an output that is one of the inputs."""
+def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
+    """Refuse, before anything is read or written, an output with no directory or that is one of the inputs."""
     for output in outputs:
+        if not Path(output).parent.is_dir():
+            raise ValueError(f"cannot write {output}: no directory {Path(output).parent}")
         for source in inputs:
             if Path(output).resolve() == Path(source).resolve() or (
                 os.path.exists(output) and os.path.exists(source) and os.path.samefile(output, source)
@@ -175,11 +178,14 @@ def _cmd_release(args: argparse.Namespace) -> int:
         return 2
     sidecar = io.private_counts_path(args.out)
     inputs = [args.counts, args.households] + ([args.journal] if args.journal is not None else [])
-    _refuse_overwriting_inputs(inputs, [args.out, sidecar, _manifest_path(args.out)])
+    _check_outputs(inputs, [args.out, sidecar, _manifest_path(args.out)])
     eps = as_epsilon(args.epsilon)
+    # refuse, before anything is charged, an epsilon the noise kernel or exact arithmetic refuses
+    LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    plan = release_query_plan(eps)
+    spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
     households = io.read_households_csv(args.households)
-    plan = release_query_plan(eps)
 
     if args.journal is not None:
         # hold the journal's lock from the budget check to the append, so two
@@ -217,14 +223,14 @@ def _cmd_release(args: argparse.Namespace) -> int:
         outputs=[args.out, str(sidecar)],
     )
     undefined = int(np.isnan(rows.column("coverage")).sum())
-    print(f"total_epsilon={total_epsilon(plan)}", file=sys.stderr)
+    print(f"total_epsilon={spent}", file=sys.stderr)
     print(f"released {len(pairs)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release_path)
-    _refuse_overwriting_inputs([args.release_path, sidecar, args.households], [args.out, _manifest_path(args.out)])
+    _check_outputs([args.release_path, sidecar, args.households], [args.out, _manifest_path(args.out)])
     rows = io.read_release_csv(args.release_path)
     privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)
@@ -240,42 +246,35 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     ordered = privs.take([position[zone] for zone in zones])
 
     # the error ranges belong to the published table only if the noisy
-    # counts and this households file give it back, column by column
-    expected = coverage_rows(ordered, household_column(zones, households))
+    # counts and this households file give it back, as the release wrote it
+    published = io.release_text(rows)
+    found = io.release_text(coverage_rows(ordered, household_column(zones, households)))
 
     # a sidecar written for another release would simulate this release's
     # errors around that release's counts and epsilon
-    epsilons = expected.column("epsilon")
-    row = _first_difference(rows.column("epsilon"), epsilons)
-    if row is not None:
-        raise IngestionError(
-            f"{args.release_path} records epsilon {rows.column('epsilon')[row]} for zone {zones[row]}, "
-            f"but {sidecar} records {epsilons[row]}"
-        )
+    for zone, text, other in zip(zones, published["epsilon"], found["epsilon"]):
+        if text != other:
+            raise IngestionError(f"{args.release_path} records epsilon {text} for zone {zone}, but {sidecar} records {other}")
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
     eps = as_epsilon(args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
-    for zone, spent in zip(zones, epsilons):
+    for zone, spent in zip(zones, ordered.column("epsilon_total")):
         if spent != implied:
             raise IngestionError(
                 f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
             )
 
-    # the raw coverage bit for bit, NaN (UNDEFINED) on both sides or neither,
-    # and broadband_usage as write_release_csv writes it, "" for UNDEFINED
-    coverage = {
-        "raw coverage": (rows.column("raw_coverage").tolist(), expected.column("raw_coverage").tolist()),
-        "coverage": [io._format_floats(table.column("coverage"), io._three_decimals) for table in (rows, expected)],
-    }
-    for name, (published, found) in coverage.items():
-        row = _first_difference(published, found)
-        if row is not None:
-            raise IngestionError(
-                f"{args.households} and the noisy counts give zone {zones[row]} a {name} of {_shown(found[row])}, "
-                f"but {args.release_path} published {_shown(published[row])}"
-            )
+    # the raw coverage bit for bit (repr round-trips) and broadband_usage
+    # to its 3 decimals; an empty field is UNDEFINED on both sides
+    for name, column in (("raw coverage", "broadband_usage_raw"), ("coverage", "broadband_usage")):
+        for zone, text, other in zip(zones, published[column], found[column]):
+            if text != other:
+                raise IngestionError(
+                    f"{args.households} and the noisy counts give zone {zone} a {name} of {other or 'UNDEFINED'}, "
+                    f"but {args.release_path} published {text or 'UNDEFINED'}"
+                )
 
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(ordered, households, config)
@@ -300,17 +299,8 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     return 0
 
 
-def _first_difference(published: list, expected: list) -> int | None:
-    """First row where two columns differ, NaN matching NaN, or None."""
-    return next((row for row, (a, b) in enumerate(zip(published, expected)) if a != b and (a == a or b == b)), None)
-
-
-def _shown(value: float | str) -> str:
-    return "UNDEFINED" if value != value or value == "" else str(value)
-
-
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    _refuse_overwriting_inputs([args.in_path, args.households], [args.out, _manifest_path(args.out)])
+    _check_outputs([args.in_path, args.households], [args.out, _manifest_path(args.out)])
     rows = io.read_release_csv(args.in_path)
     households = io.read_households_csv(args.households)
 

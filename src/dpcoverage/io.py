@@ -7,11 +7,11 @@ written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
 Readers parse a file into columns (release.Columns; households become a
-release.Households mapping) and check them with the record's row rule,
-run down whole columns. They abort on the first malformed row in file
-order and name its line number. Writers take Columns, or a list of
-records that they convert once, and replace their target atomically: a
-crash mid-write leaves the old file, never a truncated one.
+release.Households mapping); a column pass only tells whether the table
+is good. A bad table is then walked row by row, to name its first bad
+row in file order and that row's line number. Writers take Columns, or a
+list of records that they convert once, and replace their target
+atomically: a crash mid-write leaves the old file, never a truncated one.
 
 This module holds only the formats: the records it reads and writes, and
 their validity rules, belong to dpcoverage.release and dpcoverage.errorsim.
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import os
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -33,7 +33,6 @@ from dpcoverage.errorsim import BucketSummary
 from dpcoverage.release import (
     COUNT_LABELS,
     Columns,
-    Failure,
     HouseholdRecord,
     Households,
     PrivateZipRecord,
@@ -41,8 +40,6 @@ from dpcoverage.release import (
     ReleaseRow,
     as_columns,
     columns_of,
-    first_duplicate,
-    first_failure,
     household_problem,
     private_zip_problem,
     raw_zip_problem,
@@ -94,22 +91,23 @@ def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
     return CsvFormatError(f"{path}: line {line_num}: {problem}")
 
 
+Parser = tuple[Callable[[str], Any], Callable[[str, ValueError], str]]  # (convert, message(text, error))
+
+
 def _read_table(
     path: str | Path,
     header: list[str],
-    parsers: Sequence[Callable[[list[str]], tuple[list, Failure | None]]],
+    parsers: Sequence[Parser],
     rule: Callable[..., str | None],
 ) -> list[list]:
     """Checked columns of values from a CSV file with the given header, zones first.
 
-    parsers turn the text of each column after the zone into values, and
-    rule, the record's row rule, runs over the parsed columns. Rejects an
-    empty file, a wrong header, a row with the wrong number of fields, a
-    value a parser or the rule refuses, a row the csv module cannot parse,
-    and a zone seen on an earlier row. The error names the line of the
-    first bad row in file order and, within that row, the first problem a
-    row-by-row reader would meet: the fields' parse in column order, then
-    the rule, then the duplicate zone.
+    Each parser converts one column after the zone; rule, the record's row
+    rule, runs over the converted columns. Rejects an empty file, a wrong
+    header, a row with the wrong number of fields, a value a parser or the
+    rule refuses, a row the csv module cannot parse, and a zone seen on an
+    earlier row. The column pass only answers whether the table is good;
+    if not, _first_problem finds what a row-by-row reader would raise.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -143,25 +141,35 @@ def _read_table(
             lines.append(reader.line_num)
 
     zones = texts[0]
-    parsed = [parse(column) for parse, column in zip(parsers, texts[1:])]
-    parse_failure = _earliest(failure for _, failure in parsed)
-    parsed_rows = len(zones) if parse_failure is None else parse_failure[0]
-    values = [zones[:parsed_rows], *(column[:parsed_rows] for column, _ in parsed)]
-    duplicate = first_duplicate(zones)
-    failure = _earliest([
-        parse_failure,
-        first_failure(rule, *values),
-        None if duplicate is None else (duplicate, f"duplicate zone {zones[duplicate]}"),
-        None if stop is None else (len(zones), stop),
-    ])
-    if failure is not None:
-        raise _row_error(path, lines[failure[0]], failure[1])
+    try:
+        values = [zones, *(list(map(convert, column)) for (convert, _), column in zip(parsers, texts[1:]))]
+    except ValueError:
+        values = None
+    if values is None or stop is not None or any(map(rule, *values)) or len(set(zones)) < len(zones):
+        row, problem = _first_problem(texts, parsers, rule, stop)
+        raise _row_error(path, lines[row], problem)
     return values
 
 
-def _earliest(failures: Iterable[Failure | None]) -> Failure | None:
-    """The failure on the earliest row; on a tie, the first one given."""
-    return min((failure for failure in failures if failure is not None), key=itemgetter(0), default=None)
+def _first_problem(texts: list[list[str]], parsers: Sequence[Parser], rule: Callable, stop: str | None) -> tuple:
+    """The first bad row and its problem, as a row-by-row reader meets them.
+
+    Within a row: each field's parse in column order, then the rule, then
+    a repeated zone. Past the last row read, why reading stopped.
+    """
+    seen: set[str] = set()
+    for row, (zone, *fields) in enumerate(zip(*texts)):
+        values = [zone]
+        for (convert, message), text in zip(parsers, fields):
+            try:
+                values.append(convert(text))
+            except ValueError as exc:
+                return row, message(text, exc)
+        problem = rule(*values) or (f"duplicate zone {zone}" if zone in seen else None)
+        if problem is not None:
+            return row, problem
+        seen.add(zone)
+    return len(texts[0]), stop
 
 
 def _extend_columns(columns: list[list[str]], rows: list[list[str]]) -> None:
@@ -169,51 +177,26 @@ def _extend_columns(columns: list[list[str]], rows: list[list[str]]) -> None:
         column.extend(fields)
 
 
-def _parse_each(convert: Callable[[str], Any], message: Callable[[str, ValueError], str]):
-    """Parser applying convert to each text; the first text it refuses fails with message(text, error)."""
-
-    def parse(texts: list[str]) -> tuple[list, Failure | None]:
-        values: list = []
-        try:
-            values.extend(map(convert, texts))  # keeps the values before a refused text
-        except ValueError as exc:
-            return values, (len(values), message(texts[len(values)], exc))
-        return values, None
-
-    return parse
+def _integers(name: str) -> Parser:
+    return int, lambda text, _: f"{name} must be an integer, got {text!r}"
 
 
-def _integers(name: str):
-    return _parse_each(int, lambda text, _: f"{name} must be an integer, got {text!r}")
+def _optional_reals(name: str) -> Parser:
+    return (lambda text: None if text == "" else float(text)), lambda text, _: f"{name} must be a real number, got {text!r}"
 
 
-def _optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+_REALS: Parser = (float, lambda _, exc: str(exc))
 
 
-def _optional_reals(name: str):
-    return _parse_each(_optional_float, lambda text, _: f"{name} must be a real number, got {text!r}")
-
-
-_reals = _parse_each(float, lambda _, exc: str(exc))
-
-
-def _epsilons(texts: list[str]) -> tuple[list, Failure | None]:
-    """as_epsilon of each text, parsed once per distinct text."""
-    parsed = {}
-    for text in dict.fromkeys(texts):  # distinct texts, in order of first row
-        try:
-            parsed[text] = as_epsilon(text)
-        except ValueError as exc:
-            row = texts.index(text)
-            return list(map(parsed.__getitem__, texts[:row])), (row, str(exc))
-    return list(map(parsed.__getitem__, texts)), None
+def _epsilons() -> Parser:
+    """as_epsilon, run once per distinct text of the file being read."""
+    return functools.lru_cache(maxsize=None)(as_epsilon), lambda _, exc: str(exc)
 
 
 def read_counts_csv(path: str | Path) -> Columns[RawZipRecord]:
     """True per-zone device counts. Duplicate zones are rejected."""
-    values = _read_table(path, COUNTS_HEADER, [_integers(name) for name in COUNTS_HEADER[1:]], raw_zip_problem)
-    return columns_of(RawZipRecord, *values)
+    parsers = [_integers(name) for name in COUNTS_HEADER[1:]]
+    return columns_of(RawZipRecord, *_read_table(path, COUNTS_HEADER, parsers, raw_zip_problem))
 
 
 def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
@@ -238,23 +221,28 @@ def _format_floats(column: np.ndarray, form: Callable[[float], str] = repr) -> l
     return ["" if value != value else form(value) for value in column.tolist()]
 
 
-def _three_decimals(value: float) -> str:
-    return f"{value:.3f}"
+def release_text(rows: Sequence[ReleaseRow]) -> dict[str, list[str]]:
+    """The release table's fields as write_release_csv writes them, one list per RELEASE_HEADER column.
+
+    broadband_usage has 3 decimals, the other reals repr (which
+    round-trips), epsilon str; an UNDEFINED or absent value is "".
+    """
+    table = as_columns(rows, ReleaseRow)
+    columns = [
+        table.column("zone"),
+        _format_floats(table.column("coverage"), "{:.3f}".format),
+        *(_format_floats(table.column(name)) for name in ("raw_coverage", "mae", "msd", "p95")),
+        list(map(str, table.column("epsilon"))),
+    ]
+    return dict(zip(RELEASE_HEADER, columns))
 
 
 def write_release_csv(path: str | Path, rows: Sequence[ReleaseRow]) -> None:
-    table = as_columns(rows, ReleaseRow)
-    fields = [
-        table.column("zone"),
-        _format_floats(table.column("coverage"), _three_decimals),
-        *(_format_floats(table.column(name)) for name in ("raw_coverage", "mae", "msd", "p95")),
-        map(str, table.column("epsilon")),
-    ]
-    _write_table(path, RELEASE_HEADER, zip(*fields))
+    _write_table(path, RELEASE_HEADER, zip(*release_text(rows).values()))
 
 
 def read_release_csv(path: str | Path) -> Columns[ReleaseRow]:
-    parsers = [*map(_optional_reals, RELEASE_HEADER[1:6]), _epsilons]
+    parsers = [*map(_optional_reals, RELEASE_HEADER[1:6]), _epsilons()]
     return columns_of(ReleaseRow, *_read_table(path, RELEASE_HEADER, parsers, release_row_problem))
 
 
@@ -267,7 +255,7 @@ def write_private_counts_csv(path: str | Path, privs: Sequence[PrivateZipRecord]
 
 
 def read_private_counts_csv(path: str | Path) -> Columns[PrivateZipRecord]:
-    parsers = [_reals] * len(COUNT_LABELS) + [_epsilons]
+    parsers = [_REALS] * len(COUNT_LABELS) + [_epsilons()]
     return columns_of(PrivateZipRecord, *_read_table(path, PRIVATE_COUNTS_HEADER, parsers, private_zip_problem))
 
 

@@ -26,8 +26,8 @@ Tables travel as columns, from file to kernel to file: Columns holds one
 list or numpy array per field of a record type, and builds a frozen
 record only for a row that a caller reads, at the API edge. Each record
 type's checks are one row rule here (raw_zip_problem, household_problem,
-private_zip_problem, release_row_problem); first_failure runs a rule down
-whole columns for the readers, and each record runs it on itself.
+private_zip_problem, release_row_problem); the readers run a rule down
+whole columns, and each record runs it on itself.
 
 ReleaseRow is the one record of a published row, and its rule is the
 rule of the release table. coverage_rows is the one function from noisy
@@ -75,20 +75,8 @@ class DegenerateCountError(ValueError):
 #
 # Each record's rule is written once, as a function of one row's values,
 # every field in field order, that returns the message of the first check
-# the row fails, or None. first_failure runs a rule down whole columns, and a
-# record's __post_init__ runs it on the record's own values: passing them
-# as one-row columns through first_failure made a record three times as
-# dear to build.
-
-Failure = tuple[int, str]  # a column's first failing row and the message its record would raise
-
-
-def first_failure(rule: Callable[..., str | None], *columns: Sequence) -> Failure | None:
-    """The first row of the columns that rule refuses, with rule's message for it."""
-    for row, problem in enumerate(map(rule, *columns)):
-        if problem is not None:
-            return row, problem
-    return None
+# the row fails, or None. The readers map a rule down whole columns, and
+# a record's __post_init__ runs it on its own values.
 
 
 def _check_row(rule: Callable[..., str | None], *values: object) -> None:

@@ -5,12 +5,26 @@ the clip and the statistics are spelled out here, and only the Laplace
 draws come from the package (laplace_sample), so a fault in the column
 passes of dpcoverage.release or dpcoverage.errorsim cannot hide in the
 reference.
+
+read_table is the same for the CSV readers: one row at a time with the
+csv module, each field converted with its documented message, then the
+record's public row rule, then the repeated zone.
 """
 
+import csv
 import math
 
+from dpcoverage.accountant import as_epsilon
+from dpcoverage.io import COUNTS_HEADER, HOUSEHOLDS_HEADER, PRIVATE_COUNTS_HEADER, RELEASE_HEADER, CsvFormatError
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_sample
-from dpcoverage.release import PrivateZipRecord, ReleaseRow
+from dpcoverage.release import (
+    PrivateZipRecord,
+    ReleaseRow,
+    household_problem,
+    private_zip_problem,
+    raw_zip_problem,
+    release_row_problem,
+)
 
 SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
@@ -76,3 +90,76 @@ def summarize_deviations(deviations: list[float]) -> tuple[float, float, float]:
     absolute = sorted(abs(d) for d in deviations)
     n = len(deviations)
     return math.fsum(absolute) / n, math.fsum(deviations) / n, absolute[math.ceil(0.95 * n) - 1]
+
+
+def _integer(name: str):
+    def convert(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+    return convert
+
+
+def _optional_real(name: str):
+    def convert(text: str) -> float | None:
+        try:
+            return None if text == "" else float(text)
+        except ValueError:
+            raise ValueError(f"{name} must be a real number, got {text!r}") from None
+
+    return convert
+
+
+# per format: header, one convert per field after the zone, row rule
+FORMATS = {
+    "counts": (COUNTS_HEADER, [_integer(name) for name in COUNTS_HEADER[1:]], raw_zip_problem),
+    "households": (HOUSEHOLDS_HEADER, [_integer("households")], household_problem),
+    "release": (RELEASE_HEADER, [*map(_optional_real, RELEASE_HEADER[1:6]), as_epsilon], release_row_problem),
+    "private-counts": (PRIVATE_COUNTS_HEADER, [float] * 4 + [as_epsilon], private_zip_problem),
+}
+
+
+def read_table(path, form: str) -> list[list]:
+    """One list of values per column of a file in the given format, zones first, read row by row."""
+    header, converts, rule = FORMATS[form]
+    columns = [[] for _ in header]
+    seen = set()
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+
+        def refuse(problem: str) -> CsvFormatError:
+            return CsvFormatError(f"{path}: line {reader.line_num}: {problem}")
+
+        try:
+            first = next(reader, None)
+        except csv.Error as exc:
+            raise refuse(str(exc))
+        if first is None:
+            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        while True:
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                raise refuse(str(exc))
+            if row is None:
+                return columns
+            if len(row) != len(header):
+                raise refuse(f"expected {len(header)} fields, got {len(row)}")
+            values = [row[0]]
+            for convert, text in zip(converts, row[1:]):
+                try:
+                    values.append(convert(text))
+                except ValueError as exc:
+                    raise refuse(str(exc))
+            problem = rule(*values)
+            if problem is not None:
+                raise refuse(problem)
+            if row[0] in seen:
+                raise refuse(f"duplicate zone {row[0]}")
+            seen.add(row[0])
+            for column, value in zip(columns, values):
+                column.append(value)

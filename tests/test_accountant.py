@@ -193,3 +193,29 @@ def test_ledger_entry_rejects_control_characters():
         LedgerEntry("t1", "bad\tdescription", Decimal("0.1"))
     with pytest.raises(PlanError):
         LedgerEntry("t\n1", "ok", Decimal("0.1"))
+
+
+def test_sums_that_would_round_are_refused():
+    # Decimal's default context rounds to 28 digits: 0.2 + 1.0E-30 would
+    # come out 0.2, so a charge could pass the budget unseen
+    ledger = BudgetLedger("0.2")
+    ledger.charge(release_query_plan("0.1"), timestamp="t1")
+    with pytest.raises(PlanError, match="exactly"):
+        ledger.charge(release_query_plan("5E-31"), timestamp="t2")
+    assert [entry.epsilon for entry in ledger.entries] == [Decimal("0.2")]
+    with pytest.raises(PlanError, match="exactly"):
+        total_epsilon(release_query_plan("0.6666666666666666666666666666"))
+    with pytest.raises(PlanError, match="exactly"):
+        sequential_compose(["1e999999999", "1"])  # refused at once, never carried in a billion digits
+    entries = [LedgerEntry("t1", "a", Decimal("0.2")), LedgerEntry("t2", "b", Decimal("1.0E-30"))]
+    with pytest.raises(PlanError, match="exactly"):
+        BudgetLedger("0.3", entries)
+    assert total_epsilon(release_query_plan("0.3333333333333333333333333333")) == Decimal("0.6666666666666666666666666666")
+
+
+def test_an_overspent_ledger_is_not_reported_as_a_charge(tmp_path):
+    journal = tmp_path / "journal.tsv"
+    journal.write_text("t1\ta\t0.2\n", encoding="utf-8")
+    with pytest.raises(BudgetExceededError) as excinfo:
+        load_ledger(journal, "0.1")
+    assert str(excinfo.value) == f"{journal}: the journal already spends 0.2, more than the budget 0.1"

@@ -573,3 +573,80 @@ def test_cli_path_builds_no_record_per_zone(tmp_path, monkeypatch):
         return sorted(constructed)
 
     assert built(40) == built(80)
+
+
+def _tree(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*")}
+
+
+def test_epsilon_arithmetic_that_would_round_is_refused(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "journal.tsv"
+    base = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42"]
+    assert run([*base, "--out", str(tmp_path / "r1.csv"), "--journal", str(journal), "--budget", "0.2"]) == 0
+    for extra in (["--epsilon", "5E-31", "--journal", str(journal), "--budget", "0.2"],  # 0.2 + 1.0E-30
+                  ["--epsilon", "0.6666666666666666666666666666"]):  # twice it needs 29 digits
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run([*base, *extra, "--out", str(tmp_path / "r2.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "exactly" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert _tree(tmp_path) == before  # no charge, no output
+    assert run(["budget", "--journal", str(journal), "--budget", "0.2"]) == 0
+    assert capsys.readouterr().out == "budget=0.2\nspent=0.2\nremaining=0.0\n"
+
+
+@pytest.mark.parametrize("case", ["no output directory", "epsilon the noise kernel refuses"])
+def test_release_refuses_before_charging(tmp_path, capsys, case):
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "journal.tsv"
+    base = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+            "--journal", str(journal), "--budget", "1"]
+    assert run([*base, "--out", str(tmp_path / "r1.csv")]) == 0
+    argv = {
+        "no output directory": [*base, "--out", str(tmp_path / "nodir" / "r.csv")],
+        "epsilon the noise kernel refuses": [*base, "--epsilon", "1e-400", "--out", str(tmp_path / "r.csv")],
+    }[case]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert ".tmp" not in captured.err
+    if case == "no output directory":
+        assert f"no directory {tmp_path / 'nodir'}" in captured.err
+    assert _tree(tmp_path) == before  # the journal's bytes included
+
+
+@pytest.mark.parametrize("command", ["simulate-error", "summarize"])
+def test_an_output_without_a_directory_is_refused(tmp_path, capsys, command):
+    counts, households = make_inputs(tmp_path, zones=3)
+    released = tmp_path / "released.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "42", "--out", str(released)]) == 0
+    argv = {
+        "simulate-error": ["simulate-error", "--release", str(released), "--k", "5", "--seed", "1"],
+        "summarize": ["summarize", "--in", str(released)],
+    }[command]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "nodir" / "out.csv"
+    assert run([*argv, "--households", str(households), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: no directory {out.parent}\n"
+    assert _tree(tmp_path) == before
+
+
+def test_an_overspent_journal_is_not_reported_as_a_charge(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "journal.tsv"
+    base = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42"]
+    assert run([*base, "--out", str(tmp_path / "r1.csv"), "--journal", str(journal), "--budget", "1"]) == 0
+    expected = f"error: {journal}: the journal already spends 0.2, more than the budget 0.1\n"
+    capsys.readouterr()
+    assert run(["budget", "--journal", str(journal), "--budget", "0.1"]) == 1
+    assert capsys.readouterr().err == expected
+    before = _tree(tmp_path)
+    assert run([*base, "--out", str(tmp_path / "r2.csv"), "--journal", str(journal), "--budget", "0.1"]) == 1
+    assert capsys.readouterr().err == expected
+    assert _tree(tmp_path) == before

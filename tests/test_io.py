@@ -1,6 +1,8 @@
 """CSV schemas: round trips, formatting, and malformed-row diagnostics."""
 
+import csv
 import tempfile
+from collections.abc import Mapping
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from dpcoverage import io
 from dpcoverage.io import CsvFormatError, ReleaseRow
 from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord
+from oracles import read_table
 
 
 def test_counts_round_trip(tmp_path):
@@ -224,26 +227,39 @@ def _round_trip(write, read, records):
         return read(path)
 
 
-@settings(max_examples=40, deadline=None)
-@given(zones, st.data())
-def test_every_format_round_trips(zones, data):
-    raws = [RawZipRecord(zone, *data.draw(st.tuples(counts, counts, counts, counts))) for zone in zones]
-    assert list(_round_trip(io.write_counts_csv, io.read_counts_csv, raws)) == raws
+READS = {
+    "counts": (io.read_counts_csv, io.write_counts_csv),
+    "households": (io.read_households_csv, io.write_households_csv),
+    "release": (io.read_release_csv, io.write_release_csv),
+    "private-counts": (io.read_private_counts_csv, io.write_private_counts_csv),
+}
 
-    households = [HouseholdRecord(zone, data.draw(st.integers(1, 2**63 - 1))) for zone in zones]
-    assert list(_round_trip(io.write_households_csv, io.read_households_csv, households).values()) == households
 
-    privs = [PrivateZipRecord(zone, *data.draw(st.tuples(reals, reals, reals, reals)), data.draw(epsilons))
-             for zone in zones]
-    assert list(_round_trip(io.write_private_counts_csv, io.read_private_counts_csv, privs)) == privs
-
+def _records(form, zones, data):
+    """Valid records of one format, one per zone."""
+    if form == "counts":
+        return [RawZipRecord(zone, *data.draw(st.tuples(counts, counts, counts, counts))) for zone in zones]
+    if form == "households":
+        return [HouseholdRecord(zone, data.draw(st.integers(1, 2**63 - 1))) for zone in zones]
+    if form == "private-counts":
+        return [PrivateZipRecord(zone, *data.draw(st.tuples(reals, reals, reals, reals)), data.draw(epsilons))
+                for zone in zones]
     rows = []
     for zone in zones:
         coverage, stats, epsilon = data.draw(release_rows)
         coverage, raw = coverage if coverage is not None else (None, None)
         stats = stats if stats is not None and coverage is not None else (None, None, None)
         rows.append(ReleaseRow(zone, coverage, raw, *stats, epsilon))
-    assert list(_round_trip(io.write_release_csv, io.read_release_csv, rows)) == rows
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(zones, st.data())
+def test_every_format_round_trips(zones, data):
+    for form, (read, write) in READS.items():
+        records = _records(form, zones, data)
+        loaded = _round_trip(write, read, records)
+        assert list(loaded.values() if form == "households" else loaded) == records
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):
@@ -259,3 +275,72 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         io.write_counts_csv(path, rows())
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+# ------------------------------------------------ io's readers against the reference reader
+
+BAD_TEXTS = ["x", "", "-1", "-0.5", "inf", "nan", "1e999", "1.5", "0", "0.20", " 7 ", "1\n", "12345"]
+BAD_ZONES = ["0001", "abcde", "000001", "", "00001\n", "1234x"]
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["field", "zone", "repeated zone", "short row", "spanning field"]),
+              st.integers(0, 99), st.integers(0, 99), st.sampled_from(BAD_TEXTS)),
+    max_size=3,
+)
+
+
+def _edit(rows, kind, first, second, text):
+    row = rows[first % len(rows)]
+    if kind in ("field", "short row") and len(row) == 1:  # a short row keeps its zone
+        return
+    if kind == "field":
+        row[1 + second % (len(row) - 1)] = text
+    elif kind == "zone":
+        row[0] = BAD_ZONES[second % len(BAD_ZONES)]
+    elif kind == "repeated zone":
+        row[0] = rows[second % len(rows)][0]
+    elif kind == "short row":
+        row.pop()
+    else:  # a quoted field spanning two lines
+        row[second % len(row)] += "\n"
+
+
+def _columns(table):
+    """A reader's result as one list of Python values per column, None for NaN."""
+    if isinstance(table, Mapping):  # households
+        return [list(table), [table[zone].households for zone in table]]
+    return [[None if value != value else value for value in (column.tolist() if hasattr(column, "tolist") else column)]
+            for column in table.columns.values()]
+
+
+def _outcome(read, path):
+    """The reader's columns, or the text of the CsvFormatError it raises."""
+    try:
+        return read(path)
+    except CsvFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("form", sorted(READS))
+@settings(max_examples=60, deadline=None)
+@given(zones=st.lists(st.integers(1, 99999).map(lambda n: f"{n:05d}"), unique=True, min_size=1, max_size=6),
+       edits=EDITS, data=st.data())
+def test_readers_agree_with_the_reference_reader(form, zones, edits, data):
+    # the column check and its row walk must raise what a plain row-by-row
+    # reader raises (line and message), and give its columns for a good table
+    read, write = READS[form]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        write(path, _records(form, zones, data))
+        header, *rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        for edit in edits:
+            _edit(rows, *edit)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+        expected = _outcome(lambda p: read_table(p, form), path)
+        found = _outcome(read, path)
+    if isinstance(expected, str) or isinstance(found, str):
+        assert found == expected
+    else:
+        assert _columns(found) == expected
+    if not edits:
+        assert not isinstance(expected, str)

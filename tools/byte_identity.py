@@ -14,7 +14,12 @@ outputs and diagnostics agree:
   --round-counts release;
 - simulate-error --k 200 and summarize on each release;
 - a second charge, a third that the budget refuses, and a budget read
-  after each charge.
+  after each charge;
+- refusals, compared by exit status and stderr: a counts file with a bad
+  field on line 1001, a households file with a repeated zone, summarize
+  on a release table with an impossible row, and simulate-error with an
+  edited broadband_usage, with the other release's sidecar and with
+  --epsilon 0.2.
 
 The script prints the sha256 of every file, of each command's stdout and
 stderr, and each exit status, for both trees, and exits 1 if any of them
@@ -36,8 +41,8 @@ ZONES = 32653
 BUDGET = "0.4"
 
 
-def _release(seed: int, out: str, *extra: str) -> list[str]:
-    return ["release", "--counts", "counts.csv", "--households", "households.csv",
+def _release(seed: int, out: str, *extra: str, counts: str = "counts.csv", households: str = "households.csv") -> list[str]:
+    return ["release", "--counts", counts, "--households", households,
             "--epsilon", "0.1", "--seed", str(seed), "--out", out, *extra]
 
 
@@ -45,22 +50,47 @@ def _charge(seed: int, out: str) -> list[str]:
     return _release(seed, out, "--journal", "journal.tsv", "--budget", BUDGET)
 
 
-def _simulate(release: str, out: str) -> list[str]:
+def _simulate(release: str, out: str, *extra: str, epsilon: str = "0.1") -> list[str]:
     return ["simulate-error", "--release", release, "--households", "households.csv",
-            "--epsilon", "0.1", "--k", "200", "--seed", "77", "--out", out]
+            "--epsilon", epsilon, "--k", "200", "--seed", "77", "--out", out, *extra]
 
 
 def _summarize(table: str, out: str) -> list[str]:
     return ["summarize", "--in", table, "--households", "households.csv", "--out", out]
 
 
+def _drop_every_50th_household(work: Path) -> None:
+    header, *rows = (work / "households-all.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [row for index, row in enumerate(rows, start=1) if index % 50]
+    (work / "households.csv").write_text(header + "".join(kept), encoding="utf-8")
+
+
+def _edit(source: Path, target: Path, line: int, column: int, text: str) -> None:
+    """target is source with one field of one line (1-based) replaced by text."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[line - 1].rstrip("\n").split(",")
+    fields[column] = text
+    lines[line - 1] = ",".join(fields) + "\n"
+    target.write_text("".join(lines), encoding="utf-8")
+
+
+def _write_bad_inputs(work: Path) -> None:
+    _edit(work / "counts.csv", work / "counts-bad.csv", 1001, 2, "x")
+    households = (work / "households.csv").read_text(encoding="utf-8")
+    (work / "households-repeated.csv").write_text(households + households.splitlines(keepends=True)[500], encoding="utf-8")
+    _edit(work / "final.csv", work / "impossible.csv", 1002, 1, "1.500")
+    lines = (work / "released.csv").read_text(encoding="utf-8").splitlines()
+    defined = next(line for line in range(2, len(lines) + 1) if lines[line - 1].split(",")[1] not in ("", "0.000"))
+    _edit(work / "released.csv", work / "edited.csv", defined, 1, "0.000")
+
+
 BUDGET_READ = ["budget", "--journal", "journal.tsv", "--budget", BUDGET]
 
-# (step name, argv); "drop-households" is the one step run in this process
+# (step name, argv), or (step name, function of the work directory) for a step run in this process
 STEPS = [
     ("synth", ["synth", "--zones", str(ZONES), "--seed", "4401",
                "--out-counts", "counts.csv", "--out-households", "households-all.csv"]),
-    ("drop-households", None),
+    ("drop-households", _drop_every_50th_household),
     ("release", _charge(11, "released.csv")),
     ("budget-1", BUDGET_READ),
     ("release-rounded", _release(12, "rounded.csv", "--round-counts")),
@@ -72,17 +102,18 @@ STEPS = [
     ("budget-2", BUDGET_READ),
     ("release-refused", _charge(14, "third.csv")),
     ("budget-3", BUDGET_READ),
+    ("write-bad-inputs", _write_bad_inputs),
+    ("refused-bad-field", _release(11, "bad.csv", counts="counts-bad.csv")),
+    ("refused-repeated-zone", _release(11, "bad.csv", households="households-repeated.csv")),
+    ("refused-impossible-row", _summarize("impossible.csv", "bad-buckets.csv")),
+    ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
+    ("refused-other-sidecar", _simulate("released.csv", "bad.csv", "--private-counts", "rounded.csv.private-counts.csv")),
+    ("refused-epsilon", _simulate("released.csv", "bad.csv", epsilon="0.2")),
 ]
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _drop_every_50th_household(work: Path) -> None:
-    header, *rows = (work / "households-all.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [row for index, row in enumerate(rows, start=1) if index % 50]
-    (work / "households.csv").write_text(header + "".join(kept), encoding="utf-8")
 
 
 def _file_digest(path: Path) -> str:
@@ -97,8 +128,8 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     results = {}
     for name, argv in STEPS:
-        if argv is None:
-            _drop_every_50th_household(work)
+        if callable(argv):
+            argv(work)
             continue
         done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=work, env=env, capture_output=True)
         results[f"{name}: exit status"] = str(done.returncode)
