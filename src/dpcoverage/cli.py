@@ -1,12 +1,21 @@
 """Command-line pipeline: synth -> release -> simulate-error -> summarize.
 
 Every run that writes an output also writes a `<out>.manifest.json`
-sidecar recording the tool version, the noise format, the resolved
-parameters, sha256 digests of the input files and the output paths, so
-any output can be reproduced byte for byte by rerunning with the
-recorded parameters. Seeds are always explicit flags; there is
-deliberately no environment-variable override, so a manifest alone is
-enough to audit a run.
+sidecar recording the tool version, the noise format, the parameters,
+sha256 digests of the input files and the output paths, so any output
+can be reproduced byte for byte by rerunning with the recorded
+parameters. The parameters are the parsed arguments under their flag
+names (`out_counts` is `--out-counts`), ranges as `lo:hi` and lists
+comma-joined. The exceptions: `release` leaves out `--journal` and
+`--budget` and records `epsilon` as the exact decimal; `simulate-error`
+records the same epsilon, `release` and the noisy-count sidecar it
+resolved as `private_counts`; `summarize` records `in`. Seeds are always
+explicit flags; there is deliberately no environment-variable override,
+so a manifest alone is enough to audit a run.
+
+A writing command checks its outputs before it reads, charges or writes
+anything: no output may be an input, another output or an existing
+directory, and each output's directory must exist.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
@@ -33,7 +42,7 @@ from dpcoverage.accountant import (
     total_epsilon,
 )
 from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
-from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams
+from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, ParameterError, check_seed
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
@@ -47,13 +56,13 @@ from dpcoverage.release import (
 )
 from dpcoverage.synth import SynthSpec, generate
 
-_U64_MAX = (1 << 64) - 1
-
 
 def _seed(text: str) -> int:
     value = int(text)
-    if not 0 <= value <= _U64_MAX:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64-1], got {text}")
+    try:
+        check_seed(value)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -107,35 +116,55 @@ def _manifest_path(out_path: str | Path) -> Path:
 
 
 def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
-    """Refuse, before anything is read or written, an output with no directory or that is one of the inputs."""
-    for output in outputs:
+    """Refuse, before anything is read, charged or written, an output that cannot be written in place.
+
+    The first output's manifest is an output too. No output may be an input,
+    another output or an existing directory, and each one's directory must exist.
+    """
+    outputs = [*outputs, _manifest_path(outputs[0])]
+    for index, output in enumerate(outputs):
         if not Path(output).parent.is_dir():
             raise ValueError(f"cannot write {output}: no directory {Path(output).parent}")
-        for source in inputs:
-            if Path(output).resolve() == Path(source).resolve() or (
-                os.path.exists(output) and os.path.exists(source) and os.path.samefile(output, source)
-            ):
-                raise ValueError(f"output {output} would overwrite the input {source}")
+        if Path(output).is_dir():
+            raise ValueError(f"cannot write {output}: it is a directory")
+        for kind, others in (("input", inputs), ("output", outputs[:index])):
+            for other in others:
+                if Path(output).resolve() == Path(other).resolve() or (
+                    os.path.exists(output) and os.path.exists(other) and os.path.samefile(output, other)
+                ):
+                    raise ValueError(f"output {output} would overwrite the {kind} {other}")
 
 
-def write_manifest(
-    out_path: str | Path,
-    subcommand: str,
-    parameters: dict,
-    inputs: list[str],
-    outputs: list[str],
-) -> Path:
-    """Reproducibility sidecar written next to a subcommand's primary output."""
+def _recorded(value: object) -> object:
+    if isinstance(value, tuple):
+        return f"{value[0]}:{value[1]}"
+    if isinstance(value, list):
+        return ",".join(str(item) for item in value)
+    return value
+
+
+def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, changes: dict | None = None) -> Path:
+    """Reproducibility sidecar written next to a command's first output.
+
+    parameters are the parsed arguments under their flag names, ranges as
+    lo:hi and lists comma-joined, so each key maps back to its flag. changes
+    holds the exceptions, each replacing or adding a key; a key whose value
+    is None is left out. release leaves out --journal and --budget and
+    records the exact epsilon; simulate-error records that epsilon, release
+    and the private_counts it resolved; summarize records in.
+    """
+    parameters = {key: _recorded(value) for key, value in vars(args).items() if key not in ("subcommand", "handler")}
+    parameters.update(changes or {})
     manifest = {
         "tool": "dpcoverage",
         "version": __version__,
         "noise_format": NOISE_FORMAT,
-        "subcommand": subcommand,
-        "parameters": parameters,
+        "subcommand": args.subcommand,
+        "parameters": {key: value for key, value in parameters.items() if value is not None},
         "input_digests": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    path = _manifest_path(out_path)
+    path = _manifest_path(outputs[0])
     with io.atomic_writer(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -143,6 +172,8 @@ def write_manifest(
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    outputs = [args.out_counts, args.out_households]
+    _check_outputs([], outputs)
     spec = SynthSpec(
         zone_count=args.zones,
         household_range=args.households,
@@ -153,21 +184,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     counts, households = generate(spec)
     io.write_counts_csv(args.out_counts, counts)
     io.write_households_csv(args.out_households, households)
-    write_manifest(
-        args.out_counts,
-        "synth",
-        {
-            "zones": args.zones,
-            "households": f"{args.households[0]}:{args.households[1]}",
-            "bce": f"{args.bce[0]}:{args.bce[1]}",
-            "services_share": f"{args.services_share[0]}:{args.services_share[1]}",
-            "seed": args.seed,
-            "out_counts": str(args.out_counts),
-            "out_households": str(args.out_households),
-        },
-        inputs=[],
-        outputs=[args.out_counts, args.out_households],
-    )
+    write_manifest(args, [], outputs)
     print(f"synthesized {len(counts)} zones -> {args.out_counts}, {args.out_households}", file=sys.stderr)
     return 0
 
@@ -177,8 +194,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
         print("error: --journal and --budget must be given together", file=sys.stderr)
         return 2
     sidecar = io.private_counts_path(args.out)
-    inputs = [args.counts, args.households] + ([args.journal] if args.journal is not None else [])
-    _check_outputs(inputs, [args.out, sidecar, _manifest_path(args.out)])
+    inputs, outputs = [args.counts, args.households], [args.out, sidecar]
+    _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
     eps = as_epsilon(args.epsilon)
     # refuse, before anything is charged, an epsilon the noise kernel or exact arithmetic refuses
     LaplaceParams(COUNT_SENSITIVITY, float(eps))
@@ -208,20 +225,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     rows = pairs.second
     io.write_release_csv(args.out, rows)
     io.write_private_counts_csv(sidecar, pairs.first)
-    write_manifest(
-        args.out,
-        "release",
-        {
-            "counts": str(args.counts),
-            "households": str(args.households),
-            "epsilon": str(eps),
-            "seed": args.seed,
-            "round_counts": args.round_counts,
-            "out": str(args.out),
-        },
-        inputs=[args.counts, args.households],
-        outputs=[args.out, str(sidecar)],
-    )
+    write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
     undefined = int(np.isnan(rows.column("coverage")).sum())
     print(f"total_epsilon={spent}", file=sys.stderr)
     print(f"released {len(pairs)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
@@ -230,7 +234,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release_path)
-    _check_outputs([args.release_path, sidecar, args.households], [args.out, _manifest_path(args.out)])
+    inputs, outputs = [args.release_path, sidecar, args.households], [args.out]
+    _check_outputs(inputs, outputs)
     rows = io.read_release_csv(args.release_path)
     privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)
@@ -280,27 +285,15 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     reports = error_reports_for_release(ordered, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
     io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
-    write_manifest(
-        args.out,
-        "simulate-error",
-        {
-            "release": str(args.release_path),
-            "private_counts": str(sidecar),
-            "households": str(args.households),
-            "epsilon": str(eps),
-            "k": args.k,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
-        inputs=[args.release_path, str(sidecar), args.households],
-        outputs=[args.out],
-    )
+    changes = {"release_path": None, "release": args.release_path, "private_counts": str(sidecar), "epsilon": str(eps)}
+    write_manifest(args, inputs, outputs, changes)
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    _check_outputs([args.in_path, args.households], [args.out, _manifest_path(args.out)])
+    inputs, outputs = [args.in_path, args.households], [args.out]
+    _check_outputs(inputs, outputs)
     rows = io.read_release_csv(args.in_path)
     households = io.read_households_csv(args.households)
 
@@ -312,18 +305,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
     summaries = bucket_by_households(Pairs(rows.take(kept), figures[kept]), args.thresholds)
     io.write_bucket_csv(args.out, summaries)
-    write_manifest(
-        args.out,
-        "summarize",
-        {
-            "in": str(args.in_path),
-            "households": str(args.households),
-            "thresholds": ",".join(str(t) for t in args.thresholds),
-            "out": str(args.out),
-        },
-        inputs=[args.in_path, args.households],
-        outputs=[args.out],
-    )
+    write_manifest(args, inputs, outputs, {"in_path": None, "in": args.in_path})
     print(f"summarized {len(kept)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0
 

@@ -34,7 +34,7 @@ import numpy as np
 # laplace_sample is not called here, since trials draw whole blocks through
 # laplace_stream; it stays importable as errorsim.laplace_sample because
 # bench/invoke.py wraps that name to time the simulation's noise draws.
-from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
+from dpcoverage.mechanism import LaplaceParams, check_seed, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
@@ -73,8 +73,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not (isinstance(self.base_seed, int) and self.base_seed >= 0):
-            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
+        check_seed(self.base_seed)
         # delegate epsilon domain checks
         LaplaceParams(COUNT_SENSITIVITY, float(self.per_query_epsilon))
 

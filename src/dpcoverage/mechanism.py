@@ -108,12 +108,13 @@ class NoiseSeed:
     iteration: int = 0
 
     def __post_init__(self) -> None:
-        _check_seed(self.base_seed)
+        check_seed(self.base_seed)
         if not (isinstance(self.iteration, int) and self.iteration >= 0):
             raise ParameterError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
 
-def _check_seed(base_seed: int) -> None:
+def check_seed(base_seed: int) -> None:
+    """Refuse a master seed that is not an unsigned 64-bit integer."""
     if not (isinstance(base_seed, int) and 0 <= base_seed <= _U64_MAX):
         raise ParameterError(f"base_seed must be an unsigned 64-bit integer, got {base_seed!r}")
 
@@ -177,7 +178,7 @@ def laplace_stream(
     zones, returns a (len(zones), count) array whose row i is zones[i]'s
     stream; every row is bit-identical to the single-zone call.
     """
-    _check_seed(base_seed)
+    check_seed(base_seed)
     if start < 0 or count < 0:
         raise ParameterError(f"start and count must be nonnegative, got start={start} count={count}")
     zones = [zone] if isinstance(zone, str) else zone

@@ -138,7 +138,7 @@ def private_zip_problem(zone, low_speed_dp, high_speed_dp, services_dp, non_serv
 
 
 def release_row_problem(zone, coverage, raw_coverage, mae, msd, p95, epsilon) -> str | None:
-    """Rule of a ReleaseRow: the rules of a row of the release table."""
+    """Rule of a ReleaseRow: the rules of a row of the release table; as_epsilon checks its epsilon."""
     problem = _zone_problem(zone)
     if problem is not None:
         return problem
@@ -246,6 +246,7 @@ class ReleaseRow:
             release_row_problem,
             self.zone, self.coverage, self.raw_coverage, self.mae, self.msd, self.p95, self.epsilon,
         )
+        object.__setattr__(self, "epsilon", as_epsilon(self.epsilon))
 
     @property
     def defined(self) -> bool:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dpcoverage.mechanism import check_seed
 from dpcoverage.release import Columns, HouseholdRecord, RawZipRecord
-
-_U64_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class SynthSpec:
         s_lo, s_hi = self.services_share_range
         if not (0.0 < s_lo <= s_hi <= 1.0):
             raise ValueError(f"services_share_range must satisfy 0 < lo <= hi <= 1, got {self.services_share_range!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= _U64_MAX):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def generate(spec: SynthSpec) -> tuple[Columns[RawZipRecord], Columns[HouseholdRecord]]:

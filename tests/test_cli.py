@@ -1,5 +1,6 @@
 """CLI: pipeline wiring, manifests, exit codes, and diagnostics."""
 
+import argparse
 import json
 import re
 import threading
@@ -68,31 +69,55 @@ def test_manifest_records_params_and_digests(tmp_path):
     assert all(d.startswith("sha256:") for d in manifest["input_digests"].values())
 
 
-def test_replaying_a_manifest_reproduces_outputs(tmp_path):
-    counts, households = make_inputs(tmp_path, zones=10)
-    out = tmp_path / "released.csv"
-    argv = ["release", "--counts", str(counts), "--households", str(households),
-            "--epsilon", "0.1", "--seed", "42", "--out", str(out)]
-    assert run(argv) == 0
-    first_out = out.read_bytes()
-    first_sidecar = io.private_counts_path(out).read_bytes()
-    first_manifest = (tmp_path / "released.csv.manifest.json").read_bytes()
+def _replay(manifest):
+    """The command line of a manifest, rebuilt from its parameters alone: each key names its flag."""
+    argv = [manifest["subcommand"]]
+    for key, value in manifest["parameters"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    return argv
 
-    # rebuild the command line from the manifest alone and rerun
-    manifest = json.loads(first_manifest)
-    params = manifest["parameters"]
-    replay = ["release",
-              "--counts", params["counts"],
-              "--households", params["households"],
-              "--epsilon", params["epsilon"],
-              "--seed", str(params["seed"]),
-              "--out", params["out"]]
-    if params["round_counts"]:
-        replay.append("--round-counts")
-    assert run(replay) == 0
-    assert out.read_bytes() == first_out
-    assert io.private_counts_path(out).read_bytes() == first_sidecar
-    assert (tmp_path / "released.csv.manifest.json").read_bytes() == first_manifest
+
+def _flag_keys(subcommand):
+    """A subcommand's flags, spelled as manifest keys."""
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    flags = [flag for action in sub.choices[subcommand]._actions for flag in action.option_strings]
+    return {flag[2:].replace("-", "_") for flag in flags if flag.startswith("--") and flag != "--help"}
+
+
+def test_replaying_a_manifest_reproduces_outputs(tmp_path):
+    counts, households = tmp_path / "counts.csv", tmp_path / "households.csv"
+    released, final, buckets = tmp_path / "released.csv", tmp_path / "final.csv", tmp_path / "buckets.csv"
+    commands = {
+        counts: ["synth", "--zones", "10", "--households", "100:5000", "--bce", "0.2:0.8",
+                 "--services-share", "0.6:0.7", "--seed", "7",
+                 "--out-counts", str(counts), "--out-households", str(households)],
+        released: ["release", "--counts", str(counts), "--households", str(households), "--epsilon", "1E-1",
+                   "--seed", "42", "--round-counts", "--out", str(released),
+                   "--journal", str(tmp_path / "journal.tsv"), "--budget", "1"],
+        final: ["simulate-error", "--release", str(released), "--households", str(households),
+                "--epsilon", "0.10", "--k", "20", "--seed", "42", "--out", str(final)],
+        buckets: ["summarize", "--in", str(final), "--households", str(households),
+                  "--thresholds", "0,500,2000", "--out", str(buckets)],
+    }
+    for argv in commands.values():
+        assert run(argv) == 0
+    for out, argv in commands.items():
+        first_manifest = cli._manifest_path(out).read_bytes()
+        manifest = json.loads(first_manifest)
+        # every parsed argument is recorded under its flag, except the journal's
+        unrecorded = {"journal", "budget"} if argv[0] == "release" else set()
+        assert set(manifest["parameters"]) == _flag_keys(argv[0]) - unrecorded
+        written = {path: Path(path).read_bytes() for path in manifest["outputs"]}
+        assert len(written) == (2 if argv[0] in ("synth", "release") else 1)
+        # rerun from the manifest alone
+        assert run(_replay(manifest)) == 0
+        assert {path: Path(path).read_bytes() for path in manifest["outputs"]} == written
+        assert cli._manifest_path(out).read_bytes() == first_manifest
 
 
 def test_input_order_does_not_change_zone_rows(tmp_path):
@@ -324,10 +349,10 @@ def test_synth_range_flag_parsing(tmp_path, capsys):
 
 def test_failed_manifest_write_leaves_the_old_manifest(tmp_path):
     out = tmp_path / "released.csv"
-    path = cli.write_manifest(out, "release", {"seed": 1}, inputs=[], outputs=[str(out)])
+    path = cli.write_manifest(argparse.Namespace(subcommand="release", seed=1), [], [str(out)])
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        cli.write_manifest(out, "release", {"seed": 1, "bad": object()}, inputs=[], outputs=[str(out)])
+        cli.write_manifest(argparse.Namespace(subcommand="release", seed=1, bad=object()), [], [str(out)])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
@@ -650,3 +675,46 @@ def test_an_overspent_journal_is_not_reported_as_a_charge(tmp_path, capsys):
     assert run([*base, "--out", str(tmp_path / "r2.csv"), "--journal", str(journal), "--budget", "0.1"]) == 1
     assert capsys.readouterr().err == expected
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", [
+    "release into a directory",
+    "simulate-error into a directory",
+    "summarize into a directory",
+    "synth households without a directory",
+    "synth one file twice",
+    "synth households onto the manifest",
+])
+def test_every_writing_command_refuses_an_unwritable_output_first(tmp_path, capsys, case):
+    counts, households = make_inputs(tmp_path, zones=3)
+    release = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+               "--journal", str(tmp_path / "journal.tsv"), "--budget", "1"]
+    released = tmp_path / "released.csv"
+    assert run([*release, "--out", str(released)]) == 0
+    directory = tmp_path / "outdir"
+    directory.mkdir()
+    synth = ["synth", "--zones", "3", "--seed", "1", "--out-counts", str(tmp_path / "c.csv"), "--out-households"]
+    argv, refused = {
+        "release into a directory": ([*release, "--out", str(directory)], directory),
+        "simulate-error into a directory": (["simulate-error", "--release", str(released), "--households",
+                                             str(households), "--k", "5", "--seed", "1", "--out", str(directory)],
+                                            directory),
+        "summarize into a directory": (["summarize", "--in", str(released), "--households", str(households),
+                                        "--out", str(directory)], directory),
+        "synth households without a directory": ([*synth, str(tmp_path / "nodir" / "h.csv")],
+                                                 tmp_path / "nodir" / "h.csv"),
+        "synth one file twice": ([*synth, str(tmp_path / "c.csv")], tmp_path / "c.csv"),
+        "synth households onto the manifest": ([*synth, str(tmp_path / "c.csv.manifest.json")],
+                                               tmp_path / "c.csv.manifest.json"),
+    }[case]
+
+    def state():
+        return {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+
+    before = state()
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert str(refused) in err and ".tmp" not in err
+    assert state() == before  # nothing written, the journal's bytes included

@@ -23,7 +23,7 @@ from dpcoverage.errorsim import (
     nearest_rank,
     trial_deviations,
 )
-from dpcoverage.mechanism import NoiseSeed
+from dpcoverage.mechanism import NoiseSeed, ParameterError
 from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, privatize_record
 from oracles import deviation_from_noise, simulate_once, summarize_deviations
 
@@ -128,6 +128,15 @@ def test_nearest_rank_oracle_values():
     assert nearest_rank([10.0, 20.0], 0.95) == 20.0  # ceil(1.9) = 2nd
     assert nearest_rank([3.0, 1.0, 2.0], 1.0) == 3.0
     assert nearest_rank(hundred, 0.01) == 0.01
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+def test_simulation_config_refuses_a_seed_the_noise_kernel_refuses(seed):
+    # the seed rule is the noise kernel's: a config it accepted could not draw
+    with pytest.raises(ParameterError):
+        SimulationConfig(per_query_epsilon=0.1, base_seed=seed, k=5)
+    with pytest.raises(ParameterError):
+        NoiseSeed(seed, "00001", "high_speed")
 
 
 def test_nearest_rank_domain():

@@ -14,6 +14,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from dpcoverage.accountant import PlanError
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
 from dpcoverage.release import (
     Columns,
@@ -124,6 +125,13 @@ def test_release_row_validation():
     ]:
         with pytest.raises(IngestionError):
             ReleaseRow(*fields, eps)
+
+
+@pytest.mark.parametrize("epsilon", [-1, 0, "garbage", "inf", None])
+def test_release_row_refuses_an_epsilon_the_reader_refuses(epsilon):
+    with pytest.raises(PlanError):
+        ReleaseRow("00001", 0.5, 0.5, None, None, None, epsilon)
+    assert ReleaseRow("00001", 0.5, 0.5, None, None, None, 0.2).epsilon == Decimal("0.2")  # as read back
 
 
 def test_privatize_record_is_deterministic_and_accounted():

@@ -19,7 +19,11 @@ outputs and diagnostics agree:
   field on line 1001, a households file with a repeated zone, summarize
   on a release table with an impossible row, and simulate-error with an
   edited broadband_usage, with the other release's sidecar and with
-  --epsilon 0.2.
+  --epsilon 0.2;
+- a 500-zone pipeline whose flags are not the defaults, so that their
+  manifests record them: synth with --households, --bce and
+  --services-share ranges, a release with --epsilon 1E-1, simulate-error
+  with an explicit --private-counts and summarize with --thresholds.
 
 The script prints the sha256 of every file, of each command's stdout and
 stderr, and each exit status, for both trees, and exits 1 if any of them
@@ -41,22 +45,23 @@ ZONES = 32653
 BUDGET = "0.4"
 
 
-def _release(seed: int, out: str, *extra: str, counts: str = "counts.csv", households: str = "households.csv") -> list[str]:
+def _release(seed: int, out: str, *extra: str, counts: str = "counts.csv", households: str = "households.csv",
+             epsilon: str = "0.1") -> list[str]:
     return ["release", "--counts", counts, "--households", households,
-            "--epsilon", "0.1", "--seed", str(seed), "--out", out, *extra]
+            "--epsilon", epsilon, "--seed", str(seed), "--out", out, *extra]
 
 
 def _charge(seed: int, out: str) -> list[str]:
     return _release(seed, out, "--journal", "journal.tsv", "--budget", BUDGET)
 
 
-def _simulate(release: str, out: str, *extra: str, epsilon: str = "0.1") -> list[str]:
-    return ["simulate-error", "--release", release, "--households", "households.csv",
+def _simulate(release: str, out: str, *extra: str, epsilon: str = "0.1", households: str = "households.csv") -> list[str]:
+    return ["simulate-error", "--release", release, "--households", households,
             "--epsilon", epsilon, "--k", "200", "--seed", "77", "--out", out, *extra]
 
 
-def _summarize(table: str, out: str) -> list[str]:
-    return ["summarize", "--in", table, "--households", "households.csv", "--out", out]
+def _summarize(table: str, out: str, *extra: str, households: str = "households.csv") -> list[str]:
+    return ["summarize", "--in", table, "--households", households, "--out", out, *extra]
 
 
 def _drop_every_50th_household(work: Path) -> None:
@@ -109,6 +114,15 @@ STEPS = [
     ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
     ("refused-other-sidecar", _simulate("released.csv", "bad.csv", "--private-counts", "rounded.csv.private-counts.csv")),
     ("refused-epsilon", _simulate("released.csv", "bad.csv", epsilon="0.2")),
+    ("synth-flags", ["synth", "--zones", "500", "--households", "20:3000", "--bce", "0.3:0.7",
+                     "--services-share", "0.6:0.8", "--seed", "4402",
+                     "--out-counts", "flags-counts.csv", "--out-households", "flags-households.csv"]),
+    ("release-flags", _release(15, "flags.csv", counts="flags-counts.csv", households="flags-households.csv",
+                               epsilon="1E-1")),
+    ("simulate-flags", _simulate("flags.csv", "flags-final.csv", "--private-counts", "flags.csv.private-counts.csv",
+                                 households="flags-households.csv")),
+    ("summarize-flags", _summarize("flags-final.csv", "flags-buckets.csv", "--thresholds", "0,500,2000",
+                                   households="flags-households.csv")),
 ]
 
 
