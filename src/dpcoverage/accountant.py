@@ -157,17 +157,17 @@ def parallel_compose(epsilons: Iterable[EpsilonLike]) -> Decimal:
     return max(values)
 
 
-def total_epsilon(plan: QueryPlan, *, validate: bool = True) -> Decimal:
-    """Fold a plan tree into its exact total privacy cost."""
-    if validate:
-        validate_plan(plan)
+def total_epsilon(plan: QueryPlan) -> Decimal:
+    """Fold a plan tree into its exact total privacy cost; an invalid plan is refused first."""
+    validate_plan(plan)
+    return _fold(plan)
+
+
+def _fold(plan: QueryPlan) -> Decimal:
     if isinstance(plan, Query):
         return plan.epsilon
-    if isinstance(plan, Sequential):
-        return sequential_compose(total_epsilon(c, validate=False) for c in plan.children)
-    if isinstance(plan, Parallel):
-        return parallel_compose(total_epsilon(c, validate=False) for c in plan.children)
-    raise PlanError(f"not a query plan node: {plan!r}")
+    compose = sequential_compose if isinstance(plan, Sequential) else parallel_compose
+    return compose(_fold(child) for child in plan.children)
 
 
 def describe_plan(plan: QueryPlan) -> str:

@@ -8,14 +8,15 @@ parameters. The parameters are the parsed arguments under their flag
 names (`out_counts` is `--out-counts`), ranges as `lo:hi` and lists
 comma-joined. The exceptions: `release` leaves out `--journal` and
 `--budget` and records `epsilon` as the exact decimal; `simulate-error`
-records the same epsilon, `release` and the noisy-count sidecar it
-resolved as `private_counts`; `summarize` records `in`. Seeds are always
+records the same epsilon and the noisy-count sidecar it resolved as
+`private_counts`; `summarize` records `in`. Seeds are always
 explicit flags; there is deliberately no environment-variable override,
 so a manifest alone is enough to audit a run.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
-directory, and each output's directory must exist.
+directory, and each output's directory must exist and let this process
+create the output's temporary file.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
@@ -29,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -80,20 +82,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _int_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi integers, got {text!r}")
-
-
-def _float_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi reals, got {text!r}")
+def _range(kind: type, noun: str):
+    """Parser of a lo:hi flag whose bounds are kind, named noun in its message."""
+    def parse(text: str) -> tuple:
+        try:
+            lo, hi = text.split(":")
+            return kind(lo), kind(hi)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected lo:hi {noun}, got {text!r}")
+    return parse
 
 
 def _thresholds(text: str) -> list[int]:
@@ -119,7 +116,8 @@ def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
     """Refuse, before anything is read, charged or written, an output that cannot be written in place.
 
     The first output's manifest is an output too. No output may be an input,
-    another output or an existing directory, and each one's directory must exist.
+    another output or an existing directory, and each one's directory must
+    exist and let this process create the output's temporary file.
     """
     outputs = [*outputs, _manifest_path(outputs[0])]
     for index, output in enumerate(outputs):
@@ -133,6 +131,11 @@ def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
                     os.path.exists(output) and os.path.exists(other) and os.path.samefile(output, other)
                 ):
                     raise ValueError(f"output {output} would overwrite the {kind} {other}")
+        try:
+            open(io.temporary_path(output), "w").close()
+            io.temporary_path(output).unlink()
+        except OSError as exc:  # its strerror, since its filename would show the pid
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _recorded(value: object) -> object:
@@ -150,8 +153,8 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
     lo:hi and lists comma-joined, so each key maps back to its flag. changes
     holds the exceptions, each replacing or adding a key; a key whose value
     is None is left out. release leaves out --journal and --budget and
-    records the exact epsilon; simulate-error records that epsilon, release
-    and the private_counts it resolved; summarize records in.
+    records the exact epsilon; simulate-error records that epsilon and the
+    private_counts it resolved; summarize records in.
     """
     parameters = {key: _recorded(value) for key, value in vars(args).items() if key not in ("subcommand", "handler")}
     parameters.update(changes or {})
@@ -197,8 +200,10 @@ def _cmd_release(args: argparse.Namespace) -> int:
     inputs, outputs = [args.counts, args.households], [args.out, sidecar]
     _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
     eps = as_epsilon(args.epsilon)
-    # refuse, before anything is charged, an epsilon the noise kernel or exact arithmetic refuses
+    # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    if args.budget is not None:
+        as_epsilon(args.budget)
     plan = release_query_plan(eps)
     spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
@@ -233,39 +238,35 @@ def _cmd_release(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
-    sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release_path)
-    inputs, outputs = [args.release_path, sidecar, args.households], [args.out]
+    sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
+    inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
-    rows = io.read_release_csv(args.release_path)
+    rows = io.read_release_csv(args.release)
     privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)
 
+    # release writes its table and its sidecar in one zone order
     zones = rows.column("zone")
-    position = {zone: row for row, zone in enumerate(privs.column("zone"))}
-    missing = [zone for zone in zones if zone not in position]
-    if missing:
-        raise IngestionError(
-            f"{sidecar}: missing noisy counts for zone(s) {', '.join(missing[:5])}"
-            + (f" and {len(missing) - 5} more" if len(missing) > 5 else "")
-        )
-    ordered = privs.take([position[zone] for zone in zones])
+    if privs.column("zone") != zones:
+        line = 2 + next(row for row, (a, b) in enumerate(zip_longest(zones, privs.column("zone"))) if a != b)
+        raise IngestionError(f"{sidecar} does not list the zones of {args.release} in its order: they differ on line {line}")
 
     # the error ranges belong to the published table only if the noisy
     # counts and this households file give it back, as the release wrote it
     published = io.release_text(rows)
-    found = io.release_text(coverage_rows(ordered, household_column(zones, households)))
+    found = io.release_text(coverage_rows(privs, household_column(zones, households)))
 
     # a sidecar written for another release would simulate this release's
     # errors around that release's counts and epsilon
     for zone, text, other in zip(zones, published["epsilon"], found["epsilon"]):
         if text != other:
-            raise IngestionError(f"{args.release_path} records epsilon {text} for zone {zone}, but {sidecar} records {other}")
+            raise IngestionError(f"{args.release} records epsilon {text} for zone {zone}, but {sidecar} records {other}")
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
     eps = as_epsilon(args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
-    for zone, spent in zip(zones, ordered.column("epsilon_total")):
+    for zone, spent in zip(zones, privs.column("epsilon_total")):
         if spent != implied:
             raise IngestionError(
                 f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
@@ -278,15 +279,14 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
             if text != other:
                 raise IngestionError(
                     f"{args.households} and the noisy counts give zone {zone} a {name} of {other or 'UNDEFINED'}, "
-                    f"but {args.release_path} published {text or 'UNDEFINED'}"
+                    f"but {args.release} published {text or 'UNDEFINED'}"
                 )
 
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
-    reports = error_reports_for_release(ordered, households, config)
+    reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
     io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
-    changes = {"release_path": None, "release": args.release_path, "private_counts": str(sidecar), "epsilon": str(eps)}
-    write_manifest(args, inputs, outputs, changes)
+    write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
     return 0
 
@@ -325,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic counts + households dataset")
     p.add_argument("--zones", type=_nonnegative_int, required=True)
-    p.add_argument("--households", type=_int_range, default=(50, 200000), metavar="LO:HI")
-    p.add_argument("--bce", type=_float_range, default=(0.1, 0.95), metavar="LO:HI",
+    p.add_argument("--households", type=_range(int, "integers"), default=(50, 200000), metavar="LO:HI")
+    p.add_argument("--bce", type=_range(float, "reals"), default=(0.1, 0.95), metavar="LO:HI",
                    help="target true coverage range")
-    p.add_argument("--services-share", type=_float_range, default=(0.5, 0.9), metavar="LO:HI")
+    p.add_argument("--services-share", type=_range(float, "reals"), default=(0.5, 0.9), metavar="LO:HI")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out-counts", required=True)
     p.add_argument("--out-households", required=True)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_release)
 
     p = sub.add_parser("simulate-error", help="fill error columns of a released table")
-    p.add_argument("--release", required=True, dest="release_path")
+    p.add_argument("--release", required=True)
     p.add_argument("--households", required=True)
     p.add_argument("--epsilon", default="0.1",
                    help="per-query epsilon of the release (decimal string); must match the sidecar")

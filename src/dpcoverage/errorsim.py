@@ -34,7 +34,7 @@ import numpy as np
 # laplace_sample is not called here, since trials draw whole blocks through
 # laplace_stream; it stays importable as errorsim.laplace_sample because
 # bench/invoke.py wraps that name to time the simulation's noise draws.
-from dpcoverage.mechanism import LaplaceParams, check_seed, laplace_sample, laplace_stream  # noqa: F401
+from dpcoverage.mechanism import LaplaceParams, check_seed, is_int, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
@@ -71,7 +71,7 @@ class SimulationConfig:
     k: int = 1000
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if not (is_int(self.k) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         check_seed(self.base_seed)
         # delegate epsilon domain checks
@@ -259,7 +259,7 @@ def bucket_by_households(
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("at least one threshold is required")
-    if any(not isinstance(t, int) or isinstance(t, bool) for t in thresholds):
+    if not all(map(is_int, thresholds)):
         raise ValueError(f"thresholds must be integers, got {thresholds!r}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError(f"thresholds must be strictly ascending, got {thresholds!r}")

@@ -62,6 +62,11 @@ def private_counts_path(release_path: str | Path) -> Path:
     return Path(f"{release_path}.private-counts.csv")
 
 
+def temporary_path(path: str | Path) -> Path:
+    """The file beside path that atomic_writer writes and then moves onto path."""
+    return Path(f"{path}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     """Text handle on a temporary file beside path, moved onto path on success.
@@ -69,7 +74,7 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     On any exception the temporary file is deleted and path keeps its old
     bytes, so a crash never leaves a truncated file under the final name.
     """
-    temporary = Path(f"{path}.{os.getpid()}.tmp")
+    temporary = temporary_path(path)
     handle = open(temporary, "w", encoding="utf-8", newline="")
     try:
         with handle:
@@ -121,7 +126,6 @@ def _read_table(
             raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
         texts: list[list[str]] = [[] for _ in header]
         lines: list[int] = []  # each row's last line: a quoted field may span lines
-        rows: list[list[str]] = []  # rows not yet moved into texts
         stop = None  # why reading ended before the end of the file
         try:
             for row in reader:
@@ -129,14 +133,11 @@ def _read_table(
                     stop = f"expected {len(header)} fields, got {len(row)}"
                     break
                 lines.append(reader.line_num)
-                rows.append(row)
-                if len(rows) == 4096:  # move rows into texts in slices, never holding the whole file twice
-                    _extend_columns(texts, rows)
-                    rows = []
+                for column, field in zip(texts, row):
+                    column.append(field)
         except csv.Error as exc:
             # the csv module's own parse errors, such as a field over its size limit
             stop = str(exc)
-        _extend_columns(texts, rows)
         if stop is not None:
             lines.append(reader.line_num)
 
@@ -170,11 +171,6 @@ def _first_problem(texts: list[list[str]], parsers: Sequence[Parser], rule: Call
             return row, problem
         seen.add(zone)
     return len(texts[0]), stop
-
-
-def _extend_columns(columns: list[list[str]], rows: list[list[str]]) -> None:
-    for column, fields in zip(columns, zip(*rows)):
-        column.extend(fields)
 
 
 def _integers(name: str) -> Parser:
@@ -259,13 +255,10 @@ def read_private_counts_csv(path: str | Path) -> Columns[PrivateZipRecord]:
     return columns_of(PrivateZipRecord, *_read_table(path, PRIVATE_COUNTS_HEADER, parsers, private_zip_problem))
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> None:
     rows = (
-        [s.low, "" if s.high is None else s.high, s.zone_count, *map(_format_float, (s.mean_mae, s.mean_msd, s.mean_p95))]
+        [s.low, "" if s.high is None else s.high, s.zone_count,
+         *_format_floats(np.array([s.mean_mae, s.mean_msd, s.mean_p95], dtype=np.float64))]
         for s in summaries
     )
     _write_table(path, BUCKET_HEADER, rows)

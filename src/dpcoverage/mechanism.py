@@ -109,13 +109,18 @@ class NoiseSeed:
 
     def __post_init__(self) -> None:
         check_seed(self.base_seed)
-        if not (isinstance(self.iteration, int) and self.iteration >= 0):
+        if not (is_int(self.iteration) and self.iteration >= 0):
             raise ParameterError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
+
+
+def is_int(value: object) -> bool:
+    """An int that is not a bool: bool is an int subclass, but True is no count or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_seed(base_seed: int) -> None:
     """Refuse a master seed that is not an unsigned 64-bit integer."""
-    if not (isinstance(base_seed, int) and 0 <= base_seed <= _U64_MAX):
+    if not (is_int(base_seed) and 0 <= base_seed <= _U64_MAX):
         raise ParameterError(f"base_seed must be an unsigned 64-bit integer, got {base_seed!r}")
 
 
@@ -179,6 +184,8 @@ def laplace_stream(
     stream; every row is bit-identical to the single-zone call.
     """
     check_seed(base_seed)
+    if not (is_int(start) and is_int(count)):
+        raise ParameterError(f"start and count must be integers, got start={start!r} count={count!r}")
     if start < 0 or count < 0:
         raise ParameterError(f"start and count must be nonnegative, got start={start} count={count}")
     zones = [zone] if isinstance(zone, str) else zone

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, par, seq, total_epsilon
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
+from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_int, privatize_count
 
 logger = logging.getLogger(__name__)
 
@@ -92,10 +92,9 @@ def _zone_problem(zone: object) -> str | None:
 
 
 def _integer_problem(name: str, value: object, minimum: int, kind: str) -> str | None:
-    # bool is an int subclass; reject it explicitly. Columns hold ints as int64.
-    if type(value) is int and minimum <= value < 2**63:  # the common case, tested first
+    if type(value) is int and minimum <= value < 2**63:  # the common case, tested first; Columns hold int64
         return None
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+    if not (is_int(value) and value >= minimum):
         return f"{name} must be a {kind} integer, got {value!r}"
     if value >= 2**63:
         return f"{name} must be below 2**63, got {value!r}"

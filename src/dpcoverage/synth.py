@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcoverage.mechanism import check_seed
+from dpcoverage.mechanism import check_seed, is_int
 from dpcoverage.release import Columns, HouseholdRecord, RawZipRecord
 
 
@@ -42,10 +42,10 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.zone_count, int) and 0 <= self.zone_count <= 99999):
+        if not (is_int(self.zone_count) and 0 <= self.zone_count <= 99999):
             raise ValueError(f"zone_count must be an integer in [0, 99999], got {self.zone_count!r}")
         hh_lo, hh_hi = self.household_range
-        if not (isinstance(hh_lo, int) and isinstance(hh_hi, int) and 1 <= hh_lo <= hh_hi):
+        if not (is_int(hh_lo) and is_int(hh_hi) and 1 <= hh_lo <= hh_hi):
             raise ValueError(f"household_range must be integers 1 <= lo <= hi, got {self.household_range!r}")
         b_lo, b_hi = self.coverage_range
         if not (0.0 <= b_lo <= b_hi <= 1.0):

@@ -219,3 +219,11 @@ def test_an_overspent_ledger_is_not_reported_as_a_charge(tmp_path):
     with pytest.raises(BudgetExceededError) as excinfo:
         load_ledger(journal, "0.1")
     assert str(excinfo.value) == f"{journal}: the journal already spends 0.2, more than the budget 0.1"
+
+
+def test_total_epsilon_has_one_mode_and_it_validates():
+    # a nested overlap is refused, never folded to 0.2
+    with pytest.raises(PlanError, match="disjoint"):
+        total_epsilon(seq(par(Query("services", "0.1"), Query("services", "0.1")), Query("x", "0.1")))
+    with pytest.raises(TypeError):
+        total_epsilon(Query("x", "0.1"), validate=False)

@@ -718,3 +718,80 @@ def test_every_writing_command_refuses_an_unwritable_output_first(tmp_path, caps
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert str(refused) in err and ".tmp" not in err
     assert state() == before  # nothing written, the journal's bytes included
+
+
+def test_an_output_whose_temporary_file_cannot_be_created_is_refused_before_the_charge(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=50)
+    journal = tmp_path / "journal.tsv"
+    base = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+            "--journal", str(journal), "--budget", "1"]
+    assert run([*base, "--out", str(tmp_path / "r1.csv")]) == 0
+    # the sidecar's name fits in 255 bytes, but not with ".<pid>.tmp" after it
+    out = tmp_path / ("r" * 230 + ".csv")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run([*base, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {io.private_counts_path(out)}: ")
+    assert len(err.strip().splitlines()) == 1 and ".tmp" not in err
+    assert _tree(tmp_path) == before  # no charge, no output
+
+
+@pytest.mark.parametrize("budget", ["garbage", "0", "-1", "nan"])
+def test_a_malformed_budget_is_refused_before_the_journal_is_created(tmp_path, capsys, budget):
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "journal.tsv"
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(journal), "--budget", budget]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert _tree(tmp_path) == before  # no journal file and no output
+
+
+@pytest.mark.parametrize("link", ["symlink", "hard link"])
+def test_an_output_that_is_a_link_to_an_input_is_refused(tmp_path, capsys, link):
+    counts, households = make_inputs(tmp_path, zones=5)
+    out = tmp_path / "released.csv"
+    if link == "symlink":
+        out.symlink_to(counts)
+    else:
+        out.hardlink_to(counts)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output {out} would overwrite the input {counts}\n"
+    assert _tree(tmp_path) == before  # nothing written through the link
+
+
+def test_summarize_leaves_zones_without_a_household_figure_out_of_every_bucket(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=12)
+    released, buckets = tmp_path / "released.csv", tmp_path / "buckets.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(released)]) == 0
+    lines = households.read_text(encoding="utf-8").splitlines(keepends=True)
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join(lines[:-3]), encoding="utf-8")  # the last three zones lack a figure
+    capsys.readouterr()
+    assert run(["summarize", "--in", str(released), "--households", str(partial), "--out", str(buckets)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: 3 zone(s) missing household figures were not bucketed"]
+    zones = [int(row.split(",")[2]) for row in buckets.read_text(encoding="utf-8").splitlines()[1:]]
+    assert sum(zones) == 9
+
+
+def test_simulate_error_refuses_a_sidecar_in_another_zone_order(tmp_path, capsys):
+    households, released = _three_zone_release(tmp_path)
+    sidecar = io.private_counts_path(released)
+    header, first, second, third = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+    sidecar.write_text(header + first + third + second, encoding="utf-8")
+    final = tmp_path / "final.csv"
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {sidecar} does not list the zones of {released} in its order: they differ on line 3\n"
+    assert not final.exists() and not cli._manifest_path(final).exists()

@@ -219,3 +219,34 @@ def test_zone_column_rows_match_single_streams():
         privatize_count(np.array([1.0, -1.0, 2.0]), SCALE10, seeds)
     with pytest.raises(ParameterError):
         privatize_count(np.array([1.0, 2.0]), SCALE10, seeds)
+
+
+@pytest.mark.parametrize("case", [
+    "check_seed(True)",
+    "NoiseSeed iteration=True",
+    "SimulationConfig k=True",
+    "SynthSpec zone_count=True",
+    "SynthSpec household_range=(True, 5)",
+    "laplace_stream count=2.5",
+    "laplace_stream start=1.5",
+    "laplace_stream count=True",
+])
+def test_integer_parameters_refuse_bools_and_non_integers(case):
+    # bool is an int subclass, and numpy's TypeError is no parameter check
+    from dpcoverage.errorsim import SimulationConfig
+    from dpcoverage.mechanism import check_seed
+    from dpcoverage.synth import SynthSpec
+
+    make, error = {
+        "check_seed(True)": (lambda: check_seed(True), ParameterError),
+        "NoiseSeed iteration=True": (lambda: NoiseSeed(1, "00001", "x", iteration=True), ParameterError),
+        "SimulationConfig k=True": (lambda: SimulationConfig(0.1, 1, k=True), ValueError),
+        "SynthSpec zone_count=True": (lambda: SynthSpec(True, (1, 5), (0.1, 0.9), (0.5, 0.9), 1), ValueError),
+        "SynthSpec household_range=(True, 5)": (lambda: SynthSpec(3, (True, 5), (0.1, 0.9), (0.5, 0.9), 1), ValueError),
+        "laplace_stream count=2.5": (lambda: laplace_stream(SCALE10, 1, "00001", "x", count=2.5), ParameterError),
+        "laplace_stream start=1.5": (lambda: laplace_stream(SCALE10, 1, "00001", "x", start=1.5), ParameterError),
+        "laplace_stream count=True": (lambda: laplace_stream(SCALE10, 1, "00001", "x", count=True), ParameterError),
+    }[case]
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error  # ParameterError is a ValueError: the type is exact, numpy's is not

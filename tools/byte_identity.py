@@ -15,8 +15,11 @@ outputs and diagnostics agree:
 - simulate-error --k 200 and summarize on each release;
 - a second charge, a third that the budget refuses, and a budget read
   after each charge;
-- refusals, compared by exit status and stderr: a counts file with a bad
-  field on line 1001, a households file with a repeated zone, summarize
+- refusals, compared by exit status and stderr: counts files with a bad
+  field on line 1001, with a short row on line 2001, with a field over
+  the csv module's 131,072-character limit on line 3001, and with a
+  quoted two-line field on line 101 before that bad field (so the reader
+  must name line 1002); a households file with a repeated zone, summarize
   on a release table with an impossible row, and simulate-error with an
   edited broadband_usage, with the other release's sidecar and with
   --epsilon 0.2;
@@ -81,6 +84,11 @@ def _edit(source: Path, target: Path, line: int, column: int, text: str) -> None
 
 def _write_bad_inputs(work: Path) -> None:
     _edit(work / "counts.csv", work / "counts-bad.csv", 1001, 2, "x")
+    short = (work / "counts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    short[2000] = short[2000].rsplit(",", 1)[0] + "\n"
+    (work / "counts-short-row.csv").write_text("".join(short), encoding="utf-8")
+    _edit(work / "counts.csv", work / "counts-huge-field.csv", 3001, 1, "9" * 200_000)
+    _edit(work / "counts-bad.csv", work / "counts-two-line.csv", 101, 1, '"7\n"')
     households = (work / "households.csv").read_text(encoding="utf-8")
     (work / "households-repeated.csv").write_text(households + households.splitlines(keepends=True)[500], encoding="utf-8")
     _edit(work / "final.csv", work / "impossible.csv", 1002, 1, "1.500")
@@ -109,6 +117,9 @@ STEPS = [
     ("budget-3", BUDGET_READ),
     ("write-bad-inputs", _write_bad_inputs),
     ("refused-bad-field", _release(11, "bad.csv", counts="counts-bad.csv")),
+    ("refused-short-row", _release(11, "bad.csv", counts="counts-short-row.csv")),
+    ("refused-huge-field", _release(11, "bad.csv", counts="counts-huge-field.csv")),
+    ("refused-two-line-field", _release(11, "bad.csv", counts="counts-two-line.csv")),
     ("refused-repeated-zone", _release(11, "bad.csv", households="households-repeated.csv")),
     ("refused-impossible-row", _summarize("impossible.csv", "bad-buckets.csv")),
     ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
