@@ -22,6 +22,8 @@ from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
+from dpcoverage.mechanism import is_int
+
 
 class PlanError(ValueError):
     """A query plan or epsilon value is malformed."""
@@ -62,7 +64,7 @@ def as_epsilon(value: EpsilonLike) -> Decimal:
             eps = value
         elif isinstance(value, float):
             eps = Decimal(repr(value))
-        elif isinstance(value, (str, int)):
+        elif isinstance(value, str) or is_int(value):
             eps = Decimal(value)
         else:
             raise PlanError(f"cannot interpret {value!r} as an epsilon")

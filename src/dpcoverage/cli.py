@@ -68,18 +68,17 @@ def _seed(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+def _at_least(minimum: int, kind: str):
+    """Parser of an integer flag of at least minimum, named a kind integer in its message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+    return parse
 
 
 def _range(kind: type, noun: str):
@@ -136,6 +135,14 @@ def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
             io.temporary_path(output).unlink()
         except OSError as exc:  # its strerror, since its filename would show the pid
             raise ValueError(f"cannot write {output}: {exc.strerror}") from None
+
+
+def _warn_missing(zones: list[str], figures: np.ndarray, outcome: str) -> None:
+    """One stderr line counting the zones whose household figure is 0 (none), naming the first five."""
+    missing = np.flatnonzero(figures == 0)
+    if missing.size:
+        named = ", ".join(zones[row] for row in missing[:5].tolist()) + (", ..." if missing.size > 5 else "")
+        print(f"warning: {missing.size} zone(s) have no household figure and {outcome}: {named}", file=sys.stderr)
 
 
 def _recorded(value: object) -> object:
@@ -227,6 +234,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
         args.seed,
         round_counts=args.round_counts,
     )
+    zones = records.column("zone")
+    _warn_missing(zones, household_column(zones, households), "are released with UNDEFINED coverage")
     rows = pairs.second
     io.write_release_csv(args.out, rows)
     io.write_private_counts_csv(sidecar, pairs.first)
@@ -298,10 +307,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     households = io.read_households_csv(args.households)
 
     figures = household_column(rows.column("zone"), households)
+    _warn_missing(rows.column("zone"), figures, "were not bucketed")
     kept = np.flatnonzero(figures > 0)
-    skipped = len(rows) - len(kept)
-    if skipped:
-        print(f"warning: {skipped} zone(s) missing household figures were not bucketed", file=sys.stderr)
 
     summaries = bucket_by_households(Pairs(rows.take(kept), figures[kept]), args.thresholds)
     io.write_bucket_csv(args.out, summaries)
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic counts + households dataset")
-    p.add_argument("--zones", type=_nonnegative_int, required=True)
+    p.add_argument("--zones", type=_at_least(0, "nonnegative"), required=True)
     p.add_argument("--households", type=_range(int, "integers"), default=(50, 200000), metavar="LO:HI")
     p.add_argument("--bce", type=_range(float, "reals"), default=(0.1, 0.95), metavar="LO:HI",
                    help="target true coverage range")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--households", required=True)
     p.add_argument("--epsilon", default="0.1",
                    help="per-query epsilon of the release (decimal string); must match the sidecar")
-    p.add_argument("--k", type=_positive_int, default=1000)
+    p.add_argument("--k", type=_at_least(1, "positive"), default=1000)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--private-counts", help="noisy-count sidecar (default: <release>.private-counts.csv)")

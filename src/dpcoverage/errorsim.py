@@ -74,8 +74,9 @@ class SimulationConfig:
         if not (is_int(self.k) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         check_seed(self.base_seed)
-        # delegate epsilon domain checks
-        LaplaceParams(COUNT_SENSITIVITY, float(self.per_query_epsilon))
+        # delegate epsilon domain checks; float() would turn a bool into a number they accept
+        epsilon = self.per_query_epsilon
+        LaplaceParams(COUNT_SENSITIVITY, epsilon if isinstance(epsilon, bool) else float(epsilon))
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,9 @@ class LaplaceParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.sensitivity, (int, float)) and math.isfinite(self.sensitivity) and self.sensitivity > 0):
+        if not (is_real(self.sensitivity) and self.sensitivity > 0):
             raise ParameterError(f"sensitivity must be a positive finite real, got {self.sensitivity!r}")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon) and self.epsilon > 0):
+        if not (is_real(self.epsilon) and self.epsilon > 0):
             raise ParameterError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
 
     @property
@@ -116,6 +116,11 @@ class NoiseSeed:
 def is_int(value: object) -> bool:
     """An int that is not a bool: bool is an int subclass, but True is no count or seed."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """A finite int that is not a bool, or a finite float: True is no epsilon or count either."""
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 def check_seed(base_seed: int) -> None:
@@ -208,7 +213,7 @@ def privatize_count(count: int | float | np.ndarray, params: LaplaceParams, seed
     the seed, count is an array with one count per zone.
     """
     if isinstance(seed.zone, str):
-        if not (isinstance(count, (int, float)) and math.isfinite(count) and count >= 0):
+        if not (is_real(count) and count >= 0):
             raise ParameterError(f"count must be a nonnegative finite number, got {count!r}")
         return max(0.0, float(count) + laplace_sample(params, seed))
     counts = np.asarray(count, dtype=np.float64)

@@ -20,7 +20,8 @@ rounds of two parallel (disjoint-partition) count queries, so its exact
 total privacy cost is twice the per-query epsilon.
 
 A release runs as column passes: one noise-kernel call per count label
-over every zone, then the coverage formula over whole arrays.
+over every zone, then the coverage formula over whole arrays. Nothing
+here logs: the command line reports zones without a household figure.
 
 Tables travel as columns, from file to kernel to file: Columns holds one
 list or numpy array per field of a record type, and builds a frozen
@@ -40,7 +41,6 @@ format, not the row.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass, fields
@@ -51,9 +51,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, par, seq, total_epsilon
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_int, privatize_count
-
-logger = logging.getLogger(__name__)
+from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_int, is_real, privatize_count
 
 _ZIP_RE = re.compile(r"[0-9]{5}")
 
@@ -104,7 +102,7 @@ def _integer_problem(name: str, value: object, minimum: int, kind: str) -> str |
 def _real_problem(name: str, value: object) -> str | None:
     if type(value) is float and 0.0 <= value < math.inf:  # the common case, tested first
         return None
-    if isinstance(value, (int, float)) and math.isfinite(value) and value >= 0:
+    if is_real(value) and value >= 0:
         return None
     return f"{name} must be a nonnegative finite real, got {value!r}"
 
@@ -456,25 +454,6 @@ def coverage_rows(privs: Columns[PrivateZipRecord], figures: np.ndarray) -> Colu
                    mae=absent, msd=absent, p95=absent, epsilon=privs.column("epsilon_total"))
 
 
-def _noisy_counts(
-    zones: Sequence[str],
-    true: np.ndarray,
-    params: LaplaceParams,
-    base_seed: int,
-    round_counts: bool,
-) -> np.ndarray:
-    """(zones, 4) clamped noisy counts from (zones, 4) true counts, one kernel call per count label."""
-    zones = tuple(zones)
-    noisy = np.column_stack(
-        [
-            privatize_count(true[:, column], params, NoiseSeed(base_seed, zones, label, 0))
-            for column, label in enumerate(COUNT_LABELS)
-        ]
-    ).reshape(len(zones), len(COUNT_LABELS))
-    # rint rounds ties to even, as round() does
-    return np.rint(noisy) if round_counts else noisy
-
-
 def privatize_record(
     raw: RawZipRecord,
     per_query_epsilon: EpsilonLike,
@@ -482,17 +461,14 @@ def privatize_record(
     *,
     round_counts: bool = False,
 ) -> PrivateZipRecord:
-    """Privatize one zone's four counts with independent seeded noise.
+    """Privatize one zone's four counts: its row of release_dataset's sidecar table.
 
     Noise draws use substreams (zone, "low_speed"/"high_speed"/"services"/"non_services") at iteration 0, so
     a zone's output depends only on its own record and the base seed.
     round_counts optionally rounds the clamped counts to whole devices
     (ties to even); the default publishes real values.
     """
-    eps = as_epsilon(per_query_epsilon)
-    true = np.array([[raw.low_speed, raw.high_speed, raw.services, raw.non_services]], dtype=np.float64)
-    noisy = _noisy_counts([raw.zone], true, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
-    return PrivateZipRecord(raw.zone, *noisy[0].tolist(), total_epsilon(release_query_plan(eps)))
+    return release_dataset([raw], {}, per_query_epsilon, base_seed, round_counts=round_counts).first[0]
 
 
 def release_dataset(
@@ -512,8 +488,8 @@ def release_dataset(
 
     Duplicate zones are rejected up front. Zones with no household figure
     are released with an UNDEFINED coverage estimate (their noisy counts
-    are still published) and reported in one log warning, not dropped.
-    Each zone's output is a pure function of its record and the base
+    are still published), not dropped and not logged: the caller reports
+    them. Each zone's output is a pure function of its record and the base
     seed, whatever the order or company of the other records.
     """
     table = as_columns(records, RawZipRecord)
@@ -524,22 +500,11 @@ def release_dataset(
 
     eps = as_epsilon(per_query_epsilon)
     epsilon_total = total_epsilon(release_query_plan(eps))
-    true = np.column_stack([table.column(label) for label in COUNT_LABELS]).astype(np.float64)
-    noisy = _noisy_counts(zones, true, LaplaceParams(COUNT_SENSITIVITY, float(eps)), base_seed, round_counts)
-
-    figures = household_column(zones, households)
-    missing = np.flatnonzero(figures == 0)
-    if missing.size:
-        logger.warning(
-            "%d zone(s) have no household figure and are released with UNDEFINED coverage: %s%s",
-            missing.size,
-            ", ".join(zones[row] for row in missing[:5].tolist()),
-            ", ..." if missing.size > 5 else "",
-        )
-    privs = Columns(
-        PrivateZipRecord,
-        zone=zones,
-        **{f"{label}_dp": noisy[:, column] for column, label in enumerate(COUNT_LABELS)},
-        epsilon_total=[epsilon_total] * len(zones),
-    )
-    return Pairs(privs, coverage_rows(privs, figures))
+    params = LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    noisy = {}
+    for label in COUNT_LABELS:
+        column = privatize_count(table.column(label), params, NoiseSeed(base_seed, tuple(zones), label, 0))
+        # rint rounds ties to even, as round() does
+        noisy[f"{label}_dp"] = np.rint(column) if round_counts else column
+    privs = Columns(PrivateZipRecord, zone=zones, **noisy, epsilon_total=[epsilon_total] * len(zones))
+    return Pairs(privs, coverage_rows(privs, household_column(zones, households)))

@@ -203,6 +203,20 @@ def test_missing_subcommand_is_usage_error():
     assert run([]) == 2
 
 
+SIMULATE = ["simulate-error", "--release", "r.csv", "--households", "h.csv", "--seed", "1", "--out", "o.csv"]
+SYNTH = ["synth", "--seed", "1", "--out-counts", "c.csv", "--out-households", "h.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*SIMULATE, "--k", "0"], "argument --k: expected a positive integer, got 0"),
+    ([*SIMULATE, "--k", "x"], "argument --k: expected a positive integer, got x"),
+    ([*SYNTH, "--zones", "-1"], "argument --zones: expected a nonnegative integer, got -1"),
+])
+def test_integer_flags_name_their_bound(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 def test_missing_file_is_runtime_error(tmp_path, capsys):
     households = tmp_path / "households.csv"
     io.write_households_csv(households, [])
@@ -502,6 +516,18 @@ def _edit_zone_field(path, zone, column, text):
     return old
 
 
+def test_simulate_error_accepts_an_equal_value_written_another_way(tmp_path, capsys):
+    # the published table is compared as it parses, rendered again as release writes it
+    households, released = _three_zone_release(tmp_path)
+    published = released.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
+    assert published == "0.852"
+    _edit_zone_field(released, "00001", 1, "0.8520")
+    final = tmp_path / "final.csv"
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 0
+    assert final.read_text(encoding="utf-8").splitlines()[1].startswith("00001,0.852,")
+
+
 @pytest.mark.parametrize("edit", ["published coverage", "households lack the zone", "sidecar services zero"])
 def test_simulate_error_refuses_a_table_the_inputs_do_not_give_back(tmp_path, capsys, edit):
     # every published coverage column must be what the noisy counts and the
@@ -778,9 +804,45 @@ def test_summarize_leaves_zones_without_a_household_figure_out_of_every_bucket(t
     capsys.readouterr()
     assert run(["summarize", "--in", str(released), "--households", str(partial), "--out", str(buckets)]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
-    assert warnings == ["warning: 3 zone(s) missing household figures were not bucketed"]
+    assert warnings == ["warning: 3 zone(s) have no household figure and were not bucketed: 00010, 00011, 00012"]
     zones = [int(row.split(",")[2]) for row in buckets.read_text(encoding="utf-8").splitlines()[1:]]
     assert sum(zones) == 9
+
+
+def test_release_warns_once_for_zones_without_a_household_figure(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=1010)
+    header, *rows = households.read_text(encoding="utf-8").splitlines(keepends=True)
+    partial = tmp_path / "partial.csv"
+    partial.write_text(header + "".join(rows[1000:]), encoding="utf-8")  # zones 00001-01000 lack a figure
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(partial), "--seed", "42",
+                "--out", str(tmp_path / "released.csv")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    (warning,) = warnings
+    assert "1000 zone(s)" in warning and "00006" not in warning and warning.endswith(", ...")
+    assert warning == ("warning: 1000 zone(s) have no household figure and are released with UNDEFINED coverage: "
+                       "00001, 00002, 00003, 00004, 00005, ...")
+
+
+def test_release_publishes_zones_without_a_household_figure_undefined_with_their_noisy_counts(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(",".join(io.COUNTS_HEADER) + "\n00001,10,20,30,5\n00002,10,20,30,5\n", encoding="utf-8")
+    households = tmp_path / "households.csv"
+    households.write_text("zip,households\n00001,100\n", encoding="utf-8")
+    released = tmp_path / "released.csv"
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "7",
+                "--out", str(released)]) == 0
+    assert "warning: 1 zone(s) have no household figure and are released with UNDEFINED coverage: 00002\n" in (
+        capsys.readouterr().err
+    )
+    rows = list(io.read_release_csv(released))
+    assert [row.zone for row in rows] == ["00001", "00002"]  # the zone is reported, not dropped
+    assert rows[0].defined and not rows[1].defined
+    privs = list(io.read_private_counts_csv(io.private_counts_path(released)))
+    assert [priv.zone for priv in privs] == ["00001", "00002"]  # its noisy counts are still published
+    assert privs[1].services_dp >= 0.0
 
 
 def test_simulate_error_refuses_a_sidecar_in_another_zone_order(tmp_path, capsys):

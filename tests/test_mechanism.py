@@ -250,3 +250,50 @@ def test_integer_parameters_refuse_bools_and_non_integers(case):
     with pytest.raises(error) as raised:
         make()
     assert type(raised.value) is error  # ParameterError is a ValueError: the type is exact, numpy's is not
+
+
+@pytest.mark.parametrize("case", [
+    "as_epsilon(True)",
+    "Query epsilon=True",
+    "LaplaceParams sensitivity=True",
+    "LaplaceParams epsilon=True",
+    "PrivateZipRecord low_speed_dp=True",
+    "privatize_count count=True",
+    "compute_coverage high_speed=True",
+    "SimulationConfig per_query_epsilon=True",
+])
+def test_real_parameters_refuse_bools(case):
+    # bool is an int subclass, but True is no epsilon, scale or count
+    from dpcoverage.accountant import PlanError, Query, as_epsilon, total_epsilon
+    from dpcoverage.errorsim import SimulationConfig
+    from dpcoverage.release import IngestionError, PrivateZipRecord, compute_coverage
+
+    make, error, message = {
+        "as_epsilon(True)": (lambda: as_epsilon(True), PlanError, "cannot interpret True as an epsilon"),
+        "Query epsilon=True": (lambda: total_epsilon(Query("x", True)), PlanError,
+                               "cannot interpret True as an epsilon"),
+        "LaplaceParams sensitivity=True": (lambda: LaplaceParams(True, True), ParameterError,
+                                           "sensitivity must be a positive finite real, got True"),
+        "LaplaceParams epsilon=True": (lambda: LaplaceParams(1.0, True), ParameterError,
+                                       "epsilon must be a positive finite real, got True"),
+        "PrivateZipRecord low_speed_dp=True": (lambda: PrivateZipRecord("00001", True, 1.0, 1.0, 1.0, "0.2"),
+                                               IngestionError,
+                                               "low_speed_dp must be a nonnegative finite real, got True"),
+        "privatize_count count=True": (lambda: privatize_count(True, SCALE10, NoiseSeed(1, "00001", "x")),
+                                       ParameterError, "count must be a nonnegative finite number, got True"),
+        "compute_coverage high_speed=True": (lambda: compute_coverage(True, True, 0.0, 5), ValueError,
+                                             "high_speed must be a nonnegative finite real, got True"),
+        "SimulationConfig per_query_epsilon=True": (lambda: SimulationConfig(True, 1, k=5), ParameterError,
+                                                    "epsilon must be a positive finite real, got True"),
+    }[case]
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_is_real_is_a_finite_int_or_float_and_no_bool():
+    from dpcoverage.mechanism import is_real
+
+    assert all(is_real(value) for value in (0, -3, 2.5, np.float64(0.1), 10**18))
+    assert not any(is_real(value) for value in (True, False, math.inf, math.nan, "1", None, np.int64(1)))

@@ -208,16 +208,14 @@ def test_release_dataset_rejects_duplicate_zones():
         release_dataset(records, {}, "0.1", 7)
 
 
-def test_missing_households_released_as_undefined_and_logged(caplog):
+def test_release_dataset_emits_no_log_record(caplog):
+    # zones without a household figure are reported by the command line, once
     records = [RawZipRecord("00001", 10, 20, 30, 5), RawZipRecord("00002", 10, 20, 30, 5)]
-    households = hh_map(HouseholdRecord("00001", 100))
-    with caplog.at_level(logging.WARNING):
-        pairs = release_dataset(records, households, "0.1", 7)
-    assert len(pairs) == 2  # zone is reported, not dropped
-    assert pairs[0][1].defined
+    with caplog.at_level(logging.DEBUG):
+        pairs = release_dataset(records, hh_map(HouseholdRecord("00001", 100)), "0.1", 7)
+        privatize_record(records[0], "0.1", 7)
     assert not pairs[1][1].defined
-    assert pairs[1][0].services_dp >= 0.0  # noisy counts still released
-    assert "00002" in caplog.text
+    assert caplog.records == []
 
 
 def test_zone_output_is_independent_of_other_records():
@@ -245,17 +243,6 @@ def test_release_dataset_matches_per_zone_records():
             assert estimate == estimate_coverage(priv, households[record.zone].households)
         subset = release_dataset(records[5:9], households, "0.1", 7, round_counts=round_counts)
         assert list(subset) == list(pairs[5:9])
-
-
-def test_missing_households_log_one_warning(caplog):
-    records = [RawZipRecord(f"{i:05d}", 10, 20, 30, 5) for i in range(1, 1001)]
-    with caplog.at_level(logging.WARNING, logger="dpcoverage.release"):
-        pairs = release_dataset(records, {}, "0.1", 7)
-    assert not any(estimate.defined for _, estimate in pairs)
-    assert len(caplog.records) == 1
-    message = caplog.records[0].getMessage()
-    assert "1000 zone(s)" in message
-    assert "00001" in message and "00005" in message and "00006" not in message
 
 
 def test_round_counts_releases_whole_devices():

@@ -30,7 +30,10 @@ outputs and diagnostics agree:
 
 The script prints the sha256 of every file, of each command's stdout and
 stderr, and each exit status, for both trees, and exits 1 if any of them
-differ. Journal lines are compared without their timestamps.
+differ. For a stdout or stderr that differs it also prints the first line
+that differs, as each tree wrote it, so a deliberate change of a
+diagnostic can be read from the output. Journal lines are compared
+without their timestamps.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 RUN = "import sys; from dpcoverage.cli import run; sys.exit(run(sys.argv[1:]))"
@@ -148,21 +152,29 @@ def _file_digest(path: Path) -> str:
     return _sha256(data)
 
 
-def run_pipeline(src: Path, work: Path) -> dict[str, str]:
-    """Digest of every file, stdout and stderr, and every exit status, of one tree's pipeline."""
+def run_pipeline(src: Path, work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
+    """Digest of every file, stdout and stderr, and every exit status, of one tree's pipeline, and each stream."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    results = {}
+    results, streams = {}, {}
     for name, argv in STEPS:
         if callable(argv):
             argv(work)
             continue
         done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=work, env=env, capture_output=True)
         results[f"{name}: exit status"] = str(done.returncode)
-        results[f"{name}: stdout"] = _sha256(done.stdout)
-        results[f"{name}: stderr"] = _sha256(done.stderr)
+        streams[f"{name}: stdout"], streams[f"{name}: stderr"] = done.stdout, done.stderr
+    results.update((key, _sha256(data)) for key, data in streams.items())
     for path in sorted(work.iterdir()):
         results[path.name] = _file_digest(path)
-    return results
+    return results, streams
+
+
+def _first_differing_lines(a: bytes, b: bytes) -> tuple[str, str]:
+    """The first line on which two streams differ, from each; "(none)" past a stream's end."""
+    for x, y in zip_longest(a.splitlines(), b.splitlines()):
+        if x != y:
+            return tuple("(none)" if line is None else repr(line.decode("utf-8", "replace")) for line in (x, y))
+    return "(none)", "(none)"  # they differ only in a final newline
 
 
 def main(argv: list[str]) -> int:
@@ -174,13 +186,16 @@ def main(argv: list[str]) -> int:
         old_work, new_work = Path(directory, "old"), Path(directory, "new")
         old_work.mkdir()
         new_work.mkdir()
-        old, new = run_pipeline(old_src, old_work), run_pipeline(new_src, new_work)
+        (old, old_streams), (new, new_streams) = run_pipeline(old_src, old_work), run_pipeline(new_src, new_work)
     differ = 0
     for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name, "absent"), new.get(name, "absent")
         verdict = "identical" if a == b else "DIFFERENT"
         differ += a != b
         print(f"{verdict}  {name}  {a}" + ("" if a == b else f"  {b}"))
+        if a != b and name in old_streams and name in new_streams:
+            old_line, new_line = _first_differing_lines(old_streams[name], new_streams[name])
+            print(f"    old: {old_line}\n    new: {new_line}")
     print(f"{len(old.keys() | new.keys()) - differ} identical, {differ} different")
     return 1 if differ else 0
 
