@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from decimal import Decimal
 from itertools import zip_longest
 from pathlib import Path
 
@@ -44,10 +45,11 @@ from dpcoverage.accountant import (
     total_epsilon,
 )
 from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
-from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, ParameterError, check_seed
+from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, check_seed
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
+    Households,
     IngestionError,
     Pairs,
     ReleaseRow,
@@ -60,11 +62,11 @@ from dpcoverage.synth import SynthSpec, generate
 
 
 def _seed(text: str) -> int:
-    value = int(text)
     try:
+        value = int(text)
         check_seed(value)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    except ValueError:  # ParameterError is one too
+        raise argparse.ArgumentTypeError(f"expected an unsigned 64-bit integer, got {text}") from None
     return value
 
 
@@ -246,14 +248,14 @@ def _cmd_release(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate_error(args: argparse.Namespace) -> int:
-    sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
-    inputs, outputs = [args.release, sidecar, args.households], [args.out]
-    _check_outputs(inputs, outputs)
-    rows = io.read_release_csv(args.release)
-    privs = io.read_private_counts_csv(sidecar)
-    households = io.read_households_csv(args.households)
+def _check_publication(
+    args: argparse.Namespace, sidecar: str | Path, rows: Columns, privs: Columns, households: Households
+) -> Decimal:
+    """The release's per-query epsilon, once the noisy counts and households are shown to give back its table.
 
+    The table is rendered twice as text for the check; both copies are
+    freed on return, before the simulation needs the memory.
+    """
     # release writes its table and its sidecar in one zone order
     zones = rows.column("zone")
     if privs.column("zone") != zones:
@@ -291,6 +293,17 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
                     f"but {args.release} published {text or 'UNDEFINED'}"
                 )
 
+    return eps
+
+
+def _cmd_simulate_error(args: argparse.Namespace) -> int:
+    sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
+    inputs, outputs = [args.release, sidecar, args.households], [args.out]
+    _check_outputs(inputs, outputs)
+    rows = io.read_release_csv(args.release)
+    privs = io.read_private_counts_csv(sidecar)
+    households = io.read_households_csv(args.households)
+    eps = _check_publication(args, sidecar, rows, privs, households)
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}

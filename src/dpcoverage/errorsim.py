@@ -21,13 +21,25 @@ The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
 p95 picked with np.partition at the nearest rank. The reports come back as
 Columns; an ErrorReport is built only for a row the caller reads.
+
+The blocks are cut into contiguous shares, one per worker process: as
+many workers as the process may use CPUs (os.sched_getaffinity), at most
+MAX_WORKERS and at most one per block. This process runs the first share
+and a child made with os.fork each other one; every worker writes its
+rows' statistics into one shared anonymous mmap. Each trial's noise is a
+pure function of its Philox counter address, so the reports do not depend
+on the worker count. Where the platform has no fork or no CPU affinity,
+all blocks run in this process; a one-block simulation, such as
+estimate_error_ranges, always does.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -60,6 +72,10 @@ SIMULATED_LABELS = ("high_speed", "services", "non_services")
 BLOCK_TRIALS = 1 << 16
 
 P95 = 0.95
+
+# Worker processes per simulation at most. The split was measured on a 2-CPU
+# host only, where the CPU count is the binding limit.
+MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -194,6 +210,72 @@ def estimate_error_ranges(
     return error_reports_for_release([priv], figures, config)[0]
 
 
+def _workers(blocks: int) -> int:
+    """Processes to run this many blocks in: one per usable CPU, at most MAX_WORKERS and blocks.
+
+    One where the platform has no fork or no CPU affinity to count.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)), blocks))
+
+
+def _worker(simulate: Callable[[np.ndarray], None], share: list[np.ndarray], parent: int) -> NoReturn:
+    """A forked child's life: simulate its share, then os._exit, 0 when the share is done and 1 otherwise.
+
+    It never returns into the caller's frames, which belong to the parent.
+    It stops early if the parent dies without reaping it.
+    """
+    status = 1
+    try:
+        for rows in share:
+            if os.getppid() != parent:
+                break
+            simulate(rows)
+        else:
+            status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _run_blocks(simulate: Callable[[np.ndarray], None], blocks: list[np.ndarray]) -> None:
+    """simulate(rows) for every block, in _workers(len(blocks)) processes.
+
+    The blocks are cut into contiguous shares. This process runs the first
+    share and a forked child each other one, then reaps every child.
+    simulate must write its results into memory shared with the children.
+    A child that fails makes this raise; if this process raises, it kills
+    and reaps its children first.
+    """
+    import signal  # here, not at the top, so that a command that simulates nothing never loads it
+
+    workers = _workers(len(blocks))
+    bounds = [len(blocks) * worker // workers for worker in range(workers + 1)]
+    parent = os.getpid()
+    children: list[int] = []
+    try:
+        # the one other thread numpy starts, OpenBLAS's pool, is shut down
+        # by OpenBLAS around fork, and no worker calls BLAS
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                _worker(simulate, blocks[lo:hi], parent)
+            children.append(pid)
+        for rows in blocks[: bounds[1]]:
+            simulate(rows)
+        while children:
+            status = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            pid = children.pop(0)
+            if status != 0:
+                raise RuntimeError(f"error simulation worker {pid} failed with exit status {status}")
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def error_reports_for_release(
     privs: Sequence[PrivateZipRecord],
     households: Mapping[str, HouseholdRecord],
@@ -204,21 +286,31 @@ def error_reports_for_release(
     privs are Columns of PrivateZipRecord or a list of them; the reports
     come back as Columns of ErrorReport. Each zone's report is a pure
     function of its record, its household figure and the config, whatever
-    the order or company of the others.
+    the order or company of the others and however many processes share
+    the work.
     """
+    import mmap  # here, not at the top, so that a command that simulates nothing never loads it
+
     table = as_columns(privs, PrivateZipRecord)
     zones = table.column("zone")
     counts = np.column_stack([table.column(f"{label}_dp") for label in SIMULATED_LABELS]).astype(np.float64)
     figures = household_column(zones, households)
     released = coverage_rows(table, figures).column("coverage")
-    mae, msd, p95 = (np.full(len(zones), np.nan) for _ in range(3))
-    trials = np.zeros(len(zones), dtype=np.int64)
+    # mae, msd and p95, then the defined trial counts, in one buffer that
+    # forked workers write in place; mmap refuses a length of 0
+    n = len(zones)
+    shared = mmap.mmap(-1, max(1, 32 * n))
+    mae, msd, p95 = statistics = np.frombuffer(shared, np.float64, 3 * n).reshape(3, n)
+    statistics[:] = np.nan
+    trials = np.frombuffer(shared, np.int64, n, offset=24 * n)
     active = np.flatnonzero(~np.isnan(released))
     per_block = max(1, BLOCK_TRIALS // config.k)
-    for lo in range(0, len(active), per_block):
-        rows = active[lo : lo + per_block]
+
+    def simulate(rows: np.ndarray) -> None:
         d, defined = _trials([zones[i] for i in rows.tolist()], counts[rows], figures[rows], released[rows], config)
         mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
+
+    _run_blocks(simulate, [active[lo : lo + per_block] for lo in range(0, len(active), per_block)])
     return Columns(
         ErrorReport,
         zone=zones,

@@ -211,6 +211,9 @@ SYNTH = ["synth", "--seed", "1", "--out-counts", "c.csv", "--out-households", "h
     ([*SIMULATE, "--k", "0"], "argument --k: expected a positive integer, got 0"),
     ([*SIMULATE, "--k", "x"], "argument --k: expected a positive integer, got x"),
     ([*SYNTH, "--zones", "-1"], "argument --zones: expected a nonnegative integer, got -1"),
+    ([*SYNTH[:1], "--seed", "x", *SYNTH[3:], "--zones", "1"], "argument --seed: expected an unsigned 64-bit integer, got x"),
+    ([*SIMULATE[:5], "--seed", "18446744073709551616", *SIMULATE[7:]],
+     "argument --seed: expected an unsigned 64-bit integer, got 18446744073709551616"),
 ])
 def test_integer_flags_name_their_bound(capsys, argv, message):
     assert run(argv) == 2

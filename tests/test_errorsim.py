@@ -8,6 +8,7 @@ Frozen oracles:
 
 import inspect
 import math
+import os
 from decimal import Decimal
 
 import numpy as np
@@ -206,6 +207,85 @@ def test_error_reports_for_release_order_and_block_size(monkeypatch):
     for block_trials in (1, 200, 7 * 200, 1 << 20):  # one zone per block ... all zones in one
         monkeypatch.setattr(errorsim, "BLOCK_TRIALS", block_trials)
         assert list(error_reports_for_release(privs, households, config)) == list(reports)
+
+
+def _split_case():
+    """Five blocks at k = 300, which does not divide BLOCK_TRIALS, with UNDEFINED zones and clamped trials."""
+    privs = [priv(zone=f"{i:05d}", services=float(i % 40)) for i in range(1, 1001)]  # services 0 to 39
+    households = {p.zone: HouseholdRecord(p.zone, 100 + int(p.zone) % 7) for p in privs if int(p.zone) % 97}
+    config = SimulationConfig(per_query_epsilon=0.1, base_seed=13, k=300)
+    assert errorsim.BLOCK_TRIALS % config.k and len(privs) > 4 * (errorsim.BLOCK_TRIALS // config.k)
+    return privs, households, config
+
+
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch):
+    privs, households, config = _split_case()
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(errorsim, "_workers", lambda blocks, workers=workers: workers)
+        results.append(error_reports_for_release(privs, households, config))
+    fractions = results[0].column("defined_fraction")
+    assert np.isnan(results[0].column("mae")).any() and ((0 < fractions) & (fractions < 1)).any()
+    for other in results[1:]:
+        assert other.column("zone") == results[0].column("zone")
+        for name in ("mae", "msd", "p95", "k", "defined_fraction"):
+            assert other.column(name).tobytes() == results[0].column(name).tobytes(), name
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where, raised, match", [
+    ("00001", BlockFailed, "block failed"),  # the parent's share
+    ("00999", RuntimeError, "exit status 1"),  # the last child's share
+])
+def test_a_failed_block_raises_and_leaves_no_child(monkeypatch, where, raised, match):
+    privs, households, config = _split_case()
+    trials = errorsim._trials
+
+    def failing(zones, *args):
+        if where in zones:
+            raise BlockFailed("block failed")
+        return trials(zones, *args)
+
+    monkeypatch.setattr(errorsim, "_workers", lambda blocks: 3)
+    monkeypatch.setattr(errorsim, "_trials", failing)
+    with pytest.raises(raised, match=match):
+        error_reports_for_release(privs, households, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_stops_when_its_parent_is_gone(monkeypatch):
+    privs, households, config = _split_case()
+    monkeypatch.setattr(errorsim, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(os, "getppid", lambda: -1)  # what every child sees once its parent has died
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        error_reports_for_release(privs, households, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_one_block_simulation_starts_no_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    config = SimulationConfig(per_query_epsilon=0.1, base_seed=3, k=1000)
+    assert estimate_error_ranges(priv(), 200, config).defined_fraction == 1.0
+
+
+def test_worker_count_is_usable_cpus_capped_by_blocks_and_max(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert [errorsim._workers(blocks) for blocks in (0, 1, 3, 100)] == [1, 1, 3, errorsim.MAX_WORKERS]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 6}, raising=False)
+    assert errorsim._workers(100) == 2
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert errorsim._workers(100) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert errorsim._workers(100) == 1
 
 
 def _scalar_report(record, households, config):
