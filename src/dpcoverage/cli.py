@@ -10,8 +10,10 @@ comma-joined. The exceptions: `release` leaves out `--journal` and
 `--budget` and records `epsilon` as the exact decimal; `simulate-error`
 records the same epsilon and the noisy-count sidecar it resolved as
 `private_counts`; `summarize` records `in`. Seeds are always
-explicit flags; there is deliberately no environment-variable override,
-so a manifest alone is enough to audit a run.
+explicit flags, with no environment-variable override, so a release
+manifest records the `--seed` that keeps the release's noise secret.
+That seed and the noisy-count sidecar give back the raw counts: the
+manifest and the sidecar are safe to publish only while it is secret.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
@@ -39,6 +41,7 @@ import numpy as np
 from dpcoverage import __version__, io
 from dpcoverage.accountant import (
     BudgetExceededError,
+    PlanError,
     append_journal,
     as_epsilon,
     load_ledger,
@@ -49,7 +52,6 @@ from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, check_seed
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
-    Households,
     IngestionError,
     Pairs,
     ReleaseRow,
@@ -99,6 +101,14 @@ def _thresholds(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _budget(text: str) -> Decimal:
+    """The --budget flag as an exact decimal, refused in a message that names the flag."""
+    try:
+        return as_epsilon(text)
+    except PlanError:
+        raise ValueError(f"--budget must be a positive finite decimal, got {text!r}") from None
 
 
 def _sha256(path: str | Path) -> str:
@@ -211,8 +221,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     eps = as_epsilon(args.epsilon)
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     LaplaceParams(COUNT_SENSITIVITY, float(eps))
-    if args.budget is not None:
-        as_epsilon(args.budget)
+    budget = None if args.budget is None else _budget(args.budget)
     plan = release_query_plan(eps)
     spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
@@ -223,7 +232,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
         # releases at once cannot both pass the check
         with open(args.journal, "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            ledger = load_ledger(args.journal, args.budget)
+            ledger = load_ledger(args.journal, budget)
             # record the charge before releasing anything, so a crash mid-run
             # never leaves spent epsilon unaccounted for
             entry = ledger.charge(plan, description=f"release {args.out}")
@@ -249,7 +258,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
 
 
 def _check_publication(
-    args: argparse.Namespace, sidecar: str | Path, rows: Columns, privs: Columns, households: Households
+    args: argparse.Namespace, sidecar: str | Path, rows: Columns, privs: Columns, households: dict[str, int]
 ) -> Decimal:
     """The release's per-query epsilon, once the noisy counts and households are shown to give back its table.
 
@@ -331,7 +340,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.journal, args.budget)
+    ledger = load_ledger(args.journal, _budget(args.budget))
     print(f"budget={ledger.budget}")
     print(f"spent={ledger.spent}")
     print(f"remaining={ledger.remaining}")

@@ -50,7 +50,6 @@ from dpcoverage.mechanism import LaplaceParams, check_seed, is_int, laplace_samp
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
-    HouseholdRecord,
     Pairs,
     PrivateZipRecord,
     ReleaseRow,
@@ -202,12 +201,11 @@ def estimate_error_ranges(
 ) -> ErrorReport:
     """Deviation statistics over k seeded trials for one zone.
 
-    Zones whose released coverage is undefined (services_dp == 0 or no
-    household figure) get a report with defined_fraction 0 and absent
-    statistics.
+    households is the zone's figure, an int, or None. Zones whose released
+    coverage is undefined (services_dp == 0 or no household figure) get a
+    report with defined_fraction 0 and absent statistics.
     """
-    figures = {} if households is None else {priv.zone: HouseholdRecord(priv.zone, households)}
-    return error_reports_for_release([priv], figures, config)[0]
+    return error_reports_for_release([priv], {} if households is None else {priv.zone: households}, config)[0]
 
 
 def _workers(blocks: int) -> int:
@@ -278,16 +276,16 @@ def _run_blocks(simulate: Callable[[np.ndarray], None], blocks: list[np.ndarray]
 
 def error_reports_for_release(
     privs: Sequence[PrivateZipRecord],
-    households: Mapping[str, HouseholdRecord],
+    households: Mapping[str, int],
     config: SimulationConfig,
 ) -> Columns[ErrorReport]:
     """Reports for a whole release, in input order.
 
-    privs are Columns of PrivateZipRecord or a list of them; the reports
-    come back as Columns of ErrorReport. Each zone's report is a pure
-    function of its record, its household figure and the config, whatever
-    the order or company of the others and however many processes share
-    the work.
+    privs are Columns of PrivateZipRecord or a list of them, households a
+    zone -> int mapping; the reports come back as Columns of ErrorReport.
+    Each zone's report is a pure function of its record, its household
+    figure and the config, whatever the order or company of the others and
+    however many processes share the work.
     """
     import mmap  # here, not at the top, so that a command that simulates nothing never loads it
 

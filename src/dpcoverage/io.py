@@ -7,9 +7,10 @@ written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
 Readers parse a file into columns (release.Columns; households become a
-release.Households mapping); a column pass only tells whether the table
-is good. A bad table is then walked row by row, to name its first bad
-row in file order and that row's line number. Writers take Columns, or a
+zone -> figure dict of ints, the shape the API takes them in); a column
+pass only tells whether the table is good. A bad table is then walked
+row by row, to name its first bad row in file order and that row's line
+number. Writers take Columns, or a
 list of records that they convert once, and replace their target
 atomically: a crash mid-write leaves the old file, never a truncated one.
 
@@ -34,7 +35,6 @@ from dpcoverage.release import (
     COUNT_LABELS,
     Columns,
     HouseholdRecord,
-    Households,
     PrivateZipRecord,
     RawZipRecord,
     ReleaseRow,
@@ -201,10 +201,10 @@ def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
     _write_table(path, COUNTS_HEADER, zip(table.column("zone"), *counts))
 
 
-def read_households_csv(path: str | Path) -> Households:
-    """Public household totals, keyed by zone. Duplicate zones are rejected."""
+def read_households_csv(path: str | Path) -> dict[str, int]:
+    """Public household totals, zone -> figure. Duplicate zones are rejected."""
     zones, figures = _read_table(path, HOUSEHOLDS_HEADER, [_integers("households")], household_problem)
-    return Households(dict(zip(zones, figures)))
+    return dict(zip(zones, figures))
 
 
 def write_households_csv(path: str | Path, records: Sequence[HouseholdRecord]) -> None:

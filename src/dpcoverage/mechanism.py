@@ -210,13 +210,16 @@ def privatize_count(count: int | float | np.ndarray, params: LaplaceParams, seed
     The result is real-valued; rounding to integers is left to callers
     that need it. Clamping negatives to zero is post-processing of the
     noisy value and costs no additional privacy. With a tuple of zones in
-    the seed, count is an array with one count per zone.
+    the seed, count holds one count per zone: an integer or float array,
+    or a sequence of ints and floats, never a bool.
     """
     if isinstance(seed.zone, str):
         if not (is_real(count) and count >= 0):
             raise ParameterError(f"count must be a nonnegative finite number, got {count!r}")
         return max(0.0, float(count) + laplace_sample(params, seed))
-    counts = np.asarray(count, dtype=np.float64)
-    if counts.shape != (len(seed.zone),) or not np.all(np.isfinite(counts) & (counts >= 0)):
+    numbers = (count.dtype.kind in "iuf" if isinstance(count, np.ndarray)  # no bool, string or object column
+               else isinstance(count, Sequence) and all(map(is_real, count)))  # np.asarray([True, 2.0]) is float64
+    counts = np.asarray(count, dtype=np.float64) if numbers else None
+    if counts is None or counts.shape != (len(seed.zone),) or not np.all(np.isfinite(counts) & (counts >= 0)):
         raise ParameterError(f"counts must be {len(seed.zone)} nonnegative finite numbers")
     return np.maximum(0.0, counts + laplace_sample(params, seed))

@@ -28,7 +28,9 @@ list or numpy array per field of a record type, and builds a frozen
 record only for a row that a caller reads, at the API edge. Each record
 type's checks are one row rule here (raw_zip_problem, household_problem,
 private_zip_problem, release_row_problem); the readers run a rule down
-whole columns, and each record runs it on itself.
+whole columns, and each record runs it on itself. A household figure is
+a plain int at the API, alone or in a zone -> figure mapping;
+HouseholdRecord is only the households file's row.
 
 ReleaseRow is the one record of a published row, and its rule is the
 rule of the release table. coverage_rows is the one function from noisy
@@ -45,7 +47,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -188,7 +189,7 @@ class RawZipRecord:
 
 @dataclass(frozen=True)
 class HouseholdRecord:
-    """Public household total for one zone."""
+    """One row of the households file: a zone's public household total."""
 
     zone: str
     households: int
@@ -353,29 +354,6 @@ class Pairs(Sequence[tuple]):
         return zip(self.first, self.second)
 
 
-class Households(Mapping[str, HouseholdRecord]):
-    """Household totals held as a zone -> figure dict.
-
-    Looking a zone up builds its HouseholdRecord; household_column reads
-    the figures directly.
-    """
-
-    def __init__(self, figures: dict[str, int]) -> None:
-        self.figures = figures
-
-    def __getitem__(self, zone: str) -> HouseholdRecord:
-        return HouseholdRecord(zone, self.figures[zone])
-
-    def __contains__(self, zone: object) -> bool:
-        return zone in self.figures
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.figures)
-
-    def __len__(self) -> int:
-        return len(self.figures)
-
-
 def clip_unit(value: float | np.ndarray) -> float | np.ndarray:
     """Clip to [0, 1], elementwise over arrays. Post-processing; idempotent."""
     return np.minimum(1.0, np.maximum(0.0, value))
@@ -430,13 +408,18 @@ def coverage_columns(
         return high_speed * (services + non_services) / (services * households)
 
 
-def household_column(zones: Sequence[str], households: Mapping[str, HouseholdRecord]) -> np.ndarray:
-    """Each zone's household total as an int64 column, 0 where the zone has no figure."""
-    if isinstance(households, Households):
-        figures = households.figures
-    else:
-        figures = {zone: record.households for zone, record in households.items()}
-    return np.fromiter(map(figures.get, zones, repeat(0)), dtype=np.int64, count=len(zones))
+def household_column(zones: Sequence[str], households: Mapping[str, int]) -> np.ndarray:
+    """Each zone's household total as an int64 column, 0 where it has none (no entry, or None).
+
+    A figure that household_problem refuses raises IngestionError naming its zone.
+    """
+    figures = list(map(households.get, zones))
+    for zone, figure in zip(zones, figures):
+        plain = figure is None or (type(figure) is int and 0 < figure < 2**63)  # the common cases, tested first
+        problem = None if plain else household_problem(zone, figure)
+        if problem is not None:
+            raise IngestionError(f"zone {zone}: {problem}")
+    return np.fromiter((figure or 0 for figure in figures), dtype=np.int64, count=len(zones))
 
 
 def coverage_rows(privs: Columns[PrivateZipRecord], figures: np.ndarray) -> Columns[ReleaseRow]:
@@ -473,7 +456,7 @@ def privatize_record(
 
 def release_dataset(
     records: Sequence[RawZipRecord],
-    households: Mapping[str, HouseholdRecord],
+    households: Mapping[str, int],
     per_query_epsilon: EpsilonLike,
     base_seed: int,
     *,
@@ -481,22 +464,24 @@ def release_dataset(
 ) -> Pairs:
     """Privatize every zone in the release list, preserving input order.
 
-    records are Columns of RawZipRecord or a list of them. The result
-    reads as (PrivateZipRecord, ReleaseRow) pairs, one per zone; its first
-    and second are the two tables as Columns, for the two writers; the
-    second is coverage_rows of the first.
+    records are Columns of RawZipRecord or a list of them, households a
+    zone -> int mapping. The result reads as (PrivateZipRecord, ReleaseRow)
+    pairs, one per zone; its first and second are the two tables as
+    Columns, for the two writers; the second is coverage_rows of the first.
 
-    Duplicate zones are rejected up front. Zones with no household figure
-    are released with an UNDEFINED coverage estimate (their noisy counts
-    are still published), not dropped and not logged: the caller reports
-    them. Each zone's output is a pure function of its record and the base
-    seed, whatever the order or company of the other records.
+    Duplicate zones and bad household figures are rejected up front. Zones
+    with no household figure are released with an UNDEFINED coverage
+    estimate (their noisy counts are still published), not dropped and not
+    logged: the caller reports them. Each zone's output is a pure function
+    of its record and the base seed, whatever the order or company of the
+    other records.
     """
     table = as_columns(records, RawZipRecord)
     zones = table.column("zone")
     duplicate = first_duplicate(zones)
     if duplicate is not None:
         raise IngestionError(f"duplicate zone in release list: {zones[duplicate]}")
+    figures = household_column(zones, households)
 
     eps = as_epsilon(per_query_epsilon)
     epsilon_total = total_epsilon(release_query_plan(eps))
@@ -507,4 +492,4 @@ def release_dataset(
         # rint rounds ties to even, as round() does
         noisy[f"{label}_dp"] = np.rint(column) if round_counts else column
     privs = Columns(PrivateZipRecord, zone=zones, **noisy, epsilon_total=[epsilon_total] * len(zones))
-    return Pairs(privs, coverage_rows(privs, household_column(zones, households)))
+    return Pairs(privs, coverage_rows(privs, figures))

@@ -32,7 +32,6 @@ from dpcoverage.errorsim import (
 )
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_stream, privatize_count
 from dpcoverage.release import (
-    HouseholdRecord,
     PrivateZipRecord,
     RawZipRecord,
     compute_coverage,
@@ -138,11 +137,11 @@ def test_c06_error_shrinks_with_households():
             true_cov = raw.high_speed * (raw.services + raw.non_services) / (raw.services * hud)
             assert true_cov == 0.5
             privs.append(privatize_record(raw, "0.1", 606))
-            households[zone] = HouseholdRecord(zone, hud)
+            households[zone] = hud
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=606, k=2000)
     reports = error_reports_for_release(privs, households, config)
     assert all(r.mae is not None for r in reports)
-    pairs = [(r, households[r.zone].households) for r in reports]
+    pairs = [(r, households[r.zone]) for r in reports]
     buckets = bucket_by_households(pairs, magnitudes)
     assert len(buckets) == len(magnitudes)
     assert all(b.zone_count == 8 for b in buckets)

@@ -7,11 +7,14 @@ import threading
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpcoverage import cli, io
 from dpcoverage.accountant import load_journal
 from dpcoverage.cli import run
+from dpcoverage.mechanism import LaplaceParams, laplace_stream
+from dpcoverage.release import COUNT_LABELS
 
 
 def make_inputs(tmp_path, zones=20, seed=7):
@@ -779,6 +782,23 @@ def test_a_malformed_budget_is_refused_before_the_journal_is_created(tmp_path, c
     assert _tree(tmp_path) == before  # no journal file and no output
 
 
+def test_release_names_a_malformed_budget_as_the_budget(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "j.tsv"), "--budget", "abc"]) == 1
+    assert capsys.readouterr().err == "error: --budget must be a positive finite decimal, got 'abc'\n"
+    assert _tree(tmp_path) == before
+
+
+def test_budget_names_a_malformed_budget_before_reading_the_journal(tmp_path, capsys):
+    journal = tmp_path / "j.tsv"
+    journal.write_text("not a journal line\n")
+    assert run(["budget", "--journal", str(journal), "--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --budget must be a positive finite decimal, got '-1'\n"
+
+
 @pytest.mark.parametrize("link", ["symlink", "hard link"])
 def test_an_output_that_is_a_link_to_an_input_is_refused(tmp_path, capsys, link):
     counts, households = make_inputs(tmp_path, zones=5)
@@ -860,3 +880,23 @@ def test_simulate_error_refuses_a_sidecar_in_another_zone_order(tmp_path, capsys
     err = capsys.readouterr().err
     assert err == f"error: {sidecar} does not list the zones of {released} in its order: they differ on line 3\n"
     assert not final.exists() and not cli._manifest_path(final).exists()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_release_files_do_not_give_back_the_raw_counts(tmp_path):
+    # the attacker holds only what the release wrote: its table, sidecar and manifest
+    counts, households = make_inputs(tmp_path, zones=200)
+    out = tmp_path / "released.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "2", "--out", str(out)]) == 0
+    parameters = json.loads(cli._manifest_path(out).read_text())["parameters"]
+    privs = io.read_private_counts_csv(io.private_counts_path(out))
+    params = LaplaceParams(1.0, float(parameters["epsilon"]))
+    raw = io.read_counts_csv(counts)
+    unclamped = recovered = 0
+    for label in COUNT_LABELS:
+        noisy = privs.column(f"{label}_dp")
+        eta = laplace_stream(params, parameters["seed"], privs.column("zone"), label)[:, 0]
+        unclamped += int((noisy > 0).sum())
+        recovered += int(((noisy > 0) & (np.rint(noisy - eta) == raw.column(label))).sum())
+    assert recovered < 0.01 * unclamped

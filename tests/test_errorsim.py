@@ -25,7 +25,7 @@ from dpcoverage.errorsim import (
     trial_deviations,
 )
 from dpcoverage.mechanism import NoiseSeed, ParameterError
-from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord, privatize_record
+from dpcoverage.release import PrivateZipRecord, RawZipRecord, privatize_record
 from oracles import deviation_from_noise, simulate_once, summarize_deviations
 
 EPS2 = Decimal("0.2")
@@ -198,7 +198,7 @@ def test_no_clamping_keeps_deviations_centered():
 
 def test_error_reports_for_release_order_and_block_size(monkeypatch):
     privs = [priv(zone=f"{i:05d}", services=50.0 + i) for i in range(1, 30)]
-    households = {p.zone: HouseholdRecord(p.zone, 500) for p in privs}
+    households = {p.zone: 500 for p in privs}
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=9, k=200)
     reports = error_reports_for_release(privs, households, config)
     assert [r.zone for r in reports] == [p.zone for p in privs]
@@ -212,7 +212,7 @@ def test_error_reports_for_release_order_and_block_size(monkeypatch):
 def _split_case():
     """Five blocks at k = 300, which does not divide BLOCK_TRIALS, with UNDEFINED zones and clamped trials."""
     privs = [priv(zone=f"{i:05d}", services=float(i % 40)) for i in range(1, 1001)]  # services 0 to 39
-    households = {p.zone: HouseholdRecord(p.zone, 100 + int(p.zone) % 7) for p in privs if int(p.zone) % 97}
+    households = {p.zone: 100 + int(p.zone) % 7 for p in privs if int(p.zone) % 97}
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=13, k=300)
     assert errorsim.BLOCK_TRIALS % config.k and len(privs) > 4 * (errorsim.BLOCK_TRIALS // config.k)
     return privs, households, config
@@ -311,13 +311,13 @@ def test_error_reports_match_scalar_oracle():
         priv(zone="00005", services=5000.0, high=2000.0, non=900.0),
         priv(zone="00006", services=40.0),
     ]
-    households = {p.zone: HouseholdRecord(p.zone, 150) for p in privs if p.zone != "00006"}
+    households = {p.zone: 150 for p in privs if p.zone != "00006"}
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=31, k=300)
     reports = error_reports_for_release(privs, households, config)
     assert 0.0 < reports[0].defined_fraction < 1.0  # the masked path is exercised
     for record, report in zip(privs, reports):
         figure = households.get(record.zone)
-        expected = _scalar_report(record, figure.households, config) if figure and record.services_dp > 0 else None
+        expected = _scalar_report(record, figure, config) if figure and record.services_dp > 0 else None
         if expected is None:
             assert (report.mae, report.msd, report.p95, report.defined_fraction) == (None, None, None, 0.0)
             continue

@@ -221,6 +221,22 @@ def test_zone_column_rows_match_single_streams():
         privatize_count(np.array([1.0, 2.0]), SCALE10, seeds)
 
 
+@pytest.mark.parametrize("count", [
+    np.array([True, False]),
+    np.array(["3", "4"]),
+    np.array([3, 4], dtype=object),
+    ["3", "4"],
+    [True, 2.0],
+    [3, None],
+    "34",
+])
+def test_a_column_of_counts_refuses_what_a_single_count_refuses(count):
+    # numpy would read every one of these as two float counts
+    with pytest.raises(ParameterError) as raised:
+        privatize_count(count, SCALE10, NoiseSeed(1, ("00001", "00002"), "x"))
+    assert str(raised.value) == "counts must be 2 nonnegative finite numbers"
+
+
 @pytest.mark.parametrize("case", [
     "check_seed(True)",
     "NoiseSeed iteration=True",

@@ -33,10 +33,6 @@ from dpcoverage.release import (
 from oracles import estimate_coverage
 
 
-def hh_map(*records):
-    return {r.zone: r for r in records}
-
-
 def test_coverage_formula_hand_values():
     assert compute_coverage(80, 400, 100, 125) == 0.8
     assert compute_coverage(80, 100, 25, 1000) == 0.1
@@ -197,7 +193,7 @@ def test_estimate_coverage_undefined_cases():
 
 def test_release_dataset_preserves_input_order():
     records = [RawZipRecord(f"{i:05d}", 10, 20, 30, 5) for i in range(1, 6)]
-    households = hh_map(*[HouseholdRecord(r.zone, 100) for r in records])
+    households = {r.zone: 100 for r in records}
     pairs = release_dataset(records, households, "0.1", 7)
     assert [priv.zone for priv, _ in pairs] == [r.zone for r in records]
 
@@ -208,11 +204,28 @@ def test_release_dataset_rejects_duplicate_zones():
         release_dataset(records, {}, "0.1", 7)
 
 
+@pytest.mark.parametrize("figure", [0, -5, True, 3.5, "5", HouseholdRecord("00001", 5)], ids=repr)
+@pytest.mark.parametrize("entry", ["release_dataset", "error_reports_for_release"])
+def test_a_bad_household_figure_is_refused_naming_its_zone(entry, figure):
+    from dpcoverage.errorsim import SimulationConfig, error_reports_for_release
+
+    records = [RawZipRecord("00001", 1, 200, 300, 40), RawZipRecord("00002", 1, 200, 300, 40)]
+    households = {"00001": 500, "00002": figure}  # a record is no figure, even one of another zone
+    privs = [privatize_record(record, "0.1", 1) for record in records]
+    call = {
+        "release_dataset": lambda: release_dataset(records, households, "0.1", 1),
+        "error_reports_for_release": lambda: error_reports_for_release(privs, households, SimulationConfig(0.1, 1, k=5)),
+    }[entry]
+    with pytest.raises(IngestionError) as raised:
+        call()
+    assert str(raised.value) == f"zone 00002: households must be a positive integer, got {figure!r}"
+
+
 def test_release_dataset_emits_no_log_record(caplog):
     # zones without a household figure are reported by the command line, once
     records = [RawZipRecord("00001", 10, 20, 30, 5), RawZipRecord("00002", 10, 20, 30, 5)]
     with caplog.at_level(logging.DEBUG):
-        pairs = release_dataset(records, hh_map(HouseholdRecord("00001", 100)), "0.1", 7)
+        pairs = release_dataset(records, {"00001": 100}, "0.1", 7)
         privatize_record(records[0], "0.1", 7)
     assert not pairs[1][1].defined
     assert caplog.records == []
@@ -224,7 +237,7 @@ def test_zone_output_is_independent_of_other_records():
         RawZipRecord("00002", 10, 20, 30, 40),
         RawZipRecord("00003", 100, 200, 300, 400),
     ]
-    households = hh_map(*[HouseholdRecord(r.zone, 1000) for r in records])
+    households = {r.zone: 1000 for r in records}
     forward = release_dataset(records, households, "0.1", 7)
     backward = release_dataset(list(reversed(records)), households, "0.1", 7)
     by_zone_fwd = {priv.zone: (priv, est) for priv, est in forward}
@@ -235,12 +248,12 @@ def test_zone_output_is_independent_of_other_records():
 def test_release_dataset_matches_per_zone_records():
     # the column pass gives every zone exactly what the one-zone path gives
     records = [RawZipRecord(f"{i:05d}", i, 2 * i, 3 * i, i) for i in range(1, 40)]
-    households = hh_map(*[HouseholdRecord(r.zone, 50 + r.low_speed) for r in records])
+    households = {r.zone: 50 + r.low_speed for r in records}
     for round_counts in (False, True):
         pairs = release_dataset(records, households, "0.1", 7, round_counts=round_counts)
         for record, (priv, estimate) in zip(records, pairs):
             assert priv == privatize_record(record, "0.1", 7, round_counts=round_counts)
-            assert estimate == estimate_coverage(priv, households[record.zone].households)
+            assert estimate == estimate_coverage(priv, households[record.zone])
         subset = release_dataset(records[5:9], households, "0.1", 7, round_counts=round_counts)
         assert list(subset) == list(pairs[5:9])
 
@@ -255,7 +268,7 @@ def test_round_counts_releases_whole_devices():
 
 def test_raw_coverage_is_at_least_clipped_coverage():
     records = [RawZipRecord(f"{i:05d}", 5 * i, 10 * i, 20 * i, 3 * i) for i in range(1, 30)]
-    households = hh_map(*[HouseholdRecord(r.zone, 60) for r in records])
+    households = {r.zone: 60 for r in records}
     for priv, estimate in release_dataset(records, households, "0.1", 13):
         if estimate.defined:
             assert estimate.raw_coverage >= estimate.coverage
