@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from decimal import Context, Decimal, Inexact, InvalidOperation
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Union
 
 from dpcoverage.mechanism import is_int
 
@@ -113,34 +113,29 @@ def par(*children: QueryPlan) -> Parallel:
     return Parallel(tuple(children))
 
 
-def _leaf_labels(plan: QueryPlan) -> Iterator[str]:
+def _labels(plan: QueryPlan) -> set[str]:
+    """The leaf labels of a valid plan; PlanError names the first fault, in depth-first order."""
     if isinstance(plan, Query):
-        yield plan.label
-    else:
-        for child in plan.children:
-            yield from _leaf_labels(child)
-
-
-def validate_plan(plan: QueryPlan) -> None:
-    """Reject empty composite nodes and overlapping parallel branches."""
-    if isinstance(plan, Query):
-        return
+        return {plan.label}
     if not isinstance(plan, (Sequential, Parallel)):
         raise PlanError(f"not a query plan node: {plan!r}")
     if not plan.children:
         raise PlanError("composite plan nodes need at least one child")
-    if isinstance(plan, Parallel):
-        seen: set[str] = set()
-        for child in plan.children:
-            labels = set(_leaf_labels(child))
-            overlap = seen & labels
-            if overlap:
-                raise PlanError(
-                    f"parallel branches must cover disjoint data; label(s) {sorted(overlap)} appear in more than one branch"
-                )
-            seen |= labels
+    seen: set[str] = set()
     for child in plan.children:
-        validate_plan(child)
+        labels = _labels(child)
+        overlap = seen & labels
+        if overlap and isinstance(plan, Parallel):
+            raise PlanError(
+                f"parallel branches must cover disjoint data; label(s) {sorted(overlap)} appear in more than one branch"
+            )
+        seen |= labels
+    return seen
+
+
+def validate_plan(plan: QueryPlan) -> None:
+    """Reject empty composite nodes and overlapping parallel branches."""
+    _labels(plan)
 
 
 def sequential_compose(epsilons: Iterable[EpsilonLike]) -> Decimal:

@@ -9,16 +9,19 @@ names (`out_counts` is `--out-counts`), ranges as `lo:hi` and lists
 comma-joined. The exceptions: `release` leaves out `--journal` and
 `--budget` and records `epsilon` as the exact decimal; `simulate-error`
 records the same epsilon and the noisy-count sidecar it resolved as
-`private_counts`; `summarize` records `in`. Seeds are always
-explicit flags, with no environment-variable override, so a release
-manifest records the `--seed` that keeps the release's noise secret.
-That seed and the noisy-count sidecar give back the raw counts: the
-manifest and the sidecar are safe to publish only while it is secret.
+`private_counts`. Seeds are always explicit flags, with no
+environment-variable override, so a release manifest records the
+`--seed` that keeps the release's noise secret. That seed and the
+noisy-count sidecar give back the raw counts: the manifest and the
+sidecar are safe to publish only while it is secret.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
 directory, and each output's directory must exist and let this process
 create the output's temporary file.
+
+An --epsilon or --budget that is not a positive finite decimal is
+refused by a message that names the flag.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
@@ -39,14 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from dpcoverage import __version__, io
-from dpcoverage.accountant import (
-    BudgetExceededError,
-    PlanError,
-    append_journal,
-    as_epsilon,
-    load_ledger,
-    total_epsilon,
-)
+from dpcoverage.accountant import PlanError, append_journal, as_epsilon, load_ledger, total_epsilon
 from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
 from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, check_seed
 from dpcoverage.release import (
@@ -103,12 +99,12 @@ def _thresholds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _budget(text: str) -> Decimal:
-    """The --budget flag as an exact decimal, refused in a message that names the flag."""
+def _decimal(flag: str, text: str) -> Decimal:
+    """An --epsilon or --budget flag as an exact decimal, refused in a message that names the flag."""
     try:
         return as_epsilon(text)
     except PlanError:
-        raise ValueError(f"--budget must be a positive finite decimal, got {text!r}") from None
+        raise ValueError(f"{flag} must be a positive finite decimal, got {text!r}") from None
 
 
 def _sha256(path: str | Path) -> str:
@@ -173,7 +169,7 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
     holds the exceptions, each replacing or adding a key; a key whose value
     is None is left out. release leaves out --journal and --budget and
     records the exact epsilon; simulate-error records that epsilon and the
-    private_counts it resolved; summarize records in.
+    private_counts it resolved.
     """
     parameters = {key: _recorded(value) for key, value in vars(args).items() if key not in ("subcommand", "handler")}
     parameters.update(changes or {})
@@ -218,10 +214,10 @@ def _cmd_release(args: argparse.Namespace) -> int:
     sidecar = io.private_counts_path(args.out)
     inputs, outputs = [args.counts, args.households], [args.out, sidecar]
     _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
-    eps = as_epsilon(args.epsilon)
+    eps = _decimal("--epsilon", args.epsilon)
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     LaplaceParams(COUNT_SENSITIVITY, float(eps))
-    budget = None if args.budget is None else _budget(args.budget)
+    budget = None if args.budget is None else _decimal("--budget", args.budget)
     plan = release_query_plan(eps)
     spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
@@ -277,14 +273,15 @@ def _check_publication(
     found = io.release_text(coverage_rows(privs, household_column(zones, households)))
 
     # a sidecar written for another release would simulate this release's
-    # errors around that release's counts and epsilon
-    for zone, text, other in zip(zones, published["epsilon"], found["epsilon"]):
-        if text != other:
-            raise IngestionError(f"{args.release} records epsilon {text} for zone {zone}, but {sidecar} records {other}")
+    # errors around that release's counts and epsilon; an epsilon is a
+    # value, whichever way the file writes it
+    for zone, recorded, other in zip(zones, rows.column("epsilon"), privs.column("epsilon_total")):
+        if recorded != other:
+            raise IngestionError(f"{args.release} records epsilon {recorded} for zone {zone}, but {sidecar} records {other}")
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
-    eps = as_epsilon(args.epsilon)
+    eps = _decimal("--epsilon", args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
     for zone, spent in zip(zones, privs.column("epsilon_total")):
         if spent != implied:
@@ -323,24 +320,24 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    inputs, outputs = [args.in_path, args.households], [args.out]
+    inputs, outputs = [getattr(args, "in"), args.households], [args.out]
     _check_outputs(inputs, outputs)
-    rows = io.read_release_csv(args.in_path)
+    rows = io.read_release_csv(getattr(args, "in"))
     households = io.read_households_csv(args.households)
 
     figures = household_column(rows.column("zone"), households)
     _warn_missing(rows.column("zone"), figures, "were not bucketed")
     kept = np.flatnonzero(figures > 0)
 
-    summaries = bucket_by_households(Pairs(rows.take(kept), figures[kept]), args.thresholds)
+    summaries = bucket_by_households(Pairs(rows[kept], figures[kept]), args.thresholds)
     io.write_bucket_csv(args.out, summaries)
-    write_manifest(args, inputs, outputs, {"in_path": None, "in": args.in_path})
+    write_manifest(args, inputs, outputs)
     print(f"summarized {len(kept)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.journal, _budget(args.budget))
+    ledger = load_ledger(args.journal, _decimal("--budget", args.budget))
     print(f"budget={ledger.budget}")
     print(f"spent={ledger.spent}")
     print(f"remaining={ledger.remaining}")
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate_error)
 
     p = sub.add_parser("summarize", help="bucket per-zone error statistics by household count")
-    p.add_argument("--in", required=True, dest="in_path")
+    p.add_argument("--in", required=True)
     p.add_argument("--households", required=True)
     p.add_argument("--thresholds", type=_thresholds, default=[0, 100, 1000, 10000, 100000])
     p.add_argument("--out", required=True)
@@ -409,8 +406,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (BudgetExceededError, OSError, ValueError) as exc:
-        # CsvFormatError, IngestionError, PlanError and ParameterError are all ValueErrors
+    except (OSError, RuntimeError, ValueError) as exc:
+        # CsvFormatError, IngestionError, PlanError and ParameterError are all ValueErrors;
+        # BudgetExceededError and a failed error-simulation worker are RuntimeErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

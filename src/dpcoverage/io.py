@@ -40,6 +40,7 @@ from dpcoverage.release import (
     ReleaseRow,
     as_columns,
     columns_of,
+    first_duplicate,
     household_problem,
     private_zip_problem,
     raw_zip_problem,
@@ -146,7 +147,7 @@ def _read_table(
         values = [zones, *(list(map(convert, column)) for (convert, _), column in zip(parsers, texts[1:]))]
     except ValueError:
         values = None
-    if values is None or stop is not None or any(map(rule, *values)) or len(set(zones)) < len(zones):
+    if values is None or stop is not None or any(map(rule, *values)) or first_duplicate(zones) is not None:
         row, problem = _first_problem(texts, parsers, rule, stop)
         raise _row_error(path, lines[row], problem)
     return values

@@ -44,7 +44,6 @@ format, not the row.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -53,8 +52,6 @@ import numpy as np
 
 from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, par, seq, total_epsilon
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_int, is_real, privatize_count
-
-_ZIP_RE = re.compile(r"[0-9]{5}")
 
 # Substream labels for the four counts, in CSV column order.
 COUNT_LABELS = ("low_speed", "high_speed", "services", "non_services")
@@ -85,7 +82,7 @@ def _check_row(rule: Callable[..., str | None], *values: object) -> None:
 
 
 def _zone_problem(zone: object) -> str | None:
-    if isinstance(zone, str) and _ZIP_RE.fullmatch(zone):
+    if isinstance(zone, str) and zone.isascii() and len(zone) == 5 and zone.isdigit():
         return None
     return f"zone must be a 5-digit zip string, got {zone!r}"
 
@@ -267,8 +264,9 @@ class Columns(Sequence[R]):
     int and float fields are numpy arrays, with NaN standing for None (no
     record holds a NaN: the row rules refuse non-finite values, and the
     kernels make none); other fields, such as zones and epsilons, are
-    lists. len() is free. Indexing or iterating builds each row's record,
-    and so runs its checks, only for the rows read.
+    lists. len() is free. Indexing a row or iterating builds each row's
+    record, and so runs its checks, only for the rows read; indexing with a
+    slice or a sequence of row numbers selects rows as Columns.
     """
 
     def __init__(self, record: type[R], **columns: Sequence) -> None:
@@ -282,22 +280,20 @@ class Columns(Sequence[R]):
         return len(self.columns["zone"])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Columns(self.record, **{name: column[index] for name, column in self.columns.items()})
-        return self.record(*(_value(column[index]) for column in self.columns.values()))
+        """The record of row index; for a slice or a sequence of row numbers, those rows as Columns, in that order."""
+        if isinstance(index, (int, np.integer)):  # tested first: the common case
+            return self.record(*(_value(column[index]) for column in self.columns.values()))
+        return Columns(self.record, **{name: _select(column, index) for name, column in self.columns.items()})
 
     def __iter__(self) -> Iterator[R]:
         return map(self.record, *map(_values, self.columns.values()))
 
-    def take(self, rows: Sequence[int]) -> Columns[R]:
-        """The given rows, in the given order."""
-        return Columns(
-            self.record,
-            **{
-                name: column[rows] if isinstance(column, np.ndarray) else [column[row] for row in rows]
-                for name, column in self.columns.items()
-            },
-        )
+
+def _select(column: Sequence, index: slice | Sequence[int]) -> Sequence:
+    """The entries of a column at a slice or a sequence of row numbers."""
+    if isinstance(column, np.ndarray) or isinstance(index, slice):
+        return column[index]
+    return [column[row] for row in index]
 
 
 def _value(value: object) -> object:

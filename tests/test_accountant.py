@@ -104,6 +104,13 @@ def test_empty_composite_node_is_invalid():
         total_epsilon(par())
 
 
+def test_a_plan_reports_its_first_fault_depth_first():
+    with pytest.raises(PlanError, match="at least one child"):
+        validate_plan(par(seq(), Query("x", "0.1"), Query("x", "0.1")))  # before the overlap after it
+    with pytest.raises(PlanError, match="not a query plan node"):
+        validate_plan(par(Query("x", "0.1"), "y"))
+
+
 def test_query_validation():
     with pytest.raises(PlanError):
         Query("", "0.1")

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import threading
 from decimal import Decimal
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpcoverage import cli, io
+from dpcoverage import cli, errorsim, io
 from dpcoverage.accountant import load_journal
 from dpcoverage.cli import run
 from dpcoverage.mechanism import LaplaceParams, laplace_stream
@@ -534,6 +535,39 @@ def test_simulate_error_accepts_an_equal_value_written_another_way(tmp_path, cap
     assert final.read_text(encoding="utf-8").splitlines()[1].startswith("00001,0.852,")
 
 
+def test_simulate_error_compares_epsilons_as_values(tmp_path, capsys):
+    # the table writes its epsilon 0.20, the sidecar 0.2: the same value
+    households, released = _three_zone_release(tmp_path)
+    released.write_text(released.read_text(encoding="utf-8").replace(",0.2\n", ",0.20\n"), encoding="utf-8")
+    final = tmp_path / "final.csv"
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 0
+    rows = final.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",0.20") for row in rows)
+
+
+def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    households, released = _three_zone_release(tmp_path)
+    parent, trials = os.getpid(), errorsim._trials
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("trials failed in a worker")
+        return trials(*args)
+
+    monkeypatch.setattr(errorsim, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(errorsim, "_trials", failing)
+    final = tmp_path / "final.csv"
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(r"error: error simulation worker \d+ failed with exit status 1", last)
+    assert not final.exists() and not cli._manifest_path(final).exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("edit", ["published coverage", "households lack the zone", "sidecar services zero"])
 def test_simulate_error_refuses_a_table_the_inputs_do_not_give_back(tmp_path, capsys, edit):
     # every published coverage column must be what the noisy counts and the
@@ -797,6 +831,26 @@ def test_budget_names_a_malformed_budget_before_reading_the_journal(tmp_path, ca
     journal.write_text("not a journal line\n")
     assert run(["budget", "--journal", str(journal), "--budget", "-1"]) == 1
     assert capsys.readouterr().err == "error: --budget must be a positive finite decimal, got '-1'\n"
+
+
+def test_release_names_a_malformed_epsilon_as_the_epsilon(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--epsilon", "abc", "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == "error: --epsilon must be a positive finite decimal, got 'abc'\n"
+    assert _tree(tmp_path) == before
+
+
+def test_simulate_error_names_a_malformed_epsilon_as_the_epsilon(tmp_path, capsys):
+    households, released = _three_zone_release(tmp_path)
+    final = tmp_path / "final.csv"
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--epsilon", "-1", "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    assert capsys.readouterr().err == "error: --epsilon must be a positive finite decimal, got '-1'\n"
+    assert not final.exists()
 
 
 @pytest.mark.parametrize("link", ["symlink", "hard link"])

@@ -76,6 +76,9 @@ def test_raw_record_validation():
         RawZipRecord("abcde", 0, 0, 0, 0)
     with pytest.raises(IngestionError):
         RawZipRecord("00501\n", 0, 0, 0, 0)  # $ would match before a final newline
+    for zone in ("١٢٣٤٥", "０００１２", "¹²³⁴⁵"):  # 5 characters, str.isdigit() true, not ASCII
+        with pytest.raises(IngestionError):
+            RawZipRecord(zone, 0, 0, 0, 0)
     with pytest.raises(IngestionError):
         RawZipRecord("00501", -1, 0, 0, 0)
     with pytest.raises(IngestionError):
@@ -284,7 +287,7 @@ def test_columns_build_checked_records_on_access():
     table = as_columns(rows, ReleaseRow)
     assert as_columns(table, ReleaseRow) is table  # converted once
     assert len(table) == 2 and list(table) == rows
-    assert table[-1] == rows[-1] and list(table[1:]) == rows[1:] and list(table.take([1, 0])) == rows[::-1]
+    assert table[-1] == rows[-1] and list(table[1:]) == rows[1:] and list(table[[1, 0]]) == rows[::-1]
     assert table[0].mae is None  # NaN in a float column reads back as None
     broken = Columns(ReleaseRow, **{**table.columns, "coverage": np.array([1.5, np.nan])})
     with pytest.raises(IngestionError, match="coverage must lie in"):
