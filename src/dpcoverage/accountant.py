@@ -239,13 +239,19 @@ class BudgetLedger:
 def append_journal(path: str | Path, entry: LedgerEntry) -> None:
     """Append one charge to a plain-text journal: timestamp TAB description TAB epsilon.
 
-    The line is on disk (fsync) before this returns, so a charge survives a
-    crash of the release that follows it.
+    The line and the journal's directory entry are on disk (fsync of the
+    file, then of its directory) before this returns, so a charge survives a
+    crash of the release that follows it, even in a journal it created.
     """
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(f"{entry.timestamp}\t{entry.description}\t{entry.epsilon}\n")
         handle.flush()
         os.fsync(handle.fileno())
+    directory = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_journal(path: str | Path) -> list[LedgerEntry]:

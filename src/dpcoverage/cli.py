@@ -21,7 +21,7 @@ directory, and each output's directory must exist and let this process
 create the output's temporary file.
 
 An --epsilon or --budget that is not a positive finite decimal is
-refused by a message that names the flag.
+refused, before anything is read, by a message that names the flag.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
@@ -221,7 +221,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
     plan = release_query_plan(eps)
     spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
-    households = io.read_households_csv(args.households)
+    zones = records.column("zone")
+    figures = household_column(zones, io.read_households_csv(args.households))
 
     if args.journal is not None:
         # hold the journal's lock from the budget check to the append, so two
@@ -234,29 +235,23 @@ def _cmd_release(args: argparse.Namespace) -> int:
             entry = ledger.charge(plan, description=f"release {args.out}")
             append_journal(args.journal, entry)
 
-    pairs = release_dataset(
-        records,
-        households,
-        eps,
-        args.seed,
-        round_counts=args.round_counts,
-    )
-    zones = records.column("zone")
-    _warn_missing(zones, household_column(zones, households), "are released with UNDEFINED coverage")
-    rows = pairs.second
+    privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)
+    _warn_missing(zones, figures, "are released with UNDEFINED coverage")
+    rows = coverage_rows(privs, figures)
     io.write_release_csv(args.out, rows)
-    io.write_private_counts_csv(sidecar, pairs.first)
+    io.write_private_counts_csv(sidecar, privs)
     write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
     undefined = int(np.isnan(rows.column("coverage")).sum())
     print(f"total_epsilon={spent}", file=sys.stderr)
-    print(f"released {len(pairs)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
+    print(f"released {len(rows)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _check_publication(
-    args: argparse.Namespace, sidecar: str | Path, rows: Columns, privs: Columns, households: dict[str, int]
-) -> Decimal:
-    """The release's per-query epsilon, once the noisy counts and households are shown to give back its table.
+    args: argparse.Namespace, eps: Decimal, sidecar: str | Path,
+    rows: Columns, privs: Columns, households: dict[str, int],
+) -> None:
+    """Refuse a publication unless the noisy counts and households give back its table at the per-query epsilon eps.
 
     The table is rendered twice as text for the check; both copies are
     freed on return, before the simulation needs the memory.
@@ -281,7 +276,6 @@ def _check_publication(
 
     # the trials must re-noise at the release's own scale: a wrong --epsilon
     # would publish error ranges for noise the release never had
-    eps = _decimal("--epsilon", args.epsilon)
     implied = total_epsilon(release_query_plan(eps))
     for zone, spent in zip(zones, privs.column("epsilon_total")):
         if spent != implied:
@@ -299,17 +293,16 @@ def _check_publication(
                     f"but {args.release} published {text or 'UNDEFINED'}"
                 )
 
-    return eps
-
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
     inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
+    eps = _decimal("--epsilon", args.epsilon)
     rows = io.read_release_csv(args.release)
     privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)
-    eps = _check_publication(args, sidecar, rows, privs, households)
+    _check_publication(args, eps, sidecar, rows, privs, households)
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}

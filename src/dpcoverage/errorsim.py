@@ -320,10 +320,12 @@ def error_reports_for_release(
     )
 
 
-def _bucket_columns(reports: Sequence[tuple[ErrorReport | ReleaseRow, int]]) -> tuple[Sequence[str], np.ndarray, list]:
+def _bucket_columns(
+    reports: Pairs | Sequence[tuple[ErrorReport | ReleaseRow, int]],
+) -> tuple[Sequence[str], np.ndarray, list]:
     """(zones, households, [mae, msd, p95]) columns of (report, households) pairs, NaN for None."""
     names = ("mae", "msd", "p95")
-    if isinstance(reports, Pairs) and isinstance(reports.first, Columns):
+    if isinstance(reports, Pairs):
         first = reports.first
         return first.column("zone"), np.asarray(reports.second), [first.column(name) for name in names]
     pairs = list(reports)
@@ -332,13 +334,14 @@ def _bucket_columns(reports: Sequence[tuple[ErrorReport | ReleaseRow, int]]) -> 
 
 
 def bucket_by_households(
-    reports: Sequence[tuple[ErrorReport | ReleaseRow, int]],
+    reports: Pairs | Sequence[tuple[ErrorReport | ReleaseRow, int]],
     thresholds: Sequence[int],
 ) -> list[BucketSummary]:
     """Group zones into half-open household buckets and average their stats.
 
     reports are (report, households) pairs: a list of them, or Pairs of
-    Columns of ErrorReport or ReleaseRow and a households column. Only
+    Columns of ErrorReport or ReleaseRow (first) and a households column
+    (second), read side by side without a tuple per zone. Only
     each report's zone, mae, msd and p95 are read, so the rows of a
     published release table serve as well as fresh ErrorReports.
     thresholds must be strictly ascending; they induce buckets

@@ -19,9 +19,13 @@ noise and clamped at zero. The release is accounted as two sequential
 rounds of two parallel (disjoint-partition) count queries, so its exact
 total privacy cost is twice the per-query epsilon.
 
-A release runs as column passes: one noise-kernel call per count label
-over every zone, then the coverage formula over whole arrays. Nothing
-here logs: the command line reports zones without a household figure.
+release_dataset is the only step that reads raw counts and spends
+epsilon: one noise-kernel call per count label over every zone, giving
+the noisy-count table. Everything after it is post-processing of those
+noisy counts and costs no privacy: the published table is coverage_rows
+of that table and the zones' household figures, the coverage formula
+over whole arrays. Nothing here logs: the command line reports zones
+without a household figure.
 
 Tables travel as columns, from file to kernel to file: Columns holds one
 list or numpy array per field of a record type, and builds a frozen
@@ -331,23 +335,12 @@ def as_columns(rows: Iterable[R], record: type[R]) -> Columns[R]:
     return columns_of(record, *([getattr(row, field.name) for row in rows] for field in fields(record)))
 
 
-class Pairs(Sequence[tuple]):
-    """Two sequences of equal length read side by side, as (first[i], second[i])."""
+@dataclass(frozen=True)
+class Pairs:
+    """Two columns of equal length read side by side, as (first[i], second[i]): bucket_by_households' column input."""
 
-    def __init__(self, first: Sequence, second: Sequence) -> None:
-        self.first = first
-        self.second = second
-
-    def __len__(self) -> int:
-        return len(self.first)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Pairs(self.first[index], self.second[index])
-        return self.first[index], self.second[index]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return zip(self.first, self.second)
+    first: Sequence
+    second: Sequence
 
 
 def clip_unit(value: float | np.ndarray) -> float | np.ndarray:
@@ -440,44 +433,40 @@ def privatize_record(
     *,
     round_counts: bool = False,
 ) -> PrivateZipRecord:
-    """Privatize one zone's four counts: its row of release_dataset's sidecar table.
+    """Privatize one zone's four counts: release_dataset([raw], ...)[0].
 
     Noise draws use substreams (zone, "low_speed"/"high_speed"/"services"/"non_services") at iteration 0, so
     a zone's output depends only on its own record and the base seed.
     round_counts optionally rounds the clamped counts to whole devices
     (ties to even); the default publishes real values.
     """
-    return release_dataset([raw], {}, per_query_epsilon, base_seed, round_counts=round_counts).first[0]
+    return release_dataset([raw], per_query_epsilon, base_seed, round_counts=round_counts)[0]
 
 
 def release_dataset(
     records: Sequence[RawZipRecord],
-    households: Mapping[str, int],
     per_query_epsilon: EpsilonLike,
     base_seed: int,
     *,
     round_counts: bool = False,
-) -> Pairs:
-    """Privatize every zone in the release list, preserving input order.
+) -> Columns[PrivateZipRecord]:
+    """Privatize every zone in the release list, preserving input order: the noisy-count table.
 
-    records are Columns of RawZipRecord or a list of them, households a
-    zone -> int mapping. The result reads as (PrivateZipRecord, ReleaseRow)
-    pairs, one per zone; its first and second are the two tables as
-    Columns, for the two writers; the second is coverage_rows of the first.
+    This is the only step that reads raw counts and spends epsilon. records
+    are Columns of RawZipRecord or a list of them; the result is the
+    sidecar table, one PrivateZipRecord per zone. The published table is
+    coverage_rows of it and the household figures, post-processing that
+    spends nothing more.
 
-    Duplicate zones and bad household figures are rejected up front. Zones
-    with no household figure are released with an UNDEFINED coverage
-    estimate (their noisy counts are still published), not dropped and not
-    logged: the caller reports them. Each zone's output is a pure function
-    of its record and the base seed, whatever the order or company of the
-    other records.
+    Duplicate zones are rejected up front. Each zone's output is a pure
+    function of its record and the base seed, whatever the order or
+    company of the other records.
     """
     table = as_columns(records, RawZipRecord)
     zones = table.column("zone")
     duplicate = first_duplicate(zones)
     if duplicate is not None:
         raise IngestionError(f"duplicate zone in release list: {zones[duplicate]}")
-    figures = household_column(zones, households)
 
     eps = as_epsilon(per_query_epsilon)
     epsilon_total = total_epsilon(release_query_plan(eps))
@@ -487,5 +476,4 @@ def release_dataset(
         column = privatize_count(table.column(label), params, NoiseSeed(base_seed, tuple(zones), label, 0))
         # rint rounds ties to even, as round() does
         noisy[f"{label}_dp"] = np.rint(column) if round_counts else column
-    privs = Columns(PrivateZipRecord, zone=zones, **noisy, epsilon_total=[epsilon_total] * len(zones))
-    return Pairs(privs, coverage_rows(privs, figures))
+    return Columns(PrivateZipRecord, zone=zones, **noisy, epsilon_total=[epsilon_total] * len(zones))

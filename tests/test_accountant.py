@@ -7,6 +7,8 @@ Frozen hand-folded totals:
     the release plan (two parallel pairs in sequence) at 0.1 = 0.2
 """
 
+import os
+import stat
 from decimal import Decimal
 
 import pytest
@@ -177,6 +179,23 @@ def test_missing_journal_is_an_empty_ledger(tmp_path):
     ledger = load_ledger(tmp_path / "absent.txt", "1.0")
     assert ledger.entries == [] and ledger.remaining == Decimal("1.0")
     assert not (tmp_path / "absent.txt").exists()
+
+
+def test_a_charge_syncs_the_journal_and_its_directory(tmp_path, monkeypatch):
+    # a journal the charge creates must keep its directory entry through a machine crash
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        synced.append((fd, stat.S_ISDIR(os.fstat(fd).st_mode)))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    entry = BudgetLedger("1.0").charge(release_query_plan("0.1"), timestamp="2026-01-01T00:00:00+00:00")
+    append_journal(tmp_path / "fresh.txt", entry)
+    assert [directory for _, directory in synced] == [False, True]  # the file, then its directory
+    with pytest.raises(OSError):
+        os.fstat(synced[1][0])  # and the directory's descriptor is closed again
 
 
 def test_journal_is_append_only_text(tmp_path):

@@ -853,6 +853,16 @@ def test_simulate_error_names_a_malformed_epsilon_as_the_epsilon(tmp_path, capsy
     assert not final.exists()
 
 
+def test_simulate_error_parses_the_epsilon_before_it_reads_anything(tmp_path, capsys):
+    # no input exists: a malformed epsilon is refused before the first read
+    missing = tmp_path / "missing.csv"
+    final = tmp_path / "final.csv"
+    assert run(["simulate-error", "--release", str(missing), "--households", str(tmp_path / "households.csv"),
+                "--epsilon", "abc", "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    assert capsys.readouterr().err == "error: --epsilon must be a positive finite decimal, got 'abc'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("link", ["symlink", "hard link"])
 def test_an_output_that_is_a_link_to_an_input_is_refused(tmp_path, capsys, link):
     counts, households = make_inputs(tmp_path, zones=5)

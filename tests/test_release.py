@@ -7,6 +7,7 @@ high * (services + non_services) / (services * households):
     (1e6, 1e9, 0, 2e6)    -> 0.5
 """
 
+import inspect
 import logging
 import math
 from decimal import Decimal
@@ -27,10 +28,18 @@ from dpcoverage.release import (
     as_columns,
     clip_unit,
     compute_coverage,
+    coverage_rows,
+    household_column,
     privatize_record,
     release_dataset,
 )
 from oracles import estimate_coverage
+
+
+def _released(records, households, per_query_epsilon, base_seed, **options):
+    """(PrivateZipRecord, ReleaseRow) pairs, one per zone, as the release command builds its two tables."""
+    privs = release_dataset(records, per_query_epsilon, base_seed, **options)
+    return list(zip(privs, coverage_rows(privs, household_column(privs.column("zone"), households))))
 
 
 def test_coverage_formula_hand_values():
@@ -197,18 +206,26 @@ def test_estimate_coverage_undefined_cases():
 def test_release_dataset_preserves_input_order():
     records = [RawZipRecord(f"{i:05d}", 10, 20, 30, 5) for i in range(1, 6)]
     households = {r.zone: 100 for r in records}
-    pairs = release_dataset(records, households, "0.1", 7)
+    pairs = _released(records, households, "0.1", 7)
     assert [priv.zone for priv, _ in pairs] == [r.zone for r in records]
+
+
+def test_release_dataset_cannot_see_household_figures():
+    # the one step that reads raw counts and spends epsilon takes no household
+    # figure: coverage is post-processing of its noisy counts
+    assert list(inspect.signature(release_dataset).parameters) == [
+        "records", "per_query_epsilon", "base_seed", "round_counts",
+    ]
 
 
 def test_release_dataset_rejects_duplicate_zones():
     records = [RawZipRecord("00001", 1, 2, 3, 4), RawZipRecord("00001", 5, 6, 7, 8)]
     with pytest.raises(IngestionError, match="duplicate zone"):
-        release_dataset(records, {}, "0.1", 7)
+        release_dataset(records, "0.1", 7)
 
 
 @pytest.mark.parametrize("figure", [0, -5, True, 3.5, "5", HouseholdRecord("00001", 5)], ids=repr)
-@pytest.mark.parametrize("entry", ["release_dataset", "error_reports_for_release"])
+@pytest.mark.parametrize("entry", ["household_column", "error_reports_for_release"])
 def test_a_bad_household_figure_is_refused_naming_its_zone(entry, figure):
     from dpcoverage.errorsim import SimulationConfig, error_reports_for_release
 
@@ -216,7 +233,7 @@ def test_a_bad_household_figure_is_refused_naming_its_zone(entry, figure):
     households = {"00001": 500, "00002": figure}  # a record is no figure, even one of another zone
     privs = [privatize_record(record, "0.1", 1) for record in records]
     call = {
-        "release_dataset": lambda: release_dataset(records, households, "0.1", 1),
+        "household_column": lambda: household_column([record.zone for record in records], households),
         "error_reports_for_release": lambda: error_reports_for_release(privs, households, SimulationConfig(0.1, 1, k=5)),
     }[entry]
     with pytest.raises(IngestionError) as raised:
@@ -228,7 +245,7 @@ def test_release_dataset_emits_no_log_record(caplog):
     # zones without a household figure are reported by the command line, once
     records = [RawZipRecord("00001", 10, 20, 30, 5), RawZipRecord("00002", 10, 20, 30, 5)]
     with caplog.at_level(logging.DEBUG):
-        pairs = release_dataset(records, {"00001": 100}, "0.1", 7)
+        pairs = _released(records, {"00001": 100}, "0.1", 7)
         privatize_record(records[0], "0.1", 7)
     assert not pairs[1][1].defined
     assert caplog.records == []
@@ -241,8 +258,8 @@ def test_zone_output_is_independent_of_other_records():
         RawZipRecord("00003", 100, 200, 300, 400),
     ]
     households = {r.zone: 1000 for r in records}
-    forward = release_dataset(records, households, "0.1", 7)
-    backward = release_dataset(list(reversed(records)), households, "0.1", 7)
+    forward = _released(records, households, "0.1", 7)
+    backward = _released(list(reversed(records)), households, "0.1", 7)
     by_zone_fwd = {priv.zone: (priv, est) for priv, est in forward}
     by_zone_bwd = {priv.zone: (priv, est) for priv, est in backward}
     assert by_zone_fwd == by_zone_bwd
@@ -253,11 +270,11 @@ def test_release_dataset_matches_per_zone_records():
     records = [RawZipRecord(f"{i:05d}", i, 2 * i, 3 * i, i) for i in range(1, 40)]
     households = {r.zone: 50 + r.low_speed for r in records}
     for round_counts in (False, True):
-        pairs = release_dataset(records, households, "0.1", 7, round_counts=round_counts)
+        pairs = _released(records, households, "0.1", 7, round_counts=round_counts)
         for record, (priv, estimate) in zip(records, pairs):
             assert priv == privatize_record(record, "0.1", 7, round_counts=round_counts)
             assert estimate == estimate_coverage(priv, households[record.zone])
-        subset = release_dataset(records[5:9], households, "0.1", 7, round_counts=round_counts)
+        subset = _released(records[5:9], households, "0.1", 7, round_counts=round_counts)
         assert list(subset) == list(pairs[5:9])
 
 
@@ -272,7 +289,7 @@ def test_round_counts_releases_whole_devices():
 def test_raw_coverage_is_at_least_clipped_coverage():
     records = [RawZipRecord(f"{i:05d}", 5 * i, 10 * i, 20 * i, 3 * i) for i in range(1, 30)]
     households = {r.zone: 60 for r in records}
-    for priv, estimate in release_dataset(records, households, "0.1", 13):
+    for priv, estimate in _released(records, households, "0.1", 13):
         if estimate.defined:
             assert estimate.raw_coverage >= estimate.coverage
             assert 0.0 <= estimate.coverage <= 1.0
