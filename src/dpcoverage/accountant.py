@@ -10,6 +10,11 @@ Whether parallel branches really touch disjoint data is a property of
 the data, not of the plan, so it cannot be verified here. The validator
 enforces the structural declaration only: the leaf labels reachable from
 distinct children of a parallel node must not overlap.
+
+This module imports no numpy, so it also holds the value rules the numpy
+layers share with the command line's flag parsing: is_int, check_seed and
+its ParameterError. A `budget` read, a `--version` and a refused flag
+then start without numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +27,22 @@ from functools import reduce
 from pathlib import Path
 from typing import Iterable, Union
 
-from dpcoverage.mechanism import is_int
+_U64_MAX = (1 << 64) - 1
+
+
+def is_int(value: object) -> bool:
+    """An int that is not a bool: bool is an int subclass, but True is no count or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class ParameterError(ValueError):
+    """A noise parameter is outside its domain."""
+
+
+def check_seed(base_seed: int) -> None:
+    """Refuse a master seed that is not an unsigned 64-bit integer."""
+    if not (is_int(base_seed) and 0 <= base_seed <= _U64_MAX):
+        raise ParameterError(f"base_seed must be an unsigned 64-bit integer, got {base_seed!r}")
 
 
 class PlanError(ValueError):
@@ -247,6 +267,11 @@ def append_journal(path: str | Path, entry: LedgerEntry) -> None:
         handle.write(f"{entry.timestamp}\t{entry.description}\t{entry.epsilon}\n")
         handle.flush()
         os.fsync(handle.fileno())
+    sync_directory(path)
+
+
+def sync_directory(path: str | Path) -> None:
+    """fsync the directory holding path, so that path's directory entry survives a crash."""
     directory = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
     try:
         os.fsync(directory)

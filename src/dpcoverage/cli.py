@@ -25,12 +25,17 @@ refused, before anything is read, by a message that names the flag.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr.
+
+`budget`, `--version`, `--help` and usage errors start without numpy:
+this module imports only numpy-free modules, and the other commands load
+the numpy layers on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -39,24 +44,46 @@ from decimal import Decimal
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
+from dpcoverage import __version__
+from dpcoverage.accountant import PlanError, append_journal, as_epsilon, check_seed, load_ledger, total_epsilon
 
-from dpcoverage import __version__, io
-from dpcoverage.accountant import PlanError, append_journal, as_epsilon, load_ledger, total_epsilon
-from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
-from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams, check_seed
-from dpcoverage.release import (
-    COUNT_SENSITIVITY,
-    Columns,
-    IngestionError,
-    Pairs,
-    ReleaseRow,
-    coverage_rows,
-    household_column,
-    release_dataset,
-    release_query_plan,
-)
-from dpcoverage.synth import SynthSpec, generate
+
+@functools.cache
+def _bind_layers() -> None:
+    """Bind the numpy layers' names into this module, once, on first need.
+
+    A name already bound is kept, so a wrapper that a tracer set on this
+    module before the first command is the one the commands call.
+    """
+    import numpy as np
+
+    from dpcoverage import io
+    from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
+    from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams
+    from dpcoverage.release import (
+        COUNT_SENSITIVITY,
+        Columns,
+        IngestionError,
+        Pairs,
+        ReleaseRow,
+        coverage_rows,
+        household_column,
+        release_dataset,
+        release_query_plan,
+    )
+    from dpcoverage.synth import SynthSpec, generate
+
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str) -> object:
+    """A numpy layer's name read from outside this module, before any command bound it."""
+    if not (name.startswith("__") and name.endswith("__")):  # the interpreter probes dunders
+        _bind_layers()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _seed(text: str) -> int:
@@ -171,6 +198,7 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
     records the exact epsilon; simulate-error records that epsilon and the
     private_counts it resolved.
     """
+    _bind_layers()
     parameters = {key: _recorded(value) for key, value in vars(args).items() if key not in ("subcommand", "handler")}
     parameters.update(changes or {})
     manifest = {
@@ -190,6 +218,7 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    _bind_layers()
     outputs = [args.out_counts, args.out_households]
     _check_outputs([], outputs)
     spec = SynthSpec(
@@ -208,6 +237,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_release(args: argparse.Namespace) -> int:
+    _bind_layers()
     if (args.journal is None) != (args.budget is None):
         print("error: --journal and --budget must be given together", file=sys.stderr)
         return 2
@@ -295,6 +325,7 @@ def _check_publication(
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
+    _bind_layers()
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
     inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
@@ -313,6 +344,7 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    _bind_layers()
     inputs, outputs = [getattr(args, "in"), args.households], [args.out]
     _check_outputs(inputs, outputs)
     rows = io.read_release_csv(getattr(args, "in"))

@@ -43,10 +43,12 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from dpcoverage.accountant import check_seed, is_int
+
 # laplace_sample is not called here, since trials draw whole blocks through
 # laplace_stream; it stays importable as errorsim.laplace_sample because
 # bench/invoke.py wraps that name to time the simulation's noise draws.
-from dpcoverage.mechanism import LaplaceParams, check_seed, is_int, laplace_sample, laplace_stream  # noqa: F401
+from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,

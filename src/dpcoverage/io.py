@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from dpcoverage.accountant import as_epsilon
+from dpcoverage.accountant import as_epsilon, sync_directory
 from dpcoverage.errorsim import BucketSummary
 from dpcoverage.release import (
     COUNT_LABELS,
@@ -74,13 +74,19 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
 
     On any exception the temporary file is deleted and path keeps its old
     bytes, so a crash never leaves a truncated file under the final name.
+    The new bytes are on disk (fsync) before the move, and the move is on
+    disk (fsync of the directory) before this returns, so a power loss
+    leaves path with its old bytes or its new ones, never an empty file.
     """
     temporary = temporary_path(path)
     handle = open(temporary, "w", encoding="utf-8", newline="")
     try:
         with handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temporary, path)
+        sync_directory(path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-_U64_MAX = (1 << 64) - 1
+from dpcoverage.accountant import ParameterError, check_seed, is_int
 
 NOISE_FORMAT = 2
 # Second key word of every format-2 draw: the ASCII bytes "dpcovf02".
@@ -60,10 +60,6 @@ _LANES = 4  # 64-bit words per Philox4x64 block
 _HALVES = struct.Struct("<QQ")
 
 _local = threading.local()
-
-
-class ParameterError(ValueError):
-    """A noise parameter is outside its domain."""
 
 
 @dataclass(frozen=True)
@@ -113,20 +109,9 @@ class NoiseSeed:
             raise ParameterError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
 
-def is_int(value: object) -> bool:
-    """An int that is not a bool: bool is an int subclass, but True is no count or seed."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def is_real(value: object) -> bool:
     """A finite int that is not a bool, or a finite float: True is no epsilon or count either."""
     return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def check_seed(base_seed: int) -> None:
-    """Refuse a master seed that is not an unsigned 64-bit integer."""
-    if not (is_int(base_seed) and 0 <= base_seed <= _U64_MAX):
-        raise ParameterError(f"base_seed must be an unsigned 64-bit integer, got {base_seed!r}")
 
 
 def _bit_generator() -> np.random.Philox:

@@ -54,8 +54,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, par, seq, total_epsilon
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_int, is_real, privatize_count
+from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, is_int, par, seq, total_epsilon
+from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_real, privatize_count
 
 # Substream labels for the four counts, in CSV column order.
 COUNT_LABELS = ("low_speed", "high_speed", "services", "non_services")

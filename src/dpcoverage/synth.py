@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcoverage.mechanism import check_seed, is_int
+from dpcoverage.accountant import check_seed, is_int
 from dpcoverage.release import Columns, HouseholdRecord, RawZipRecord
 
 

@@ -49,6 +49,7 @@ def test_invoke_records_every_layer(tmp_path):
                       "--households", "households.csv", "--k", str(K), "--seed", "5", "--out", "final.csv")
     summary = invoke(tmp_path, "summarize", "summarize", "--in", "final.csv", "--households", "households.csv",
                      "--out", "buckets.csv")
+    budget = invoke(tmp_path, "budget", "budget", "--journal", "journal.tsv", "--budget", "1")
 
     [dataset] = named(release, "release.release_dataset")
     assert dataset["counters"]["zones"] == 30
@@ -62,6 +63,8 @@ def test_invoke_records_every_layer(tmp_path):
     assert reports["counters"]["trials"] == defined * K
     assert reports["counters"]["noise_s"] > 0
     named(summary, "errorsim.bucket")
+    [ledger] = named(budget, "accountant.load_ledger")  # budget loads no numpy layer, yet is traced
+    assert ledger["counters"]["entries"] == 1
 
     for spans in (release, simulate, summary):
         assert all(span["counters"]["bytes"] > 0 for span in named(spans, "io.read") + named(spans, "io.write"))

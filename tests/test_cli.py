@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 from decimal import Decimal
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpcoverage import cli, errorsim, io
-from dpcoverage.accountant import load_journal
+from dpcoverage.accountant import LedgerEntry, append_journal, load_journal
 from dpcoverage.cli import run
 from dpcoverage.mechanism import LaplaceParams, laplace_stream
 from dpcoverage.release import COUNT_LABELS
@@ -964,3 +966,85 @@ def test_release_files_do_not_give_back_the_raw_counts(tmp_path):
         unclamped += int((noisy > 0).sum())
         recovered += int(((noisy > 0) & (np.rint(noisy - eta) == raw.column(label))).sum())
     assert recovered < 0.01 * unclamped
+
+
+def fresh_python(cwd, script, *argv):
+    """Run script in a new interpreter that imports this checkout's dpcoverage; fails the test if it fails."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+LIGHT_PATHS = """
+import sys
+
+def numpy_free(after):
+    assert "numpy" not in sys.modules, f"{after} imported numpy"
+
+import dpcoverage
+numpy_free("import dpcoverage")
+from dpcoverage import cli
+from dpcoverage.cli import *  # probes cli.__all__
+numpy_free("import dpcoverage.cli")
+assert cli.run(["budget", "--journal", "journal.tsv", "--budget", "1"]) == 0
+numpy_free("budget")
+assert cli.run(["--version"]) == 0
+numpy_free("--version")
+assert cli.run(["release", "--counts", "c.csv", "--households", "h.csv", "--seed", "-1", "--out", "r.csv"]) == 2
+numpy_free("a refused --seed")
+
+from dpcoverage import *
+assert all(name in globals() for name in dpcoverage.__all__)
+"""
+
+
+def test_budget_version_and_usage_errors_import_no_numpy(tmp_path, capsys):
+    # budget reads a text file with decimal arithmetic: it must not pay for numpy's import
+    append_journal(tmp_path / "journal.tsv", LedgerEntry("2026-01-01T00:00:00+00:00", "release r.csv", Decimal("0.2")))
+    fresh_python(tmp_path, LIGHT_PATHS)
+
+
+# the names bench/invoke.py reads from the cli module and wraps, before any command runs
+TRACED = ("release_dataset", "error_reports_for_release", "bucket_by_households",
+          "load_ledger", "append_journal", "write_manifest")
+
+DIRECT_CALLS = """
+import argparse, sys
+from dpcoverage import cli
+
+def manifest():
+    path = cli.write_manifest(argparse.Namespace(subcommand="release", seed=1), [], ["released.csv"])
+    assert path.name == "released.csv.manifest.json"
+
+def names():
+    assert all(callable(getattr(cli, name)) for name in sys.argv[1].split(","))
+
+for step in sys.argv[2:]:
+    {"manifest": manifest, "names": names}[step]()
+"""
+
+
+@pytest.mark.parametrize("order", [["manifest", "names"], ["names", "manifest"]])
+def test_direct_calls_work_in_a_fresh_interpreter(tmp_path, order):
+    # no command has run: write_manifest and the traced names must not depend on one having run first
+    fresh_python(tmp_path, DIRECT_CALLS, ",".join(TRACED), *order)
+    assert json.loads((tmp_path / "released.csv.manifest.json").read_text())["noise_format"] == 2
+
+
+WRAPPED_RELEASE = """
+from dpcoverage import cli, release
+
+calls = []
+cli.release_dataset = lambda *args, **kwargs: calls.append(1) or release.release_dataset(*args, **kwargs)
+assert cli.run(["release", "--counts", "counts.csv", "--households", "households.csv",
+                "--seed", "1", "--out", "r.csv"]) == 0
+assert calls == [1]
+"""
+
+
+def test_a_name_wrapped_before_any_command_is_the_one_the_command_calls(tmp_path):
+    # the wrapper is set without reading the name first, so the command binds
+    # the numpy layers after it, and must keep it
+    make_inputs(tmp_path, zones=3)
+    fresh_python(tmp_path, WRAPPED_RELEASE)

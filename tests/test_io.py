@@ -1,6 +1,8 @@
 """CSV schemas: round trips, formatting, and malformed-row diagnostics."""
 
 import csv
+import os
+import stat
 import tempfile
 from collections.abc import Mapping
 from decimal import Decimal
@@ -275,6 +277,34 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         io.write_counts_csv(path, rows())
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_a_write_syncs_the_new_bytes_before_the_move_and_the_move_after_it(tmp_path, monkeypatch):
+    # a machine crash must leave the old table or the new one, never an empty or missing file
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, [RawZipRecord("00001", 1, 2, 3, 4)])
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        status = os.fstat(fd)
+        directory = stat.S_ISDIR(status.st_mode)
+        events.append(("fsync", "directory" if directory else "file", status.st_ino, None if directory else status.st_size))
+        fsync(fd)
+
+    def recording_replace(source, target):
+        events.append(("replace", Path(source).name, Path(target).name))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    io.write_counts_csv(path, [RawZipRecord("00001", 1, 2, 3, 4), RawZipRecord("00002", 5, 6, 7, 8)])
+    written = path.stat()
+    assert events == [
+        ("fsync", "file", written.st_ino, written.st_size),  # the temporary file, with all its bytes
+        ("replace", io.temporary_path(path).name, path.name),
+        ("fsync", "directory", tmp_path.stat().st_ino, None),
+    ]
 
 
 # ------------------------------------------------ io's readers against the reference reader

@@ -23,6 +23,9 @@ outputs and diagnostics agree:
   on a release table with an impossible row, and simulate-error with an
   edited broadband_usage, with the other release's sidecar and with
   --epsilon 0.2;
+- refusals while the arguments are parsed, and --version: release with
+  --seed -1 and with --seed 2**64, budget with --budget 0, and no
+  subcommand;
 - a 500-zone pipeline whose flags are not the defaults, so that their
   manifests record them: synth with --households, --bce and
   --services-share ranges, a release with --epsilon 1E-1, simulate-error
@@ -129,6 +132,11 @@ STEPS = [
     ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
     ("refused-other-sidecar", _simulate("released.csv", "bad.csv", "--private-counts", "rounded.csv.private-counts.csv")),
     ("refused-epsilon", _simulate("released.csv", "bad.csv", epsilon="0.2")),
+    ("refused-negative-seed", _release(-1, "bad.csv")),
+    ("refused-seed-over-64-bits", _release(1 << 64, "bad.csv")),
+    ("refused-zero-budget", ["budget", "--journal", "journal.tsv", "--budget", "0"]),
+    ("version", ["--version"]),
+    ("refused-no-subcommand", []),
     ("synth-flags", ["synth", "--zones", "500", "--households", "20:3000", "--bce", "0.3:0.7",
                      "--services-share", "0.6:0.8", "--seed", "4402",
                      "--out-counts", "flags-counts.csv", "--out-households", "flags-households.csv"]),
