@@ -280,21 +280,28 @@ def sync_directory(path: str | Path) -> None:
 
 
 def load_journal(path: str | Path) -> list[LedgerEntry]:
-    """Parse a journal written by append_journal; malformed lines name their line number."""
+    """Parse a journal written by append_journal; malformed lines name their line number.
+
+    A journal that is not UTF-8 text is refused naming no line: the decoder
+    reads in chunks, so the line it fails in is not known.
+    """
     entries: list[LedgerEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise PlanError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            timestamp, description, eps_text = parts
-            try:
-                entries.append(LedgerEntry(timestamp, description, as_epsilon(eps_text)))
-            except PlanError as exc:
-                raise PlanError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise PlanError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+                timestamp, description, eps_text = parts
+                try:
+                    entries.append(LedgerEntry(timestamp, description, as_epsilon(eps_text)))
+                except PlanError as exc:
+                    raise PlanError(f"{path}: line {lineno}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise PlanError(f"{path}: not UTF-8 text") from None
     return entries
 
 

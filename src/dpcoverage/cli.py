@@ -24,7 +24,7 @@ An --epsilon or --budget that is not a positive finite decimal is
 refused, before anything is read, by a message that names the flag.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
-a one-line diagnostic on stderr.
+a one-line diagnostic on stderr; running out of memory is one of those.
 
 `budget`, `--version`, `--help` and usage errors start without numpy:
 this module imports only numpy-free modules, and the other commands load
@@ -64,7 +64,6 @@ def _bind_layers() -> None:
         COUNT_SENSITIVITY,
         Columns,
         IngestionError,
-        Pairs,
         ReleaseRow,
         coverage_rows,
         household_column,
@@ -349,15 +348,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     _check_outputs(inputs, outputs)
     rows = io.read_release_csv(getattr(args, "in"))
     households = io.read_households_csv(args.households)
-
+    summaries = bucket_by_households(rows, households, args.thresholds)
+    # warned only once the bucketing has not refused the run, so a refusal is one line
     figures = household_column(rows.column("zone"), households)
     _warn_missing(rows.column("zone"), figures, "were not bucketed")
-    kept = np.flatnonzero(figures > 0)
-
-    summaries = bucket_by_households(Pairs(rows[kept], figures[kept]), args.thresholds)
     io.write_bucket_csv(args.out, summaries)
     write_manifest(args, inputs, outputs)
-    print(f"summarized {len(kept)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
+    print(f"summarized {np.count_nonzero(figures)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -435,6 +432,11 @@ def run(argv: list[str] | None = None) -> int:
         # CsvFormatError, IngestionError, PlanError and ParameterError are all ValueErrors;
         # BudgetExceededError and a failed error-simulation worker are RuntimeErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's names the allocation that failed; a bare one says nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -52,9 +52,7 @@ from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
     Columns,
-    Pairs,
     PrivateZipRecord,
-    ReleaseRow,
     as_columns,
     clip_unit,
     compute_coverage,
@@ -68,8 +66,10 @@ from dpcoverage.release import (
 SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
 # Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
-# (zones x k) working array stays near 0.5 MB whatever k is. Larger blocks
-# were measured to raise peak memory without saving time.
+# (zones x k) working array holds at most 0.5 MB while k <= BLOCK_TRIALS; for
+# a larger k a block is one zone of k trials, 8 * k bytes per array (0.8 MB at
+# k = 100,000). Larger blocks were measured to raise peak memory without
+# saving time.
 BLOCK_TRIALS = 1 << 16
 
 P95 = 0.95
@@ -322,35 +322,25 @@ def error_reports_for_release(
     )
 
 
-def _bucket_columns(
-    reports: Pairs | Sequence[tuple[ErrorReport | ReleaseRow, int]],
-) -> tuple[Sequence[str], np.ndarray, list]:
-    """(zones, households, [mae, msd, p95]) columns of (report, households) pairs, NaN for None."""
-    names = ("mae", "msd", "p95")
-    if isinstance(reports, Pairs):
-        first = reports.first
-        return first.column("zone"), np.asarray(reports.second), [first.column(name) for name in names]
-    pairs = list(reports)
-    stats = [np.array([getattr(report, name) for report, _ in pairs], dtype=np.float64) for name in names]
-    return [report.zone for report, _ in pairs], np.array([figure for _, figure in pairs], dtype=np.int64), stats
-
-
 def bucket_by_households(
-    reports: Pairs | Sequence[tuple[ErrorReport | ReleaseRow, int]],
+    reports: Sequence[ErrorReport] | Columns,
+    households: Mapping[str, int],
     thresholds: Sequence[int],
 ) -> list[BucketSummary]:
     """Group zones into half-open household buckets and average their stats.
 
-    reports are (report, households) pairs: a list of them, or Pairs of
-    Columns of ErrorReport or ReleaseRow (first) and a households column
-    (second), read side by side without a tuple per zone. Only
-    each report's zone, mae, msd and p95 are read, so the rows of a
-    published release table serve as well as fresh ErrorReports.
-    thresholds must be strictly ascending; they induce buckets
-    [t0, t1), ..., [t_{n-2}, t_{n-1}), plus an unbounded [t_{n-1}, inf)
-    so every zone at or above the first threshold lands in exactly one
-    bucket. Zones below the first threshold are an error. Zones with
-    absent statistics count toward zone_count but not toward the means.
+    reports are Columns of ErrorReport or ReleaseRow, or a list of
+    ErrorReports; only each report's zone, mae, msd and p95 are read, so
+    the rows of a published release table serve as well as fresh
+    ErrorReports. households is a zone -> int mapping, as for
+    error_reports_for_release: a figure that household_column refuses
+    raises IngestionError naming its zone, and a zone with no figure is
+    left out of every bucket. thresholds must be strictly ascending; they
+    induce buckets [t0, t1), ..., [t_{n-2}, t_{n-1}), plus an unbounded
+    [t_{n-1}, inf), so every zone with a figure at or above the first
+    threshold lands in exactly one bucket. A figure below the first
+    threshold is an error. Zones with absent statistics count toward
+    zone_count but not toward the means.
     """
     thresholds = list(thresholds)
     if not thresholds:
@@ -360,20 +350,24 @@ def bucket_by_households(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError(f"thresholds must be strictly ascending, got {thresholds!r}")
 
-    zones, households, (mae, msd, p95) = _bucket_columns(reports)
-    bucket = np.searchsorted(np.asarray(thresholds, dtype=np.int64), households, side="right") - 1
-    below = np.flatnonzero(bucket < 0)
+    table = as_columns(reports, ErrorReport)
+    zones = table.column("zone")
+    figures = household_column(zones, households)
+    present = figures > 0
+    bucket = np.searchsorted(np.asarray(thresholds, dtype=np.int64), figures, side="right") - 1
+    below = np.flatnonzero(present & (bucket < 0))
     if below.size:
         row = int(below[0])
         raise ValueError(
-            f"zone {zones[row]} has households={int(households[row])}, below the first threshold {thresholds[0]}"
+            f"zone {zones[row]} has households={int(figures[row])}, below the first threshold {thresholds[0]}"
         )
 
     highs: list[int | None] = [*thresholds[1:], None]
+    mae, msd, p95 = (table.column(name) for name in ("mae", "msd", "p95"))
     defined = ~np.isnan(mae)
     summaries = []
     for index, (low, high) in enumerate(zip(thresholds, highs)):
-        members = bucket == index
+        members = present & (bucket == index)
         chosen = members & defined
         if chosen.any():
             # np.mean over the member zones' values in zone order, as a list of them would give

@@ -117,36 +117,41 @@ def _read_table(
     Each parser converts one column after the zone; rule, the record's row
     rule, runs over the converted columns. Rejects an empty file, a wrong
     header, a row with the wrong number of fields, a value a parser or the
-    rule refuses, a row the csv module cannot parse, and a zone seen on an
-    earlier row. The column pass only answers whether the table is good;
-    if not, _first_problem finds what a row-by-row reader would raise.
+    rule refuses, a row the csv module cannot parse, a zone seen on an
+    earlier row, and a file that is not UTF-8 text. The column pass only
+    answers whether the table is good; if not, _first_problem finds what a
+    row-by-row reader would raise.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader, None)
-        except csv.Error as exc:
-            raise _row_error(path, reader.line_num, str(exc))
-        if first is None:
-            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
-        if first != header:
-            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
-        texts: list[list[str]] = [[] for _ in header]
-        lines: list[int] = []  # each row's last line: a quoted field may span lines
-        stop = None  # why reading ended before the end of the file
-        try:
-            for row in reader:
-                if len(row) != len(header):
-                    stop = f"expected {len(header)} fields, got {len(row)}"
-                    break
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                first = next(reader, None)
+            except csv.Error as exc:
+                raise _row_error(path, reader.line_num, str(exc))
+            if first is None:
+                raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+            if first != header:
+                raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+            texts: list[list[str]] = [[] for _ in header]
+            lines: list[int] = []  # each row's last line: a quoted field may span lines
+            stop = None  # why reading ended before the end of the file
+            try:
+                for row in reader:
+                    if len(row) != len(header):
+                        stop = f"expected {len(header)} fields, got {len(row)}"
+                        break
+                    lines.append(reader.line_num)
+                    for column, field in zip(texts, row):
+                        column.append(field)
+            except csv.Error as exc:
+                # the csv module's own parse errors, such as a field over its size limit
+                stop = str(exc)
+            if stop is not None:
                 lines.append(reader.line_num)
-                for column, field in zip(texts, row):
-                    column.append(field)
-        except csv.Error as exc:
-            # the csv module's own parse errors, such as a field over its size limit
-            stop = str(exc)
-        if stop is not None:
-            lines.append(reader.line_num)
+    except UnicodeDecodeError:
+        # the decoder reads in chunks: its offset and the reader's line number may both miss the bad byte
+        raise CsvFormatError(f"{path}: not UTF-8 text") from None
 
     zones = texts[0]
     try:

@@ -270,7 +270,7 @@ class Columns(Sequence[R]):
     kernels make none); other fields, such as zones and epsilons, are
     lists. len() is free. Indexing a row or iterating builds each row's
     record, and so runs its checks, only for the rows read; indexing with a
-    slice or a sequence of row numbers selects rows as Columns.
+    slice selects rows as Columns.
     """
 
     def __init__(self, record: type[R], **columns: Sequence) -> None:
@@ -284,20 +284,13 @@ class Columns(Sequence[R]):
         return len(self.columns["zone"])
 
     def __getitem__(self, index):
-        """The record of row index; for a slice or a sequence of row numbers, those rows as Columns, in that order."""
+        """The record of row index; for a slice, those rows as Columns."""
         if isinstance(index, (int, np.integer)):  # tested first: the common case
             return self.record(*(_value(column[index]) for column in self.columns.values()))
-        return Columns(self.record, **{name: _select(column, index) for name, column in self.columns.items()})
+        return Columns(self.record, **{name: column[index] for name, column in self.columns.items()})
 
     def __iter__(self) -> Iterator[R]:
         return map(self.record, *map(_values, self.columns.values()))
-
-
-def _select(column: Sequence, index: slice | Sequence[int]) -> Sequence:
-    """The entries of a column at a slice or a sequence of row numbers."""
-    if isinstance(column, np.ndarray) or isinstance(index, slice):
-        return column[index]
-    return [column[row] for row in index]
 
 
 def _value(value: object) -> object:
@@ -333,14 +326,6 @@ def as_columns(rows: Iterable[R], record: type[R]) -> Columns[R]:
         return rows
     rows = list(rows)
     return columns_of(record, *([getattr(row, field.name) for row in rows] for field in fields(record)))
-
-
-@dataclass(frozen=True)
-class Pairs:
-    """Two columns of equal length read side by side, as (first[i], second[i]): bucket_by_households' column input."""
-
-    first: Sequence
-    second: Sequence
 
 
 def clip_unit(value: float | np.ndarray) -> float | np.ndarray:

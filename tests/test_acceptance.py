@@ -141,8 +141,7 @@ def test_c06_error_shrinks_with_households():
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=606, k=2000)
     reports = error_reports_for_release(privs, households, config)
     assert all(r.mae is not None for r in reports)
-    pairs = [(r, households[r.zone]) for r in reports]
-    buckets = bucket_by_households(pairs, magnitudes)
+    buckets = bucket_by_households(reports, households, magnitudes)
     assert len(buckets) == len(magnitudes)
     assert all(b.zone_count == 8 for b in buckets)
     means = [b.mean_mae for b in buckets]

@@ -882,20 +882,60 @@ def test_an_output_that_is_a_link_to_an_input_is_refused(tmp_path, capsys, link)
     assert _tree(tmp_path) == before  # nothing written through the link
 
 
-def test_summarize_leaves_zones_without_a_household_figure_out_of_every_bucket(tmp_path, capsys):
+def _release_with_partial_households(tmp_path):
+    """A 12-zone release, and a households file that lacks its last three zones."""
     counts, households = make_inputs(tmp_path, zones=12)
-    released, buckets = tmp_path / "released.csv", tmp_path / "buckets.csv"
+    released = tmp_path / "released.csv"
     assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
                 "--out", str(released)]) == 0
     lines = households.read_text(encoding="utf-8").splitlines(keepends=True)
     partial = tmp_path / "partial.csv"
-    partial.write_text("".join(lines[:-3]), encoding="utf-8")  # the last three zones lack a figure
+    partial.write_text("".join(lines[:-3]), encoding="utf-8")
+    return released, partial
+
+
+def test_summarize_leaves_zones_without_a_household_figure_out_of_every_bucket(tmp_path, capsys):
+    released, partial = _release_with_partial_households(tmp_path)
+    buckets = tmp_path / "buckets.csv"
     capsys.readouterr()
     assert run(["summarize", "--in", str(released), "--households", str(partial), "--out", str(buckets)]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
     assert warnings == ["warning: 3 zone(s) have no household figure and were not bucketed: 00010, 00011, 00012"]
     zones = [int(row.split(",")[2]) for row in buckets.read_text(encoding="utf-8").splitlines()[1:]]
     assert sum(zones) == 9
+
+
+def test_a_refused_summarize_prints_one_line_even_with_zones_missing(tmp_path, capsys):
+    released, partial = _release_with_partial_households(tmp_path)
+    buckets = tmp_path / "buckets.csv"
+    capsys.readouterr()
+    assert run(["summarize", "--in", str(released), "--households", str(partial), "--thresholds", "100,10",
+                "--out", str(buckets)]) == 1
+    assert capsys.readouterr().err == "error: thresholds must be strictly ascending, got [100, 10]\n"
+    assert not buckets.exists()
+
+
+def test_running_out_of_memory_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    households, released = _three_zone_release(tmp_path)
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "error_reports_for_release", exhausted)
+    final = tmp_path / "final.csv"
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+    assert not final.exists()
+
+
+def test_budget_names_a_journal_that_is_not_utf8(tmp_path, capsys):
+    journal = tmp_path / "journal.tsv"
+    journal.write_bytes(b"2024-01-01T00:00:00+00:00\trelease\t0.2\n\xff\xfe\n")
+    capsys.readouterr()
+    assert run(["budget", "--journal", str(journal), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {journal}: not UTF-8 text\n"
 
 
 def test_release_warns_once_for_zones_without_a_household_figure(tmp_path, capsys):

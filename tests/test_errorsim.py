@@ -338,7 +338,7 @@ def test_simulation_config_validation():
 
 def test_bucket_by_households_hand_case():
     report = ErrorReport("00001", 0.1, 0.01, 0.2, 100, 1.0)
-    summaries = bucket_by_households([(report, 500)], [0, 1000, 10000])
+    summaries = bucket_by_households([report], {"00001": 500}, [0, 1000, 10000])
     assert [(s.low, s.high) for s in summaries] == [(0, 1000), (1000, 10000), (10000, None)]
     assert summaries[0].zone_count == 1
     assert summaries[0].mean_mae == pytest.approx(0.1)
@@ -348,12 +348,13 @@ def test_bucket_by_households_hand_case():
 
 def test_bucket_means_average_member_zones():
     reports = [
-        (ErrorReport("00001", 0.1, 0.0, 0.2, 10, 1.0), 100),
-        (ErrorReport("00002", 0.3, 0.0, 0.4, 10, 1.0), 900),
-        (ErrorReport("00003", None, None, None, 10, 0.0), 150),  # counted, not averaged
-        (ErrorReport("00004", 0.5, 0.0, 0.6, 10, 1.0), 5000),
+        ErrorReport("00001", 0.1, 0.0, 0.2, 10, 1.0),
+        ErrorReport("00002", 0.3, 0.0, 0.4, 10, 1.0),
+        ErrorReport("00003", None, None, None, 10, 0.0),  # counted, not averaged
+        ErrorReport("00004", 0.5, 0.0, 0.6, 10, 1.0),
     ]
-    summaries = bucket_by_households(reports, [0, 1000])
+    households = {"00001": 100, "00002": 900, "00003": 150, "00004": 5000}
+    summaries = bucket_by_households(reports, households, [0, 1000])
     assert summaries[0].zone_count == 3
     assert summaries[0].mean_mae == pytest.approx(0.2)
     assert summaries[1].zone_count == 1
@@ -363,10 +364,19 @@ def test_bucket_means_average_member_zones():
 def test_bucket_threshold_validation():
     report = ErrorReport("00001", 0.1, 0.0, 0.2, 10, 1.0)
     with pytest.raises(ValueError):
-        bucket_by_households([(report, 5)], [])
+        bucket_by_households([report], {"00001": 5}, [])
     with pytest.raises(ValueError):
-        bucket_by_households([(report, 5)], [0, 0])
+        bucket_by_households([report], {"00001": 5}, [0, 0])
     with pytest.raises(ValueError):
-        bucket_by_households([(report, 5)], [100, 50])
+        bucket_by_households([report], {"00001": 5}, [100, 50])
     with pytest.raises(ValueError, match="below the first threshold"):
-        bucket_by_households([(report, 5)], [10, 100])
+        bucket_by_households([report], {"00001": 5}, [10, 100])
+
+
+def test_a_zone_without_a_household_figure_is_in_no_bucket():
+    reports = [ErrorReport("00001", 0.1, 0.0, 0.2, 10, 1.0), ErrorReport("00002", 0.3, 0.0, 0.4, 10, 1.0)]
+    # 00002 has no figure: it is neither counted at the first threshold nor refused as below it
+    for thresholds in ([0, 1000], [10, 1000]):
+        summaries = bucket_by_households(reports, {"00001": 100}, thresholds)
+        assert [s.zone_count for s in summaries] == [1, 0]
+        assert summaries[0].mean_mae == pytest.approx(0.1)

@@ -162,6 +162,7 @@ SPLIT_ROWS = {
     ("duplicate zone", "line 3: duplicate zone 00001"),
     ("oversized field", "line 3: field larger than field limit"),
     ("zone with a trailing newline", "line 4: zone must be a 5-digit zip string"),
+    ("not UTF-8", "not UTF-8 text$"),  # no offset or line: the decoder reads in chunks
 ])
 def test_reader_diagnostics(tmp_path, reader, case, match):
     read, header, good, bad = READERS[reader]
@@ -173,9 +174,10 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
         "duplicate zone": [",".join(header), good, good],
         "oversized field": [",".join(header), good, '00002,"' + "x" * 200_000 + '"' + good[5:]],
         "zone with a trailing newline": [",".join(header), good, '"00002\n"' + good[5:]],  # lines 3-4
+        "not UTF-8": [",".join(header), good, good + "\udcff"],  # the byte 0xff
     }[case]
     path = tmp_path / "in.csv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
     with pytest.raises(CsvFormatError, match=match) as caught:
         read(path)
     assert str(caught.value).startswith(f"{path}: ")

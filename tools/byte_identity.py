@@ -29,7 +29,9 @@ outputs and diagnostics agree:
 - a 500-zone pipeline whose flags are not the defaults, so that their
   manifests record them: synth with --households, --bce and
   --services-share ranges, a release with --epsilon 1E-1, simulate-error
-  with an explicit --private-counts and summarize with --thresholds.
+  with an explicit --private-counts and summarize with --thresholds;
+  then summarize with --thresholds 1000,2000, refused because zones of
+  that pipeline hold fewer households than the first threshold.
 
 The script prints the sha256 of every file, of each command's stdout and
 stderr, and each exit status, for both trees, and exits 1 if any of them
@@ -146,6 +148,8 @@ STEPS = [
                                  households="flags-households.csv")),
     ("summarize-flags", _summarize("flags-final.csv", "flags-buckets.csv", "--thresholds", "0,500,2000",
                                    households="flags-households.csv")),
+    ("refused-below-threshold", _summarize("flags-final.csv", "bad-buckets.csv", "--thresholds", "1000,2000",
+                                           households="flags-households.csv")),
 ]
 
 
