@@ -19,8 +19,13 @@ post-processing of the released record and spends no privacy budget.
 
 The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
-p95 picked with np.partition at the nearest rank. The reports come back as
-Columns; an ErrorReport is built only for a row the caller reads.
+p95 picked at the nearest rank, with np.partition when every row of the
+block has the same rank and a sort of the rows otherwise. Each process
+that runs blocks allocates its working arrays once, on its first block,
+and runs every step of every block in place in their leading rows: five
+arrays of 8 * rows * k bytes and two masks of rows * k bytes, rows being
+the zones of a full block. The reports come back as Columns; an
+ErrorReport is built only for a row the caller reads.
 
 The blocks are cut into contiguous shares, one per worker process: as
 many workers as the process may use CPUs (os.sched_getaffinity), at most
@@ -37,9 +42,8 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -56,7 +60,6 @@ from dpcoverage.release import (
     as_columns,
     clip_unit,
     compute_coverage,
-    coverage_columns,
     coverage_rows,
     household_column,
 )
@@ -66,10 +69,11 @@ from dpcoverage.release import (
 SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
 # Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
-# (zones x k) working array holds at most 0.5 MB while k <= BLOCK_TRIALS; for
-# a larger k a block is one zone of k trials, 8 * k bytes per array (0.8 MB at
-# k = 100,000). Larger blocks were measured to raise peak memory without
-# saving time.
+# (zones x k) working array of 8-byte elements holds at most 0.5 MB while
+# k <= BLOCK_TRIALS, and the seven arrays a process allocates once and reuses
+# for every block about 2.6 MB; for a larger k a block is one zone of k
+# trials, 8 * k bytes per array (0.8 MB at k = 100,000). Larger blocks were
+# measured to raise peak memory without saving time.
 BLOCK_TRIALS = 1 << 16
 
 P95 = 0.95
@@ -141,29 +145,67 @@ def nearest_rank(values: Sequence[float] | np.ndarray, q: float) -> float:
     return float(data[math.ceil(q * data.size) - 1])
 
 
+class _Workspace(NamedTuple):
+    """Working arrays of one process, each (zones x k), reused block after block.
+
+    A block of n zones works in the leading n rows of each array, which
+    are C-contiguous, so its sums are those of freshly allocated arrays.
+    """
+
+    words: np.ndarray  # uint64, the noise kernel's raw words
+    scratch: np.ndarray
+    high_speed: np.ndarray  # the three trial arrays
+    services: np.ndarray
+    non_services: np.ndarray
+    defined: np.ndarray  # bool
+    undefined: np.ndarray  # bool
+
+    @classmethod
+    def allocate(cls, zones: int, k: int) -> _Workspace:
+        shape = (zones, k)
+        floats = (np.empty(shape) for _ in range(4))
+        return cls(np.empty(shape, np.uint64), *floats, np.empty(shape, bool), np.empty(shape, bool))
+
+    def head(self, zones: int) -> _Workspace:
+        """The leading rows of every array, one per zone."""
+        return _Workspace(*(array[:zones] for array in self))
+
+
 def _trials(
     zones: Sequence[str],
     counts: np.ndarray,
     households: np.ndarray,
     released: np.ndarray,
     config: SimulationConfig,
+    workspace: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
     counts holds each zone's (high_speed, services, non_services) noisy
     counts and released their published coverage; households is positive.
+    Every step runs in the leading rows of workspace, and the results are
+    views of them: the deviations in workspace.non_services, the mask in
+    workspace.defined.
     """
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
-    eta = [
-        laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k)
-        for label in SIMULATED_LABELS
-    ]
-    high, services, non_services, households = counts[:, 0:1], counts[:, 1:2], counts[:, 2:3], households[:, None]
-    trial_high = np.maximum(0.0, high + eta[0])
-    trial_services = np.maximum(0.0, services + eta[1])
-    trial_non_services = np.maximum(0.0, non_services + eta[2])
-    raw = coverage_columns(trial_high, trial_services, trial_non_services, households)
-    return released[:, None] - clip_unit(raw), trial_services > 0.0
+    work = workspace.head(len(zones))
+    trials = work.high_speed, work.services, work.non_services
+    for label, column, trial in zip(SIMULATED_LABELS, counts.T, trials):
+        laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k,
+                       out=(work.words, work.scratch, trial))
+        np.add(trial, column[:, None], out=trial)
+        np.maximum(0.0, trial, out=trial)  # the scalar first, as it decides signed zeros
+    high, services, deviation = trials
+    # coverage_columns' formula, high * (services + non_services) / (services * households), in place
+    np.add(services, deviation, out=deviation)
+    np.multiply(high, deviation, out=deviation)
+    np.multiply(services, households[:, None], out=work.scratch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(deviation, work.scratch, out=deviation)
+    np.maximum(0.0, deviation, out=deviation)  # clip_unit
+    np.minimum(1.0, deviation, out=deviation)
+    np.subtract(released[:, None], deviation, out=deviation)
+    return deviation, np.greater(services, 0.0, out=work.defined)
 
 
 def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
@@ -174,24 +216,34 @@ def trial_deviations(priv: PrivateZipRecord, households: int, config: Simulation
     # raises when the release itself has no coverage or households is not a positive integer
     released = clip_unit(compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households))
     counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
-    d, defined = _trials([priv.zone], counts, np.array([households]), np.array([released]), config)
+    workspace = _Workspace.allocate(1, config.k)
+    d, defined = _trials([priv.zone], counts, np.array([households]), np.array([released]), config, workspace)
     return d[0][defined[0]]
 
 
-def _statistics(d: np.ndarray, defined: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _statistics(
+    d: np.ndarray, defined: np.ndarray, undefined: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (mae, msd, p95, defined trial count) over the defined trials.
 
-    Rows without a defined trial get nan statistics.
+    Rows without a defined trial get nan statistics. d is overwritten, and
+    undefined is a bool array of d's shape that this fills.
     """
     n = defined.sum(axis=1)
-    absolute = np.abs(d, out=np.zeros_like(d), where=defined)
+    np.logical_not(defined, out=undefined)
+    np.copyto(d, 0.0, where=undefined)  # an undefined trial adds 0 to both sums
     with np.errstate(divide="ignore", invalid="ignore"):
+        msd = d.sum(axis=1) / n
+        absolute = np.abs(d, out=d)
         mae = absolute.sum(axis=1) / n
-        msd = np.where(defined, d, 0.0).sum(axis=1) / n
     # nearest rank among the defined trials: undefined ones sort last
-    absolute[~defined] = np.inf
+    np.copyto(absolute, np.inf, where=undefined)
     rank = np.maximum(np.ceil(P95 * n).astype(np.int64) - 1, 0)
-    absolute.partition(np.unique(rank))
+    ranks = np.unique(rank)
+    if len(ranks) == 1:
+        absolute.partition(ranks)
+    else:  # partitioning each row at every rank of the block costs more than a sort
+        absolute.sort(axis=1)
     p95 = np.where(n > 0, absolute[np.arange(len(n)), rank], np.nan)
     return mae, msd, p95, n
 
@@ -224,7 +276,8 @@ def _worker(simulate: Callable[[np.ndarray], None], share: list[np.ndarray], par
     """A forked child's life: simulate its share, then os._exit, 0 when the share is done and 1 otherwise.
 
     It never returns into the caller's frames, which belong to the parent.
-    It stops early if the parent dies without reaping it.
+    It stops early if the parent dies without reaping it. It writes
+    nothing: the parent reports a failed share by its exit status.
     """
     status = 1
     try:
@@ -234,8 +287,6 @@ def _worker(simulate: Callable[[np.ndarray], None], share: list[np.ndarray], par
             simulate(rows)
         else:
             status = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())
     finally:
         os._exit(status)
 
@@ -305,10 +356,15 @@ def error_reports_for_release(
     trials = np.frombuffer(shared, np.int64, n, offset=24 * n)
     active = np.flatnonzero(~np.isnan(released))
     per_block = max(1, BLOCK_TRIALS // config.k)
+    workspace: _Workspace | None = None  # this process's, allocated on its first block
 
     def simulate(rows: np.ndarray) -> None:
-        d, defined = _trials([zones[i] for i in rows.tolist()], counts[rows], figures[rows], released[rows], config)
-        mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
+        nonlocal workspace
+        if workspace is None:
+            workspace = _Workspace.allocate(min(per_block, len(active)), config.k)
+        selected = [zones[i] for i in rows.tolist()]
+        d, defined = _trials(selected, counts[rows], figures[rows], released[rows], config, workspace)
+        mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined, workspace.undefined[: len(rows)])
 
     _run_blocks(simulate, [active[lo : lo + per_block] for lo in range(0, len(active), per_block)])
     return Columns(

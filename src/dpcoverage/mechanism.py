@@ -122,8 +122,10 @@ def _bit_generator() -> np.random.Philox:
     return bitgen
 
 
-def _raw_words(base_seed: int, zones: Sequence[str], label: str, start: int, count: int) -> np.ndarray:
-    """uint64 words at positions start..start+count-1 of each zone's substream."""
+def _raw_words(
+    base_seed: int, zones: Sequence[str], label: str, start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """uint64 words at positions start..start+count-1 of each zone's substream, in out if given."""
     bitgen = _bit_generator()
     lane = start % _LANES
     counter = [start // _LANES, 0, 0, 0]
@@ -136,7 +138,7 @@ def _raw_words(base_seed: int, zones: Sequence[str], label: str, start: int, cou
         "uinteger": 0,
     }
     suffix = b"\x1f" + label.encode("utf-8")
-    words = np.empty((len(zones), count), dtype=np.uint64)
+    words = np.empty((len(zones), count), dtype=np.uint64) if out is None else out
     for row, zone in enumerate(zones):
         digest = hashlib.blake2b(zone.encode("utf-8") + suffix, digest_size=16).digest()
         counter[2], counter[3] = _HALVES.unpack(digest)
@@ -145,12 +147,21 @@ def _raw_words(base_seed: int, zones: Sequence[str], label: str, start: int, cou
     return words
 
 
-def _laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:
-    """Laplace(0, scale) variates, one per 64-bit word, elementwise."""
-    u = ((words >> np.uint64(11)) | np.uint64(1)).astype(np.float64)  # 2m + 1
+def _laplace_from_words(
+    words: np.ndarray, scale: float, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Laplace(0, scale) variates, one per 64-bit word, elementwise; words is overwritten.
+
+    out is (scratch, draws), two float64 arrays of words' shape; the
+    variates are written into draws and returned.
+    """
+    u, x = (np.empty(words.shape), np.empty(words.shape)) if out is None else out
+    np.right_shift(words, np.uint64(11), out=words)
+    np.bitwise_or(words, np.uint64(1), out=words)
+    u[...] = words  # 2m + 1
     u *= 2.0**-53
     u -= 0.5
-    x = np.abs(u)
+    np.abs(u, out=x)
     x *= -2.0
     x += 1.0  # 1 - 2|u|, exact, in (0, 1)
     np.log(x, out=x)
@@ -166,12 +177,19 @@ def laplace_stream(
     *,
     start: int = 0,
     count: int = 1,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Laplace draws at positions start..start+count-1 of one substream.
 
     Cost is O(count) wherever the positions lie. Given a sequence of
     zones, returns a (len(zones), count) array whose row i is zones[i]'s
     stream; every row is bit-identical to the single-zone call.
+
+    out, if given, is (words, scratch, draws): a uint64 array and two
+    float64 arrays, each of shape (number of zones, count), one zone
+    counting as 1. The call overwrites all three and returns draws (its
+    row for a single zone), so a caller that draws block after block can
+    reuse its buffers; without out, the call allocates them.
     """
     check_seed(base_seed)
     if not (is_int(start) and is_int(count)):
@@ -179,7 +197,8 @@ def laplace_stream(
     if start < 0 or count < 0:
         raise ParameterError(f"start and count must be nonnegative, got start={start} count={count}")
     zones = [zone] if isinstance(zone, str) else zone
-    draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count), params.scale)
+    words, buffers = (None, None) if out is None else (out[0], out[1:])
+    draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count, words), params.scale, buffers)
     return draws[0] if isinstance(zone, str) else draws
 
 

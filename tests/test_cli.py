@@ -548,7 +548,8 @@ def test_simulate_error_compares_epsilons_as_values(tmp_path, capsys):
     assert len(rows) == 3 and all(row.endswith(",0.20") for row in rows)
 
 
-def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypatch, capfd):
+    # capfd, not capsys: only a capture of file descriptor 2 sees what a forked child writes
     households, released = _three_zone_release(tmp_path)
     parent, trials = os.getpid(), errorsim._trials
 
@@ -560,11 +561,11 @@ def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypa
     monkeypatch.setattr(errorsim, "_workers", lambda blocks: 2)
     monkeypatch.setattr(errorsim, "_trials", failing)
     final = tmp_path / "final.csv"
-    capsys.readouterr()
+    capfd.readouterr()
     assert run(["simulate-error", "--release", str(released), "--households", str(households),
                 "--k", "10", "--seed", "42", "--out", str(final)]) == 1
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert re.fullmatch(r"error: error simulation worker \d+ failed with exit status 1", last)
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"error: error simulation worker \d+ failed with exit status 1\n", err), err
     assert not final.exists() and not cli._manifest_path(final).exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -232,6 +232,30 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch):
             assert other.column(name).tobytes() == results[0].column(name).tobytes(), name
 
 
+def test_a_reused_workspace_carries_nothing_from_one_block_to_the_next(monkeypatch):
+    # each process works every block in the same arrays; a zone's report must
+    # be what a simulation of that zone alone gives, in the last partial block
+    # and after rows with undefined trials too
+    privs, households, config = _split_case()
+    chosen = range(0, len(privs), 23)
+    active = [i for i, p in enumerate(privs) if p.zone in households and p.services_dp > 0]
+    per_block = errorsim.BLOCK_TRIALS // config.k
+    assert set(active[len(active) // per_block * per_block :]) & set(chosen)
+
+    def statistics(report):
+        return [None if value is None else np.float64(value).tobytes()
+                for value in (report.mae, report.msd, report.p95, report.defined_fraction)]
+
+    alone = [statistics(estimate_error_ranges(privs[i], households.get(privs[i].zone), config)) for i in chosen]
+    for workers in (1, 2):
+        monkeypatch.setattr(errorsim, "_workers", lambda blocks, workers=workers: workers)
+        reports = error_reports_for_release(privs, households, config)
+        assert [statistics(reports[i]) for i in chosen] == alone
+    fractions = reports.column("defined_fraction")
+    assert any(position % per_block and fractions[active[position - 1]] < 1
+               for position, i in enumerate(active) if i in chosen)
+
+
 class BlockFailed(Exception):
     pass
 
@@ -300,6 +324,23 @@ def _scalar_report(record, households, config):
     return (*summarize_deviations(defined), len(defined) / config.k)
 
 
+def _check_against_scalar_oracle(privs, households, config):
+    """Every zone's report from one error_reports_for_release call against _scalar_report."""
+    reports = error_reports_for_release(privs, households, config)
+    for record, report in zip(privs, reports):
+        figure = households.get(record.zone)
+        expected = _scalar_report(record, figure, config) if figure and record.services_dp > 0 else None
+        if expected is None:
+            assert (report.mae, report.msd, report.p95, report.defined_fraction) == (None, None, None, 0.0)
+            continue
+        mae, msd, p95, fraction = expected
+        assert report.mae == pytest.approx(mae, rel=1e-12)
+        assert report.msd == pytest.approx(msd, rel=1e-12, abs=1e-12 * mae)
+        assert report.p95 == p95
+        assert report.defined_fraction == fraction
+    return reports
+
+
 def test_error_reports_match_scalar_oracle():
     # clamping zones (some trials undefined), an undefined release, no
     # household figure, and ordinary zones
@@ -313,19 +354,18 @@ def test_error_reports_match_scalar_oracle():
     ]
     households = {p.zone: 150 for p in privs if p.zone != "00006"}
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=31, k=300)
-    reports = error_reports_for_release(privs, households, config)
+    reports = _check_against_scalar_oracle(privs, households, config)
     assert 0.0 < reports[0].defined_fraction < 1.0  # the masked path is exercised
-    for record, report in zip(privs, reports):
-        figure = households.get(record.zone)
-        expected = _scalar_report(record, figure, config) if figure and record.services_dp > 0 else None
-        if expected is None:
-            assert (report.mae, report.msd, report.p95, report.defined_fraction) == (None, None, None, 0.0)
-            continue
-        mae, msd, p95, fraction = expected
-        assert report.mae == pytest.approx(mae, rel=1e-12)
-        assert report.msd == pytest.approx(msd, rel=1e-12, abs=1e-12 * mae)
-        assert report.p95 == p95
-        assert report.defined_fraction == fraction
+
+
+def test_p95_matches_scalar_oracle_when_every_row_has_another_defined_count():
+    # one block whose rows all have different defined trial counts, so that
+    # each row's nearest rank lies elsewhere
+    privs = [priv(zone=f"{i:05d}", services=0.5 + 4 * i) for i in range(8)]
+    config = SimulationConfig(per_query_epsilon=0.1, base_seed=31, k=1000)
+    assert len(privs) <= errorsim.BLOCK_TRIALS // config.k
+    reports = _check_against_scalar_oracle(privs, {p.zone: 150 for p in privs}, config)
+    assert len(set(reports.column("defined_fraction").tolist())) == len(privs)
 
 
 def test_simulation_config_validation():

@@ -12,7 +12,9 @@ outputs and diagnostics agree:
   dropped, so those zones are released UNDEFINED;
 - a release that charges a journal (--journal, --budget 0.4) and a
   --round-counts release;
-- simulate-error --k 200 and summarize on each release;
+- simulate-error --k 200 and summarize on each release, and simulate-error
+  --k 1000 on the charged release: blocks of 65 zones, run by as many
+  worker processes as the machine gives (2 on a 2-CPU host);
 - a second charge, a third that the budget refuses, and a budget read
   after each charge;
 - refusals, compared by exit status and stderr: counts files with a bad
@@ -30,6 +32,8 @@ outputs and diagnostics agree:
   manifests record them: synth with --households, --bce and
   --services-share ranges, a release with --epsilon 1E-1, simulate-error
   with an explicit --private-counts and summarize with --thresholds;
+  simulate-error at --k 70000, over BLOCK_TRIALS, so that every block
+  is one zone (23 of the 500 zones have trials whose services clamp);
   then summarize with --thresholds 1000,2000, refused because zones of
   that pipeline hold fewer households than the first threshold.
 
@@ -67,9 +71,10 @@ def _charge(seed: int, out: str) -> list[str]:
     return _release(seed, out, "--journal", "journal.tsv", "--budget", BUDGET)
 
 
-def _simulate(release: str, out: str, *extra: str, epsilon: str = "0.1", households: str = "households.csv") -> list[str]:
+def _simulate(release: str, out: str, *extra: str, epsilon: str = "0.1", households: str = "households.csv",
+              k: str = "200") -> list[str]:
     return ["simulate-error", "--release", release, "--households", households,
-            "--epsilon", epsilon, "--k", "200", "--seed", "77", "--out", out, *extra]
+            "--epsilon", epsilon, "--k", k, "--seed", "77", "--out", out, *extra]
 
 
 def _summarize(table: str, out: str, *extra: str, households: str = "households.csv") -> list[str]:
@@ -118,6 +123,7 @@ STEPS = [
     ("release-rounded", _release(12, "rounded.csv", "--round-counts")),
     ("simulate", _simulate("released.csv", "final.csv")),
     ("simulate-rounded", _simulate("rounded.csv", "rounded-final.csv")),
+    ("simulate-k1000", _simulate("released.csv", "final-k1000.csv", k="1000")),
     ("summarize", _summarize("final.csv", "buckets.csv")),
     ("summarize-rounded", _summarize("rounded-final.csv", "rounded-buckets.csv")),
     ("release-second", _charge(13, "second.csv")),
@@ -146,6 +152,8 @@ STEPS = [
                                epsilon="1E-1")),
     ("simulate-flags", _simulate("flags.csv", "flags-final.csv", "--private-counts", "flags.csv.private-counts.csv",
                                  households="flags-households.csv")),
+    ("simulate-flags-k70000", _simulate("flags.csv", "flags-k70000.csv", households="flags-households.csv",
+                                        k="70000")),
     ("summarize-flags", _summarize("flags-final.csv", "flags-buckets.csv", "--thresholds", "0,500,2000",
                                    households="flags-households.csv")),
     ("refused-below-threshold", _summarize("flags-final.csv", "bad-buckets.csv", "--thresholds", "1000,2000",
