@@ -19,13 +19,12 @@ post-processing of the released record and spends no privacy budget.
 
 The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
-p95 picked at the nearest rank, with np.partition when every row of the
-block has the same rank and a sort of the rows otherwise. Each process
-that runs blocks allocates its working arrays once, on its first block,
-and runs every step of every block in place in their leading rows: five
-arrays of 8 * rows * k bytes and two masks of rows * k bytes, rows being
-the zones of a full block. The reports come back as Columns; an
-ErrorReport is built only for a row the caller reads.
+p95 picked at the nearest rank of the sorted rows. Each process that runs
+blocks allocates its working arrays once, on its first block, and runs
+every step of every block in place in their leading rows: five arrays of
+8 * rows * k bytes and one mask of rows * k bytes, rows being the zones
+of a full block. The reports come back as Columns; an ErrorReport is
+built only for a row the caller reads.
 
 The blocks are cut into contiguous shares, one per worker process: as
 many workers as the process may use CPUs (os.sched_getaffinity), at most
@@ -60,6 +59,7 @@ from dpcoverage.release import (
     as_columns,
     clip_unit,
     compute_coverage,
+    coverage_columns,
     coverage_rows,
     household_column,
 )
@@ -70,7 +70,7 @@ SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
 # Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
 # (zones x k) working array of 8-byte elements holds at most 0.5 MB while
-# k <= BLOCK_TRIALS, and the seven arrays a process allocates once and reuses
+# k <= BLOCK_TRIALS, and the six arrays a process allocates once and reuses
 # for every block about 2.6 MB; for a larger k a block is one zone of k
 # trials, 8 * k bytes per array (0.8 MB at k = 100,000). Larger blocks were
 # measured to raise peak memory without saving time.
@@ -81,6 +81,9 @@ P95 = 0.95
 # Worker processes per simulation at most. The split was measured on a 2-CPU
 # host only, where the CPU count is the binding limit.
 MAX_WORKERS = 4
+
+# A forked worker's exit status when its share ran out of memory.
+_OUT_OF_MEMORY = 2
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,12 @@ class _Workspace(NamedTuple):
     services: np.ndarray
     non_services: np.ndarray
     defined: np.ndarray  # bool
-    undefined: np.ndarray  # bool
 
     @classmethod
     def allocate(cls, zones: int, k: int) -> _Workspace:
         shape = (zones, k)
         floats = (np.empty(shape) for _ in range(4))
-        return cls(np.empty(shape, np.uint64), *floats, np.empty(shape, bool), np.empty(shape, bool))
+        return cls(np.empty(shape, np.uint64), *floats, np.empty(shape, bool))
 
     def head(self, zones: int) -> _Workspace:
         """The leading rows of every array, one per zone."""
@@ -195,16 +197,9 @@ def _trials(
                        out=(work.words, work.scratch, trial))
         np.add(trial, column[:, None], out=trial)
         np.maximum(0.0, trial, out=trial)  # the scalar first, as it decides signed zeros
-    high, services, deviation = trials
-    # coverage_columns' formula, high * (services + non_services) / (services * households), in place
-    np.add(services, deviation, out=deviation)
-    np.multiply(high, deviation, out=deviation)
-    np.multiply(services, households[:, None], out=work.scratch)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(deviation, work.scratch, out=deviation)
-    np.maximum(0.0, deviation, out=deviation)  # clip_unit
-    np.minimum(1.0, deviation, out=deviation)
-    np.subtract(released[:, None], deviation, out=deviation)
+    high, services, non_services = trials
+    coverage = coverage_columns(high, services, non_services, households[:, None], out=(work.scratch, non_services))
+    deviation = np.subtract(released[:, None], clip_unit(coverage, out=coverage), out=coverage)
     return deviation, np.greater(services, 0.0, out=work.defined)
 
 
@@ -221,16 +216,13 @@ def trial_deviations(priv: PrivateZipRecord, households: int, config: Simulation
     return d[0][defined[0]]
 
 
-def _statistics(
-    d: np.ndarray, defined: np.ndarray, undefined: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _statistics(d: np.ndarray, defined: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (mae, msd, p95, defined trial count) over the defined trials.
 
-    Rows without a defined trial get nan statistics. d is overwritten, and
-    undefined is a bool array of d's shape that this fills.
+    Rows without a defined trial get nan statistics. d and defined are overwritten.
     """
     n = defined.sum(axis=1)
-    np.logical_not(defined, out=undefined)
+    undefined = np.logical_not(defined, out=defined)
     np.copyto(d, 0.0, where=undefined)  # an undefined trial adds 0 to both sums
     with np.errstate(divide="ignore", invalid="ignore"):
         msd = d.sum(axis=1) / n
@@ -239,11 +231,7 @@ def _statistics(
     # nearest rank among the defined trials: undefined ones sort last
     np.copyto(absolute, np.inf, where=undefined)
     rank = np.maximum(np.ceil(P95 * n).astype(np.int64) - 1, 0)
-    ranks = np.unique(rank)
-    if len(ranks) == 1:
-        absolute.partition(ranks)
-    else:  # partitioning each row at every rank of the block costs more than a sort
-        absolute.sort(axis=1)
+    absolute.sort(axis=1)  # not partition(np.unique(rank)): at many distinct ranks that costs more
     p95 = np.where(n > 0, absolute[np.arange(len(n)), rank], np.nan)
     return mae, msd, p95, n
 
@@ -273,11 +261,13 @@ def _workers(blocks: int) -> int:
 
 
 def _worker(simulate: Callable[[np.ndarray], None], share: list[np.ndarray], parent: int) -> NoReturn:
-    """A forked child's life: simulate its share, then os._exit, 0 when the share is done and 1 otherwise.
+    """A forked child's life: simulate its share, then os._exit with the share's status.
 
-    It never returns into the caller's frames, which belong to the parent.
-    It stops early if the parent dies without reaping it. It writes
-    nothing: the parent reports a failed share by its exit status.
+    The status is 0 when the share is done, _OUT_OF_MEMORY when it raised
+    MemoryError and 1 otherwise. It never returns into the caller's frames,
+    which belong to the parent. It stops early if the parent dies without
+    reaping it. It writes nothing: the parent reports a failed share by its
+    exit status.
     """
     status = 1
     try:
@@ -287,6 +277,8 @@ def _worker(simulate: Callable[[np.ndarray], None], share: list[np.ndarray], par
             simulate(rows)
         else:
             status = 0
+    except MemoryError:
+        status = _OUT_OF_MEMORY
     finally:
         os._exit(status)
 
@@ -297,8 +289,9 @@ def _run_blocks(simulate: Callable[[np.ndarray], None], blocks: list[np.ndarray]
     The blocks are cut into contiguous shares. This process runs the first
     share and a forked child each other one, then reaps every child.
     simulate must write its results into memory shared with the children.
-    A child that fails makes this raise; if this process raises, it kills
-    and reaps its children first.
+    A child that fails makes this raise, MemoryError if it ran out of
+    memory and RuntimeError otherwise; if this process raises, it kills and
+    reaps its children first.
     """
     import signal  # here, not at the top, so that a command that simulates nothing never loads it
 
@@ -319,6 +312,8 @@ def _run_blocks(simulate: Callable[[np.ndarray], None], blocks: list[np.ndarray]
         while children:
             status = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
             pid = children.pop(0)
+            if status == _OUT_OF_MEMORY:
+                raise MemoryError(f"in error simulation worker {pid}")
             if status != 0:
                 raise RuntimeError(f"error simulation worker {pid} failed with exit status {status}")
     finally:
@@ -364,7 +359,7 @@ def error_reports_for_release(
             workspace = _Workspace.allocate(min(per_block, len(active)), config.k)
         selected = [zones[i] for i in rows.tolist()]
         d, defined = _trials(selected, counts[rows], figures[rows], released[rows], config, workspace)
-        mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined, workspace.undefined[: len(rows)])
+        mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
 
     _run_blocks(simulate, [active[lo : lo + per_block] for lo in range(0, len(active), per_block)])
     return Columns(

@@ -328,9 +328,9 @@ def as_columns(rows: Iterable[R], record: type[R]) -> Columns[R]:
     return columns_of(record, *([getattr(row, field.name) for row in rows] for field in fields(record)))
 
 
-def clip_unit(value: float | np.ndarray) -> float | np.ndarray:
-    """Clip to [0, 1], elementwise over arrays. Post-processing; idempotent."""
-    return np.minimum(1.0, np.maximum(0.0, value))
+def clip_unit(value: float | np.ndarray, out: np.ndarray | None = None) -> float | np.ndarray:
+    """Clip to [0, 1], elementwise over arrays, into out if given. Post-processing; idempotent."""
+    return np.minimum(1.0, np.maximum(0.0, value, out=out), out=out)
 
 
 def compute_coverage(high_speed: float, services: float, non_services: float, households: int) -> float:
@@ -372,14 +372,24 @@ def coverage_columns(
     services: np.ndarray,
     non_services: np.ndarray,
     households: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The coverage formula, elementwise over arrays, without compute_coverage's checks.
 
     Elements whose services count is zero come out inf or nan;
-    coverage_rows masks them as UNDEFINED.
+    coverage_rows masks them as UNDEFINED. out, if given, is (scratch,
+    coverage), two float64 arrays of the result's shape, and coverage may
+    be non_services itself: the same operations run in place, the call
+    overwrites both and returns coverage.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return high_speed * (services + non_services) / (services * households)
+        if out is None:
+            return high_speed * (services + non_services) / (services * households)
+        scratch, coverage = out
+        np.add(services, non_services, out=coverage)
+        np.multiply(high_speed, coverage, out=coverage)
+        np.multiply(services, households, out=scratch)
+        return np.divide(coverage, scratch, out=coverage)
 
 
 def household_column(zones: Sequence[str], households: Mapping[str, int]) -> np.ndarray:

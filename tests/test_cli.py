@@ -548,14 +548,14 @@ def test_simulate_error_compares_epsilons_as_values(tmp_path, capsys):
     assert len(rows) == 3 and all(row.endswith(",0.20") for row in rows)
 
 
-def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypatch, capfd):
-    # capfd, not capsys: only a capture of file descriptor 2 sees what a forked child writes
+def _stderr_of_a_simulation_whose_worker_raises(tmp_path, monkeypatch, capfd, error):
+    """simulate-error's stderr when _trials raises error in a forked worker; checks it failed cleanly."""
     households, released = _three_zone_release(tmp_path)
     parent, trials = os.getpid(), errorsim._trials
 
     def failing(*args):
         if os.getpid() != parent:
-            raise RuntimeError("trials failed in a worker")
+            raise error
         return trials(*args)
 
     monkeypatch.setattr(errorsim, "_workers", lambda blocks: 2)
@@ -564,11 +564,23 @@ def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypa
     capfd.readouterr()
     assert run(["simulate-error", "--release", str(released), "--households", str(households),
                 "--k", "10", "--seed", "42", "--out", str(final)]) == 1
-    err = capfd.readouterr().err
-    assert re.fullmatch(r"error: error simulation worker \d+ failed with exit status 1\n", err), err
     assert not final.exists() and not cli._manifest_path(final).exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    return capfd.readouterr().err
+
+
+def test_a_failed_error_simulation_worker_is_a_one_line_error(tmp_path, monkeypatch, capfd):
+    # capfd, not capsys: only a capture of file descriptor 2 sees what a forked child writes
+    err = _stderr_of_a_simulation_whose_worker_raises(tmp_path, monkeypatch, capfd,
+                                                      RuntimeError("trials failed in a worker"))
+    assert re.fullmatch(r"error: error simulation worker \d+ failed with exit status 1\n", err), err
+
+
+def test_a_worker_out_of_memory_is_the_out_of_memory_line(tmp_path, monkeypatch, capfd):
+    err = _stderr_of_a_simulation_whose_worker_raises(tmp_path, monkeypatch, capfd,
+                                                      MemoryError("Unable to allocate 72.8 TiB for an array"))
+    assert re.fullmatch(r"error: out of memory: in error simulation worker \d+\n", err), err
 
 
 @pytest.mark.parametrize("edit", ["published coverage", "households lack the zone", "sidecar services zero"])

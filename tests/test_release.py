@@ -28,6 +28,7 @@ from dpcoverage.release import (
     as_columns,
     clip_unit,
     compute_coverage,
+    coverage_columns,
     coverage_rows,
     household_column,
     privatize_record,
@@ -73,6 +74,18 @@ def test_clip_unit():
     assert clip_unit(2.5) == 1.0
     for x in (-1.0, 0.0, 0.5, 1.0, 7.0):
         assert clip_unit(clip_unit(x)) == clip_unit(x)
+
+
+def test_coverage_columns_and_clip_unit_in_place_give_the_same_bits():
+    rng = np.random.default_rng(5)
+    high, services, non_services = (np.maximum(0.0, rng.normal(10.0, 20.0, (4, 50))) for _ in range(3))
+    households = rng.integers(1, 500, (4, 1))
+    expected = clip_unit(coverage_columns(high, services, non_services, households))
+    assert (services == 0.0).any() and np.isnan(expected).any()  # zero services give nan in both
+    scratch, coverage = np.full(high.shape, 7.0), non_services.copy()  # coverage may be non_services itself
+    assert coverage_columns(high, services, coverage, households, out=(scratch, coverage)) is coverage
+    assert clip_unit(coverage, out=coverage) is coverage
+    assert coverage.tobytes() == expected.tobytes()
 
 
 def test_raw_record_validation():
