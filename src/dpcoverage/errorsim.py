@@ -8,11 +8,14 @@ the same clipped coverage formula as the release, and the deviations
     d_i = released_coverage - trial_coverage_i
 
 are summarized per zone as mean absolute error, mean signed deviation and
-the nearest-rank 95th percentile of |d_i|. Only the three counts that
-enter the coverage formula (high_speed, services, non_services) are
-re-noised. Trials whose noisy services count clamps to zero have no
-trial coverage; they are excluded from the statistics and reported via
-defined_fraction instead of being imputed.
+the nearest-rank 95th percentile of |d_i|. released_coverage is the
+release's broadband_usage_raw clipped to [0, 1] at full precision, so the
+statistics describe that value; the published broadband_usage is it
+rounded to 3 decimals and can lie up to 0.0005 further off. Only the
+three counts that enter the coverage formula (high_speed, services,
+non_services) are re-noised. Trials whose noisy services count clamps to
+zero have no trial coverage; they are excluded from the statistics and
+reported via defined_fraction instead of being imputed.
 
 Because the raw counts are never touched, everything here is
 post-processing of the released record and spends no privacy budget.

@@ -20,6 +20,8 @@ word ``lane`` of the block a freshly built
 ``np.random.Philox(key=key, counter=counter)`` emits first, so reaching
 any position of any substream costs O(1). One generator per thread is
 re-addressed by setting its state; no per-stream generator is built.
+Word 1 of the counter is always 0, so a substream has 2**66 positions;
+a read past the last one is refused.
 
 Sampling uses the inverse CDF of the Laplace distribution,
 
@@ -57,6 +59,7 @@ NOISE_FORMAT = 2
 # Second key word of every format-2 draw: the ASCII bytes "dpcovf02".
 NOISE_DOMAIN = int.from_bytes(b"dpcovf02", "little")
 _LANES = 4  # 64-bit words per Philox4x64 block
+_POSITIONS = 2**64 * _LANES  # counter word 0 is iteration // 4, and word 1 is always 0
 _HALVES = struct.Struct("<QQ")
 
 _local = threading.local()
@@ -196,6 +199,8 @@ def laplace_stream(
         raise ParameterError(f"start and count must be integers, got start={start!r} count={count!r}")
     if start < 0 or count < 0:
         raise ParameterError(f"start and count must be nonnegative, got start={start} count={count}")
+    if start >= _POSITIONS or start + count > _POSITIONS:  # start names a position even for count 0
+        raise ParameterError(f"a substream has 2**66 positions; start={start} count={count} reads past them")
     zones = [zone] if isinstance(zone, str) else zone
     words, buffers = (None, None) if out is None else (out[0], out[1:])
     draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count, words), params.scale, buffers)

@@ -229,7 +229,9 @@ class ReleaseRow:
     (noisy services count of zero, or no household figure for the zone).
     Undefined is reported, never imputed. The error statistics mae, msd
     and p95 are None until simulate-error fills them in, and only a
-    defined coverage can carry them.
+    defined coverage can carry them. They describe raw_coverage clipped to
+    [0, 1] at full precision, not the 3-decimal coverage, which can lie up
+    to 0.0005 further from the truth.
     """
 
     zone: str

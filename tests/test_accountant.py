@@ -214,6 +214,16 @@ def test_malformed_journal_line_reports_line_number(tmp_path):
         load_journal(path)
 
 
+def test_journal_skips_blank_lines_and_names_the_line_of_a_bad_epsilon(tmp_path):
+    path = tmp_path / "journal.txt"
+    path.write_text("t1\tok\t0.2\n\nt2\tok\t0.1\n", encoding="utf-8")
+    assert [entry.epsilon for entry in load_journal(path)] == [Decimal("0.2"), Decimal("0.1")]
+    path.write_text("t1\tok\t0.2\n\nt2\tbad\tabc\n", encoding="utf-8")
+    with pytest.raises(PlanError) as raised:
+        load_journal(path)
+    assert str(raised.value) == f"{path}: line 3: cannot interpret 'abc' as an epsilon"
+
+
 def test_ledger_entry_rejects_control_characters():
     with pytest.raises(PlanError):
         LedgerEntry("t1", "bad\tdescription", Decimal("0.1"))

@@ -211,6 +211,7 @@ def test_missing_subcommand_is_usage_error():
 
 SIMULATE = ["simulate-error", "--release", "r.csv", "--households", "h.csv", "--seed", "1", "--out", "o.csv"]
 SYNTH = ["synth", "--seed", "1", "--out-counts", "c.csv", "--out-households", "h.csv"]
+SUMMARIZE = ["summarize", "--in", "r.csv", "--households", "h.csv", "--out", "b.csv"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -220,6 +221,7 @@ SYNTH = ["synth", "--seed", "1", "--out-counts", "c.csv", "--out-households", "h
     ([*SYNTH[:1], "--seed", "x", *SYNTH[3:], "--zones", "1"], "argument --seed: expected an unsigned 64-bit integer, got x"),
     ([*SIMULATE[:5], "--seed", "18446744073709551616", *SIMULATE[7:]],
      "argument --seed: expected an unsigned 64-bit integer, got 18446744073709551616"),
+    ([*SUMMARIZE, "--thresholds", "a,b"], "argument --thresholds: expected comma-separated integers, got 'a,b'"),
 ])
 def test_integer_flags_name_their_bound(capsys, argv, message):
     assert run(argv) == 2
@@ -1037,6 +1039,7 @@ def numpy_free(after):
 
 import dpcoverage
 numpy_free("import dpcoverage")
+assert not [name for name in sys.modules if name.startswith("dpcoverage.")], "import dpcoverage loaded a module"
 from dpcoverage import cli
 from dpcoverage.cli import *  # probes cli.__all__
 numpy_free("import dpcoverage.cli")
@@ -1046,9 +1049,6 @@ assert cli.run(["--version"]) == 0
 numpy_free("--version")
 assert cli.run(["release", "--counts", "c.csv", "--households", "h.csv", "--seed", "-1", "--out", "r.csv"]) == 2
 numpy_free("a refused --seed")
-
-from dpcoverage import *
-assert all(name in globals() for name in dpcoverage.__all__)
 """
 
 

@@ -157,6 +157,7 @@ SPLIT_ROWS = {
 @pytest.mark.parametrize("case,match", [
     ("empty", "empty file"),
     ("bad header", "bad header"),
+    ("unparsable header", "line 1: field larger than field limit"),
     ("short row", "line 3: expected"),
     ("malformed value", "line 3:"),
     ("duplicate zone", "line 3: duplicate zone 00001"),
@@ -169,6 +170,7 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
     lines = {
         "empty": [],
         "bad header": ["zip,nonsense", good],
+        "unparsable header": ['"' + "x" * 200_000 + '"', good],
         "short row": [",".join(header), good, good.rsplit(",", 1)[0]],
         "malformed value": [",".join(header), good, bad],
         "duplicate zone": [",".join(header), good, good],
@@ -181,6 +183,20 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
     with pytest.raises(CsvFormatError, match=match) as caught:
         read(path)
     assert str(caught.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("reader, row, name", [
+    ("counts", "00002,1,9223372036854775808,3,4", "high_speed"),
+    ("households", "00002,9223372036854775808", "households"),
+])
+def test_integers_of_2_to_the_63_are_refused(tmp_path, reader, row, name):
+    # counts and household figures are held as int64
+    read, header, good, _ = READERS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in [",".join(header), good, row]), encoding="utf-8")
+    with pytest.raises(CsvFormatError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}: line 3: {name} must be below 2**63, got 9223372036854775808"
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
@@ -311,7 +327,8 @@ def test_a_write_syncs_the_new_bytes_before_the_move_and_the_move_after_it(tmp_p
 
 # ------------------------------------------------ io's readers against the reference reader
 
-BAD_TEXTS = ["x", "", "-1", "-0.5", "inf", "nan", "1e999", "1.5", "0", "0.20", " 7 ", "1\n", "12345"]
+BAD_TEXTS = ["x", "", "-1", "-0.5", "inf", "nan", "1e999", "1.5", "0", "0.20", " 7 ", "1\n", "12345",
+             "9223372036854775808"]
 BAD_ZONES = ["0001", "abcde", "000001", "", "00001\n", "1234x"]
 EDITS = st.lists(
     st.tuples(st.sampled_from(["field", "zone", "repeated zone", "short row", "spanning field"]),

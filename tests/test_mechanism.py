@@ -205,6 +205,18 @@ def test_far_offset_seek_matches_the_oracle():
     assert list(draws) == expected
 
 
+def test_a_substream_ends_at_position_2_to_the_66():
+    # counter word 0 is iteration // 4 and word 1 stays 0, so 2**66 - 1 is the last position
+    last = 2**66 - 1
+    assert list(laplace_stream(SCALE10, 5, "12345", "services", start=last - 3, count=4)) == [
+        _format2_draw(SCALE10.scale, 5, "12345", "services", last - i) for i in (3, 2, 1, 0)]
+    for start, count in [(last, 2), (last + 1, 1), (last + 1, 0), (2**70, 1)]:
+        with pytest.raises(ParameterError, match=f"start={start} count={count} reads past them"):
+            laplace_stream(SCALE10, 5, "12345", "services", start=start, count=count)
+    with pytest.raises(ParameterError, match=f"start={last + 1} count=1"):
+        laplace_sample(SCALE10, NoiseSeed(5, "12345", "services", last + 1))
+
+
 def test_zone_column_rows_match_single_streams():
     zones = ("00001", "00002", "31415")
     column = laplace_stream(SCALE10, 3, zones, "services", start=2, count=6)

@@ -107,6 +107,9 @@ def test_raw_record_validation():
         RawZipRecord("00501", 0, True, 0, 0)
     with pytest.raises(IngestionError):
         RawZipRecord("00501", 0, 0.5, 0, 0)
+    RawZipRecord("00501", 0, 2**63 - 1, 0, 0)  # Columns hold counts as int64
+    with pytest.raises(IngestionError, match=r"^high_speed must be below 2\*\*63, got 9223372036854775808$"):
+        RawZipRecord("00501", 0, 2**63, 0, 0)
 
 
 def test_household_record_validation():
@@ -115,6 +118,9 @@ def test_household_record_validation():
         HouseholdRecord("00501", 0)
     with pytest.raises(IngestionError):
         HouseholdRecord("00501", -5)
+    HouseholdRecord("00501", 2**63 - 1)
+    with pytest.raises(IngestionError, match=r"^households must be below 2\*\*63, got 9223372036854775808$"):
+        HouseholdRecord("00501", 2**63)
 
 
 def test_private_record_validation():

@@ -21,10 +21,12 @@ outputs and diagnostics agree:
   field on line 1001, with a short row on line 2001, with a field over
   the csv module's 131,072-character limit on line 3001, and with a
   quoted two-line field on line 101 before that bad field (so the reader
-  must name line 1002); a households file with a repeated zone, summarize
-  on a release table with an impossible row, and simulate-error with an
+  must name line 1002); households files with a repeated zone, with a
+  figure of 2**63 on line 1001 and with a 0xff byte on line 701; summarize
+  on a release table with an impossible row; simulate-error with an
   edited broadband_usage, with the other release's sidecar and with
-  --epsilon 0.2;
+  --epsilon 0.2; and a budget read of a journal whose line 2 has the
+  epsilon abc;
 - refusals while the arguments are parsed, and --version: release with
   --seed -1 and with --seed 2**64, budget with --budget 0, and no
   subcommand;
@@ -105,6 +107,13 @@ def _write_bad_inputs(work: Path) -> None:
     _edit(work / "counts-bad.csv", work / "counts-two-line.csv", 101, 1, '"7\n"')
     households = (work / "households.csv").read_text(encoding="utf-8")
     (work / "households-repeated.csv").write_text(households + households.splitlines(keepends=True)[500], encoding="utf-8")
+    _edit(work / "households.csv", work / "households-2-63.csv", 1001, 1, str(1 << 63))
+    rows = households.encode("utf-8").splitlines(keepends=True)
+    rows[700] = rows[700].replace(b",", b"\xff,")
+    (work / "households-not-utf-8.csv").write_bytes(b"".join(rows))
+    (work / "journal-bad-epsilon.tsv").write_text(
+        "2026-01-01T00:00:00+00:00\trelease a.csv\t0.2\n2026-01-02T00:00:00+00:00\trelease b.csv\tabc\n",
+        encoding="utf-8")
     _edit(work / "final.csv", work / "impossible.csv", 1002, 1, "1.500")
     lines = (work / "released.csv").read_text(encoding="utf-8").splitlines()
     defined = next(line for line in range(2, len(lines) + 1) if lines[line - 1].split(",")[1] not in ("", "0.000"))
@@ -136,6 +145,9 @@ STEPS = [
     ("refused-huge-field", _release(11, "bad.csv", counts="counts-huge-field.csv")),
     ("refused-two-line-field", _release(11, "bad.csv", counts="counts-two-line.csv")),
     ("refused-repeated-zone", _release(11, "bad.csv", households="households-repeated.csv")),
+    ("refused-households-2-63", _release(11, "bad.csv", households="households-2-63.csv")),
+    ("refused-households-not-utf-8", _release(11, "bad.csv", households="households-not-utf-8.csv")),
+    ("refused-journal-epsilon", ["budget", "--journal", "journal-bad-epsilon.tsv", "--budget", BUDGET]),
     ("refused-impossible-row", _summarize("impossible.csv", "bad-buckets.csv")),
     ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
     ("refused-other-sidecar", _simulate("released.csv", "bad.csv", "--private-counts", "rounded.csv.private-counts.csv")),
