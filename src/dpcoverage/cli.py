@@ -21,7 +21,8 @@ directory, and each output's directory must exist and let this process
 create the output's temporary file.
 
 An --epsilon or --budget that is not a positive finite decimal is
-refused, before anything is read, by a message that names the flag.
+refused, before anything is read, by a message that names the flag; so
+is an --epsilon whose noise scale 1 / epsilon is not a finite float.
 
 Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr; running out of memory is one of those.
@@ -45,7 +46,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 from dpcoverage import __version__
-from dpcoverage.accountant import PlanError, append_journal, as_epsilon, check_seed, load_ledger, total_epsilon
+from dpcoverage.accountant import (
+    ParameterError, PlanError, append_journal, as_epsilon, check_seed, load_ledger, total_epsilon,
+)
 
 
 @functools.cache
@@ -131,6 +134,16 @@ def _decimal(flag: str, text: str) -> Decimal:
         return as_epsilon(text)
     except PlanError:
         raise ValueError(f"{flag} must be a positive finite decimal, got {text!r}") from None
+
+
+def _noise_epsilon(text: str) -> Decimal:
+    """An --epsilon flag as an exact decimal of a finite noise scale, refused in a message that names the flag."""
+    eps = _decimal("--epsilon", text)
+    try:
+        LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    except ParameterError as exc:
+        raise ValueError(f"--epsilon {text}: {exc}") from None
+    return eps
 
 
 def _sha256(path: str | Path) -> str:
@@ -243,9 +256,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
     sidecar = io.private_counts_path(args.out)
     inputs, outputs = [args.counts, args.households], [args.out, sidecar]
     _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
-    eps = _decimal("--epsilon", args.epsilon)
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
-    LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    eps = _noise_epsilon(args.epsilon)
     budget = None if args.budget is None else _decimal("--budget", args.budget)
     plan = release_query_plan(eps)
     spent = total_epsilon(plan)
@@ -282,8 +294,8 @@ def _check_publication(
 ) -> None:
     """Refuse a publication unless the noisy counts and households give back its table at the per-query epsilon eps.
 
-    The table is rendered twice as text for the check; both copies are
-    freed on return, before the simulation needs the memory.
+    The table that the noisy counts give is rendered as text for the
+    check, and freed on return, before the simulation needs the memory.
     """
     # release writes its table and its sidecar in one zone order
     zones = rows.column("zone")
@@ -293,7 +305,6 @@ def _check_publication(
 
     # the error ranges belong to the published table only if the noisy
     # counts and this households file give it back, as the release wrote it
-    published = io.release_text(rows)
     found = io.release_text(coverage_rows(privs, household_column(zones, households)))
 
     # a sidecar written for another release would simulate this release's
@@ -312,15 +323,25 @@ def _check_publication(
                 f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
             )
 
-    # the raw coverage bit for bit (repr round-trips) and broadband_usage
-    # to its 3 decimals; an empty field is UNDEFINED on both sides
-    for name, column in (("raw coverage", "broadband_usage_raw"), ("coverage", "broadband_usage")):
-        for zone, text, other in zip(zones, published[column], found[column]):
-            if text != other:
-                raise IngestionError(
-                    f"{args.households} and the noisy counts give zone {zone} a {name} of {other or 'UNDEFINED'}, "
-                    f"but {args.release} published {text or 'UNDEFINED'}"
-                )
+    # each published value must be the value of the text the release
+    # writes for it: the raw coverage exactly (repr round-trips) and
+    # broadband_usage as its 3 decimals read back, so an edit within that
+    # rounding is refused too; an empty field is UNDEFINED on both sides
+    for name, field, column in (("raw coverage", "raw_coverage", "broadband_usage_raw"),
+                                ("coverage", "coverage", "broadband_usage")):
+        values = rows.column(field)
+        expected = np.array([float(text or "nan") for text in found[column]])
+        differ = np.flatnonzero((values != expected) & ~(np.isnan(values) & np.isnan(expected)))
+        if differ.size:
+            row = int(differ[0])
+            other = found[column][row]
+            text = io.release_text(rows[row : row + 1])[column][0]
+            if text == other:  # an edit within broadband_usage's 3 decimals
+                text = repr(values[row].item())
+            raise IngestionError(
+                f"{args.households} and the noisy counts give zone {zones[row]} a {name} of {other or 'UNDEFINED'}, "
+                f"but {args.release} published {text or 'UNDEFINED'}"
+            )
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
@@ -328,7 +349,7 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
     inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
-    eps = _decimal("--epsilon", args.epsilon)
+    eps = _noise_epsilon(args.epsilon)
     rows = io.read_release_csv(args.release)
     privs = io.read_private_counts_csv(sidecar)
     households = io.read_households_csv(args.households)

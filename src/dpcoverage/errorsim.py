@@ -13,9 +13,9 @@ release's broadband_usage_raw clipped to [0, 1] at full precision, so the
 statistics describe that value; the published broadband_usage is it
 rounded to 3 decimals and can lie up to 0.0005 further off. Only the
 three counts that enter the coverage formula (high_speed, services,
-non_services) are re-noised. Trials whose noisy services count clamps to
-zero have no trial coverage; they are excluded from the statistics and
-reported via defined_fraction instead of being imputed.
+non_services) are re-noised. A trial is defined where the release's
+formula is finite (its noisy services count did not clamp to zero); the
+rest are excluded from the statistics and counted in defined_fraction.
 
 Because the raw counts are never touched, everything here is
 post-processing of the released record and spends no privacy budget.
@@ -187,10 +187,10 @@ def _trials(
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
     counts holds each zone's (high_speed, services, non_services) noisy
-    counts and released their published coverage; households is positive.
-    Every step runs in the leading rows of workspace, and the results are
-    views of them: the deviations in workspace.non_services, the mask in
-    workspace.defined.
+    counts and released their published coverage; a trial is defined
+    where coverage_columns is finite. Every step runs in the leading rows
+    of workspace, and the results are views of them: the deviations in
+    workspace.non_services, the mask in workspace.defined.
     """
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
     work = workspace.head(len(zones))
@@ -200,10 +200,9 @@ def _trials(
                        out=(work.words, work.scratch, trial))
         np.add(trial, column[:, None], out=trial)
         np.maximum(0.0, trial, out=trial)  # the scalar first, as it decides signed zeros
-    high, services, non_services = trials
-    coverage = coverage_columns(high, services, non_services, households[:, None], out=(work.scratch, non_services))
-    deviation = np.subtract(released[:, None], clip_unit(coverage, out=coverage), out=coverage)
-    return deviation, np.greater(services, 0.0, out=work.defined)
+    coverage = coverage_columns(*trials, households[:, None], out=(work.scratch, work.non_services))
+    defined = np.isfinite(coverage, out=work.defined)  # before the clip, which turns inf into 1
+    return np.subtract(released[:, None], clip_unit(coverage, out=coverage), out=coverage), defined
 
 
 def trial_deviations(priv: PrivateZipRecord, households: int, config: SimulationConfig) -> np.ndarray:
@@ -247,8 +246,8 @@ def estimate_error_ranges(
     """Deviation statistics over k seeded trials for one zone.
 
     households is the zone's figure, an int, or None. Zones whose released
-    coverage is undefined (services_dp == 0 or no household figure) get a
-    report with defined_fraction 0 and absent statistics.
+    coverage is UNDEFINED (not finite: services_dp == 0, no household
+    figure or an overflow) get defined_fraction 0 and absent statistics.
     """
     return error_reports_for_release([priv], {} if households is None else {priv.zone: households}, config)[0]
 

@@ -72,7 +72,7 @@ class LaplaceParams:
     The noise scale is always sensitivity / epsilon. It is exposed as a
     derived property rather than a stored field so the relationship cannot
     drift; count queries use sensitivity 1 (one user changes any count by
-    at most 1).
+    at most 1). An epsilon so small that the scale overflows is refused.
     """
 
     sensitivity: float
@@ -83,6 +83,8 @@ class LaplaceParams:
             raise ParameterError(f"sensitivity must be a positive finite real, got {self.sensitivity!r}")
         if not (is_real(self.epsilon) and self.epsilon > 0):
             raise ParameterError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
+        if not math.isfinite(self.scale):
+            raise ParameterError(f"noise scale {self.sensitivity!r} / {self.epsilon!r} is not finite")
 
     @property
     def scale(self) -> float:

@@ -68,7 +68,7 @@ class IngestionError(ValueError):
 
 
 class DegenerateCountError(ValueError):
-    """The services count is zero, so the coverage formula has no value."""
+    """The coverage formula has no finite value: the services count is zero, or a product overflows."""
 
 
 # ---------------------------------------------------------------- row rules
@@ -225,8 +225,8 @@ class ReleaseRow:
 
     coverage is the estimate clipped to [0, 1], shown to 3 decimals in the
     file; raw_coverage keeps the pre-clip value so analysts can see how
-    aggressive the clip was. Both are None when the estimate is undefined
-    (noisy services count of zero, or no household figure for the zone).
+    aggressive the clip was. Both are None where the estimate is not finite
+    (services count of zero, no household figure, or an overflow).
     Undefined is reported, never imputed. The error statistics mae, msd
     and p95 are None until simulate-error fills them in, and only a
     defined coverage can carry them. They describe raw_coverage clipped to
@@ -336,11 +336,11 @@ def clip_unit(value: float | np.ndarray, out: np.ndarray | None = None) -> float
 
 
 def compute_coverage(high_speed: float, services: float, non_services: float, households: int) -> float:
-    """Coverage estimate before clipping.
+    """Coverage estimate before clipping: coverage_columns of one zone, its inputs checked.
 
-    high_speed * (services + non_services) / (services * households).
-    Raises DegenerateCountError when services == 0; callers publish
-    UNDEFINED for that zone rather than imputing a value.
+    The counts run as float64, as the release holds them. Raises
+    DegenerateCountError where the result is not finite (services == 0,
+    or an overflow); callers publish UNDEFINED rather than imputing.
     """
     problem = (
         _real_problem("high_speed", high_speed)
@@ -350,9 +350,10 @@ def compute_coverage(high_speed: float, services: float, non_services: float, ho
     )
     if problem is not None:
         raise ValueError(problem)
-    if services == 0:
-        raise DegenerateCountError("services count is zero; coverage is undefined for this zone")
-    return coverage_columns(high_speed, services, non_services, households)
+    coverage = float(coverage_columns(float(high_speed), float(services), float(non_services), households))
+    if not math.isfinite(coverage):
+        raise DegenerateCountError(f"coverage is {coverage}: the services count is zero, or a product overflowed")
+    return coverage
 
 
 def release_query_plan(per_query_epsilon: EpsilonLike) -> Sequential:
@@ -376,22 +377,18 @@ def coverage_columns(
     households: np.ndarray,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The coverage formula, elementwise over arrays, without compute_coverage's checks.
+    """The coverage formula, elementwise over arrays or scalars; a coverage exists where it is finite.
 
-    Elements whose services count is zero come out inf or nan;
-    coverage_rows masks them as UNDEFINED. out, if given, is (scratch,
-    coverage), two float64 arrays of the result's shape, and coverage may
-    be non_services itself: the same operations run in place, the call
-    overwrites both and returns coverage.
+    It is inf or nan where services or households is 0 and where a
+    product overflows, and raises no floating-point warning. out, if given,
+    is (scratch, coverage), two float64 arrays of the result's shape, and
+    coverage may be non_services itself: the call overwrites both and
+    returns coverage. Without out, each step allocates its result.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if out is None:
-            return high_speed * (services + non_services) / (services * households)
-        scratch, coverage = out
-        np.add(services, non_services, out=coverage)
-        np.multiply(high_speed, coverage, out=coverage)
-        np.multiply(services, households, out=scratch)
-        return np.divide(coverage, scratch, out=coverage)
+    scratch, coverage = (None, None) if out is None else out
+    with np.errstate(all="ignore"):
+        numerator = np.multiply(high_speed, np.add(services, non_services, out=coverage), out=coverage)
+        return np.divide(numerator, np.multiply(services, households, out=scratch), out=coverage)
 
 
 def household_column(zones: Sequence[str], households: Mapping[str, int]) -> np.ndarray:
@@ -412,12 +409,12 @@ def coverage_rows(privs: Columns[PrivateZipRecord], figures: np.ndarray) -> Colu
     """The release table of a set of noisy counts: coverage and epsilon columns, empty error columns.
 
     figures comes from household_column, 0 where a zone has no household
-    figure. A zone is UNDEFINED when its figure or its services_dp is 0:
-    its raw coverage is NaN, and clip_unit carries the NaN into its coverage.
+    figure. A zone is UNDEFINED where coverage_columns is not finite: its
+    raw coverage is NaN, and clip_unit carries the NaN into its coverage.
     """
-    services = privs.column("services_dp")
-    raw = coverage_columns(privs.column("high_speed_dp"), services, privs.column("non_services_dp"), figures)
-    raw = np.where((figures > 0) & (services > 0), raw, np.nan)
+    counts = (privs.column(name) for name in ("high_speed_dp", "services_dp", "non_services_dp"))
+    raw = coverage_columns(*counts, figures)
+    raw[~np.isfinite(raw)] = np.nan
     absent = np.full(len(privs), np.nan)
     return Columns(ReleaseRow, zone=privs.column("zone"), coverage=clip_unit(raw), raw_coverage=raw,
                    mae=absent, msd=absent, p95=absent, epsilon=privs.column("epsilon_total"))

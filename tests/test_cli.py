@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -585,7 +586,10 @@ def test_a_worker_out_of_memory_is_the_out_of_memory_line(tmp_path, monkeypatch,
     assert re.fullmatch(r"error: out of memory: in error simulation worker \d+\n", err), err
 
 
-@pytest.mark.parametrize("edit", ["published coverage", "households lack the zone", "sidecar services zero"])
+@pytest.mark.parametrize("edit", [
+    "published coverage", "published coverage within its rounding", "households lack the zone",
+    "sidecar services zero",
+])
 def test_simulate_error_refuses_a_table_the_inputs_do_not_give_back(tmp_path, capsys, edit):
     # every published coverage column must be what the noisy counts and the
     # households file give, in both directions: a defined zone cannot turn
@@ -596,6 +600,11 @@ def test_simulate_error_refuses_a_table_the_inputs_do_not_give_back(tmp_path, ca
     assert published.zone == "00001" and published.coverage is not None
     if edit == "published coverage":
         edited = "0.000" if f"{published.coverage:.3f}" != "0.000" else "1.000"
+        old = _edit_zone_field(released, "00001", 1, edited)
+        expected = f"a coverage of {old}, but {released} published {edited}"
+    elif edit == "published coverage within its rounding":
+        # 0.852 written 0.8524 renders as 0.852 again, but is another value
+        edited = f"{published.coverage:.3f}4"
         old = _edit_zone_field(released, "00001", 1, edited)
         expected = f"a coverage of {old}, but {released} published {edited}"
     elif edit == "households lack the zone":
@@ -705,7 +714,9 @@ def test_epsilon_arithmetic_that_would_round_is_refused(tmp_path, capsys):
     assert capsys.readouterr().out == "budget=0.2\nspent=0.2\nremaining=0.0\n"
 
 
-@pytest.mark.parametrize("case", ["no output directory", "epsilon the noise kernel refuses"])
+@pytest.mark.parametrize("case", [
+    "no output directory", "epsilon the noise kernel refuses", "epsilon whose noise scale overflows",
+])
 def test_release_refuses_before_charging(tmp_path, capsys, case):
     counts, households = make_inputs(tmp_path, zones=3)
     journal = tmp_path / "journal.tsv"
@@ -715,6 +726,7 @@ def test_release_refuses_before_charging(tmp_path, capsys, case):
     argv = {
         "no output directory": [*base, "--out", str(tmp_path / "nodir" / "r.csv")],
         "epsilon the noise kernel refuses": [*base, "--epsilon", "1e-400", "--out", str(tmp_path / "r.csv")],
+        "epsilon whose noise scale overflows": [*base, "--epsilon", "1e-320", "--out", str(tmp_path / "r.csv")],
     }[case]
     before = _tree(tmp_path)
     capsys.readouterr()
@@ -724,7 +736,35 @@ def test_release_refuses_before_charging(tmp_path, capsys, case):
     assert ".tmp" not in captured.err
     if case == "no output directory":
         assert f"no directory {tmp_path / 'nodir'}" in captured.err
+    if case == "epsilon whose noise scale overflows":
+        assert captured.err == "error: --epsilon 1e-320: noise scale 1.0 / 1e-320 is not finite\n"
     assert _tree(tmp_path) == before  # the journal's bytes included
+
+
+def test_a_release_whose_coverage_overflows_is_undefined_there_and_every_reader_takes_it(tmp_path, capsys):
+    # at epsilon 1e-160 the noise has scale 1e160, and high_speed * (services
+    # + non_services) overflows wherever both are positive: those zones are
+    # UNDEFINED, not inf, and no numpy warning reaches the user
+    counts, households = make_inputs(tmp_path)
+    released, final, buckets = (tmp_path / name for name in ("released.csv", "final.csv", "buckets.csv"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["release", "--counts", str(counts), "--households", str(households), "--epsilon", "1e-160",
+                    "--seed", "42", "--out", str(released)]) == 0
+        assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                    "--epsilon", "1e-160", "--k", "50", "--seed", "42", "--out", str(final)]) == 0
+        assert run(["summarize", "--in", str(final), "--households", str(households), "--out", str(buckets)]) == 0
+    assert not [warning for warning in caught if issubclass(warning.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    privs = io.read_private_counts_csv(io.private_counts_path(released))
+    high, services, non_services = (privs.column(f"{label}_dp") for label in COUNT_LABELS[1:])
+    with np.errstate(over="ignore"):
+        overflowed = np.isinf(high * (services + non_services))
+    assert overflowed.any()
+    for table in (released, final):
+        raw = io.read_release_csv(table).column("raw_coverage")
+        assert np.isnan(raw[overflowed]).all()
+        assert (np.isfinite(raw) == (~overflowed & (services > 0))).all()  # every zone has a household figure
 
 
 @pytest.mark.parametrize("command", ["simulate-error", "summarize"])
@@ -870,13 +910,17 @@ def test_simulate_error_names_a_malformed_epsilon_as_the_epsilon(tmp_path, capsy
     assert not final.exists()
 
 
-def test_simulate_error_parses_the_epsilon_before_it_reads_anything(tmp_path, capsys):
+@pytest.mark.parametrize("epsilon,message", [
+    ("abc", "--epsilon must be a positive finite decimal, got 'abc'"),
+    ("1e-320", "--epsilon 1e-320: noise scale 1.0 / 1e-320 is not finite"),  # 1 / 1e-320 is inf
+], ids=["malformed", "noise scale overflows"])
+def test_simulate_error_parses_the_epsilon_before_it_reads_anything(tmp_path, capsys, epsilon, message):
     # no input exists: a malformed epsilon is refused before the first read
     missing = tmp_path / "missing.csv"
     final = tmp_path / "final.csv"
     assert run(["simulate-error", "--release", str(missing), "--households", str(tmp_path / "households.csv"),
-                "--epsilon", "abc", "--k", "10", "--seed", "42", "--out", str(final)]) == 1
-    assert capsys.readouterr().err == "error: --epsilon must be a positive finite decimal, got 'abc'\n"
+                "--epsilon", epsilon, "--k", "10", "--seed", "42", "--out", str(final)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -381,6 +381,8 @@ def test_simulation_config_validation():
         SimulationConfig(per_query_epsilon=0.1, base_seed=0, k=0)
     with pytest.raises(Exception):
         SimulationConfig(per_query_epsilon=-0.1, base_seed=0, k=10)
+    with pytest.raises(ValueError):  # 1 / 1e-320 is inf
+        SimulationConfig(per_query_epsilon=1e-320, base_seed=0, k=10)
     assert SimulationConfig(per_query_epsilon=0.1, base_seed=0).k == 1000  # default trials
 
 

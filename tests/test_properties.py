@@ -3,12 +3,13 @@
 import math
 from decimal import Decimal
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcoverage.accountant import as_epsilon, parallel_compose, sequential_compose
 from dpcoverage.errorsim import nearest_rank
-from dpcoverage.release import clip_unit, compute_coverage
+from dpcoverage.release import clip_unit, compute_coverage, coverage_columns
 from dpcoverage.synth import SynthSpec, generate
 
 epsilons = st.decimals(min_value="0.001", max_value="100", places=3).map(as_epsilon)
@@ -65,6 +66,21 @@ def test_coverage_matches_literal_transcription(high, services, non_services, ho
     ours = compute_coverage(high, services, non_services, households)
     tolerance = 4 * math.ulp(max(abs(ours), abs(reference), 1e-300))
     assert abs(ours - reference) <= tolerance
+
+
+# every input a release can produce short of an absurd epsilon: noisy
+# counts up to 2**64, services 0 (clamped) or at least 1e-20, any figure
+# that household_column passes, 0 where a zone has none
+_counts = st.floats(min_value=0.0, max_value=2.0**64)
+_services = st.one_of(st.just(0.0), st.floats(min_value=1e-20, max_value=2.0**64))
+_figures = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@given(st.lists(st.tuples(_counts, _services, _counts, _figures), min_size=1, max_size=20))
+def test_a_coverage_exists_exactly_where_services_and_households_are_positive(zones):
+    high, services, non_services, figures = map(np.array, zip(*zones))
+    coverage = coverage_columns(high, services, non_services, figures.astype(np.int64))
+    assert (np.isfinite(coverage) == ((services > 0) & (figures > 0))).all()
 
 
 @settings(max_examples=25, deadline=None)

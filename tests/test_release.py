@@ -55,6 +55,12 @@ def test_coverage_zero_services_is_degenerate():
         compute_coverage(10, 0, 10, 100)
 
 
+def test_coverage_that_overflows_is_degenerate():
+    # 1e200 * (1e200 + 1e200) is inf: no coverage, as where services is zero
+    with pytest.raises(DegenerateCountError):
+        compute_coverage(1e200, 1e200, 1e200, 1)
+
+
 @pytest.mark.parametrize("args", [
     (-1, 10, 10, 100),
     (10, -1, 10, 100),
