@@ -294,8 +294,10 @@ def _check_publication(
 ) -> None:
     """Refuse a publication unless the noisy counts and households give back its table at the per-query epsilon eps.
 
-    The table that the noisy counts give is rendered as text for the
-    check, and freed on return, before the simulation needs the memory.
+    Each value is compared with the value the release writes: the raw
+    coverage as itself, since its repr round-trips, and broadband_usage as
+    its 3 decimals read back, the one column rendered as text for the
+    check. Only a row named in a refusal is rendered whole.
     """
     # release writes its table and its sidecar in one zone order
     zones = rows.column("zone")
@@ -305,7 +307,7 @@ def _check_publication(
 
     # the error ranges belong to the published table only if the noisy
     # counts and this households file give it back, as the release wrote it
-    found = io.release_text(coverage_rows(privs, household_column(zones, households)))
+    found = coverage_rows(privs, household_column(zones, households))
 
     # a sidecar written for another release would simulate this release's
     # errors around that release's counts and epsilon; an epsilon is a
@@ -324,17 +326,17 @@ def _check_publication(
             )
 
     # each published value must be the value of the text the release
-    # writes for it: the raw coverage exactly (repr round-trips) and
-    # broadband_usage as its 3 decimals read back, so an edit within that
-    # rounding is refused too; an empty field is UNDEFINED on both sides
-    for name, field, column in (("raw coverage", "raw_coverage", "broadband_usage_raw"),
-                                ("coverage", "coverage", "broadband_usage")):
+    # writes for it, so an edit within broadband_usage's rounding is
+    # refused too; an empty field is UNDEFINED on both sides
+    for name, field, column, expected in (
+        ("raw coverage", "raw_coverage", "broadband_usage_raw", found.column("raw_coverage")),
+        ("coverage", "coverage", "broadband_usage", io.published_coverage(found.column("coverage"))),
+    ):
         values = rows.column(field)
-        expected = np.array([float(text or "nan") for text in found[column]])
         differ = np.flatnonzero((values != expected) & ~(np.isnan(values) & np.isnan(expected)))
         if differ.size:
             row = int(differ[0])
-            other = found[column][row]
+            other = io.release_text(found[row : row + 1])[column][0]
             text = io.release_text(rows[row : row + 1])[column][0]
             if text == other:  # an edit within broadband_usage's 3 decimals
                 text = repr(values[row].item())

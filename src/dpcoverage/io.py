@@ -7,12 +7,19 @@ written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
 Readers parse a file into columns (release.Columns; households become a
-zone -> figure dict of ints, the shape the API takes them in); a column
-pass only tells whether the table is good. A bad table is then walked
-row by row, to name its first bad row in file order and that row's line
-number. Writers take Columns, or a
-list of records that they convert once, and replace their target
-atomically: a crash mid-write leaves the old file, never a truncated one.
+zone -> figure dict of ints, the shape the API takes them in). The
+columns come from one of two sources. A plain file (no quote, CR or NUL,
+a final newline, the same number of commas on every line, no line over
+the csv module's field limit, and the right header) is split with
+str.split; any other is read by csv.reader, which gives the same columns
+and line numbers, and names the same problems. A column pass then only
+tells whether the table is good. A bad table is walked row by row, to
+name its first bad row in file order and that row's line number.
+Writers take Columns, or a list of records that they convert once, and
+replace their target atomically: a crash mid-write leaves the old file,
+never a truncated one. They write WRITE_CHUNK_ROWS rows at a time: a
+chunk of plain str fields as comma-joined lines, any other through
+csv.writer, with the same bytes either way.
 
 This module holds only the formats: the records it reads and writes, and
 their validity rules, belong to dpcoverage.release and dpcoverage.errorsim.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -52,6 +60,14 @@ HOUSEHOLDS_HEADER = ["zip", "households"]
 RELEASE_HEADER = ["zip", "broadband_usage", "broadband_usage_raw", "error_mae", "error_msd", "error_p95", "epsilon"]
 PRIVATE_COUNTS_HEADER = ["zip", "low_speed_dp", "high_speed_dp", "services_dp", "non_services_dp", "epsilon"]
 BUCKET_HEADER = ["bucket_low", "bucket_high", "zones", "mean_mae", "mean_msd", "mean_p95"]
+
+# Rows joined into one write: a bound on the rows and text a write holds at
+# once. Joining a whole 32,653-row table raised the peak memory of release
+# from 60 to 72 MB. Writing a 32,653-zone synth's two tables and 51
+# 100-zone slices five times in one process raised its peak by 0.6-1.3 MB
+# with chunks of 1,024 rows and by 0.1-0.3 MB with chunks of 256, which
+# cost up to 5 ms more on a 32,653-row table.
+WRITE_CHUNK_ROWS = 256
 
 
 class CsvFormatError(ValueError):
@@ -92,11 +108,41 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def _joined(rows: list[Sequence]) -> str | None:
+    """The lines csv.writer writes for rows, as one text; None if it would quote or convert a field.
+
+    Each line is its fields joined by commas. That is csv.writer's line
+    for str fields with no comma, quote, CR, LF or NUL, unless the row is
+    one empty field, which it writes as "".
+    """
+    try:
+        text = "\n".join(map(",".join, rows)) + "\n"
+    except TypeError:  # a field that is not a str
+        return None
+    fields = sum(map(len, rows))
+    plain = (
+        text.count(",") == fields - len(rows) and text.count("\n") == len(rows)
+        and '"' not in text and "\r" not in text and "\x00" not in text
+        and not text.startswith("\n") and "\n\n" not in text
+    )
+    return text if plain else None
+
+
 def _write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """header and rows as csv.writer writes them, WRITE_CHUNK_ROWS rows to each write.
+
+    A chunk whose fields are plain str is written as joined lines; any
+    other goes through csv.writer, so the bytes are the same either way.
+    """
+    rows = itertools.chain([header], rows)
     with atomic_writer(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(itertools.islice(rows, WRITE_CHUNK_ROWS)):
+            text = _joined(chunk)
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                handle.write(text)
 
 
 def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
@@ -106,21 +152,35 @@ def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
 Parser = tuple[Callable[[str], Any], Callable[[str, ValueError], str]]  # (convert, message(text, error))
 
 
-def _read_table(
-    path: str | Path,
-    header: list[str],
-    parsers: Sequence[Parser],
-    rule: Callable[..., str | None],
-) -> list[list]:
-    """Checked columns of values from a CSV file with the given header, zones first.
+def _split_columns(text: str, header: list[str]) -> list[list[str]] | None:
+    """The columns of a plain table's rows, split on commas and newlines; None unless the table is plain.
 
-    Each parser converts one column after the zone; rule, the record's row
-    rule, runs over the converted columns. Rejects an empty file, a wrong
-    header, a row with the wrong number of fields, a value a parser or the
-    rule refuses, a row the csv module cannot parse, a zone seen on an
-    earlier row, and a file that is not UTF-8 text. The column pass only
-    answers whether the table is good; if not, _first_problem finds what a
-    row-by-row reader would raise.
+    Plain text is what csv.reader reads as split does: no quote, CR or
+    NUL, a final newline, exactly one comma fewer than the header has
+    fields on every line, no line longer than the csv module's field
+    limit, and the right header.
+    """
+    if not text.endswith("\n") or '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text[:-1].split("\n")  # not splitlines, which also splits on \v, \f, \x1c.. and \u2028
+    width = len(header)
+    if (
+        lines[0] != ",".join(header)
+        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    if len(lines) == 1:
+        return [[] for _ in header]
+    del lines  # freed before the fields are made
+    fields = text[text.index("\n") + 1 : -1].replace("\n", ",").split(",")
+    return [fields[column::width] for column in range(width)]
+
+
+def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], list[int], str | None]:
+    """The columns csv.reader reads from a file, each row's line, and why reading stopped early, if it did.
+
+    Past the rows read, lines holds the line reading stopped on.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -152,6 +212,36 @@ def _read_table(
     except UnicodeDecodeError:
         # the decoder reads in chunks: its offset and the reader's line number may both miss the bad byte
         raise CsvFormatError(f"{path}: not UTF-8 text") from None
+    return texts, lines, stop
+
+
+def _read_table(
+    path: str | Path,
+    header: list[str],
+    parsers: Sequence[Parser],
+    rule: Callable[..., str | None],
+) -> list[list]:
+    """Checked columns of values from a CSV file with the given header, zones first.
+
+    Each parser converts one column after the zone; rule, the record's row
+    rule, runs over the converted columns. Rejects an empty file, a wrong
+    header, a row with the wrong number of fields, a value a parser or the
+    rule refuses, a row the csv module cannot parse, a zone seen on an
+    earlier row, and a file that is not UTF-8 text. A plain file is split
+    into columns with str.split; any other is read by csv.reader, which
+    gives the same columns and names a bad row the same way. The column
+    pass only answers whether the table is good; if not, _first_problem
+    finds what a row-by-row reader would raise.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            texts = _split_columns(handle.read(), header)
+    except UnicodeDecodeError:
+        texts = None  # the csv.reader pass names the error
+    if texts is not None:
+        lines, stop = range(2, len(texts[0]) + 2), None  # a plain row i is on line i + 2
+    else:
+        texts, lines, stop = _csv_columns(path, header)
 
     zones = texts[0]
     try:
@@ -209,7 +299,7 @@ def read_counts_csv(path: str | Path) -> Columns[RawZipRecord]:
 
 def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
     table = as_columns(records, RawZipRecord)
-    counts = (table.column(label).tolist() for label in COUNT_LABELS)
+    counts = (map(str, table.column(label).tolist()) for label in COUNT_LABELS)
     _write_table(path, COUNTS_HEADER, zip(table.column("zone"), *counts))
 
 
@@ -221,12 +311,21 @@ def read_households_csv(path: str | Path) -> dict[str, int]:
 
 def write_households_csv(path: str | Path, records: Sequence[HouseholdRecord]) -> None:
     table = as_columns(records, HouseholdRecord)
-    _write_table(path, HOUSEHOLDS_HEADER, zip(table.column("zone"), table.column("households").tolist()))
+    _write_table(path, HOUSEHOLDS_HEADER, zip(table.column("zone"), map(str, table.column("households").tolist())))
 
 
 def _format_floats(column: np.ndarray, form: Callable[[float], str] = repr) -> list[str]:
     """Each value in its text form, NaN (None) as an empty field."""
     return ["" if value != value else form(value) for value in column.tolist()]
+
+
+def _coverage_text(column: np.ndarray) -> list[str]:
+    return _format_floats(column, "{:.3f}".format)
+
+
+def published_coverage(coverage: np.ndarray) -> np.ndarray:
+    """Each broadband_usage as write_release_csv writes it, read back: 3 decimals, NaN where UNDEFINED."""
+    return np.array([float(text or "nan") for text in _coverage_text(coverage)])
 
 
 def release_text(rows: Sequence[ReleaseRow]) -> dict[str, list[str]]:
@@ -238,7 +337,7 @@ def release_text(rows: Sequence[ReleaseRow]) -> dict[str, list[str]]:
     table = as_columns(rows, ReleaseRow)
     columns = [
         table.column("zone"),
-        _format_floats(table.column("coverage"), "{:.3f}".format),
+        _coverage_text(table.column("coverage")),
         *(_format_floats(table.column(name)) for name in ("raw_coverage", "mae", "msd", "p95")),
         list(map(str, table.column("epsilon"))),
     ]

@@ -18,10 +18,14 @@ where h0, h1 are the two little-endian 64-bit halves of the 16-byte
 BLAKE2b digest of ``zone + "\\x1f" + label`` (UTF-8). The draw is 64-bit
 word ``lane`` of the block a freshly built
 ``np.random.Philox(key=key, counter=counter)`` emits first, so reaching
-any position of any substream costs O(1). One generator per thread is
-re-addressed by setting its state; no per-stream generator is built.
-Word 1 of the counter is always 0, so a substream has 2**66 positions;
-a read past the last one is refused.
+any position of any substream costs O(1). A call reads its words one of
+two ways, by one rule. Streams of one word each (a release's draws) are
+computed as numpy uint64 arithmetic, Philox4x64-10 written out over the
+whole column at once. Longer streams (the error simulation's 1,000
+words) re-address one numpy generator per thread by setting its state,
+and read each stream with random_raw; no per-stream generator is built.
+The two give the same bits. Word 1 of the counter is always 0, so a
+substream has 2**66 positions; a read past the last one is refused.
 
 Sampling uses the inverse CDF of the Laplace distribution,
 
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,7 +63,11 @@ NOISE_FORMAT = 2
 NOISE_DOMAIN = int.from_bytes(b"dpcovf02", "little")
 _LANES = 4  # 64-bit words per Philox4x64 block
 _POSITIONS = 2**64 * _LANES  # counter word 0 is iteration // 4, and word 1 is always 0
-_HALVES = struct.Struct("<QQ")
+# Philox4x64-10's constants (Salmon et al.): the round multipliers and the key schedule's increments
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 _local = threading.local()
 
@@ -127,10 +134,53 @@ def _bit_generator() -> np.random.Philox:
     return bitgen
 
 
+def _digests(zones: Sequence[str], label: str) -> np.ndarray:
+    """(len(zones), 2) uint64: the halves h0, h1 of each zone's BLAKE2b digest, read at once."""
+    suffix = b"\x1f" + label.encode("utf-8")
+    data = b"".join([hashlib.blake2b(zone.encode("utf-8") + suffix, digest_size=16).digest() for zone in zones])
+    return np.frombuffer(data, dtype="<u8").reshape(len(zones), 2)
+
+
+def _mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products multiplier * a, elementwise, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    carries = ((a_lo * m_lo) >> _32) + (lh & _LOW32) + (hl & _LOW32)  # under 2**34: no overflow
+    return a * np.uint64(multiplier), a_hi * m_hi + (lh >> _32) + (hl >> _32) + (carries >> _32)
+
+
+def _philox_words(base_seed: int, halves: np.ndarray, start: int) -> np.ndarray:
+    """Word start of each zone's substream, elementwise: Philox4x64-10 in numpy uint64 arithmetic.
+
+    Bit for bit what _raw_words' random_raw path reads: that generator
+    increments its counter before it computes a block, so the block is the
+    one at counter word 0 = start // 4 + 1, carrying into word 1. Every
+    operand is a uint64 array or np.uint64 scalar, so numpy 1.x's
+    value-based casting never widens one.
+    """
+    block = start // _LANES + 1
+    x0 = np.full(len(halves), block % 2**64, dtype=np.uint64)
+    x1 = np.full(len(halves), block >> 64, dtype=np.uint64)
+    x2, x3 = halves[:, 0], halves[:, 1]
+    k0, k1 = base_seed, NOISE_DOMAIN
+    for _ in range(_ROUNDS):
+        lo0, hi0 = _mulhilo(x0, _MULTIPLIERS[0])
+        lo1, hi1 = _mulhilo(x2, _MULTIPLIERS[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _KEY_STEPS[0]) % 2**64, (k1 + _KEY_STEPS[1]) % 2**64
+    return (x0, x1, x2, x3)[start % _LANES]
+
+
 def _raw_words(
     base_seed: int, zones: Sequence[str], label: str, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """uint64 words at positions start..start+count-1 of each zone's substream, in out if given."""
+    halves = _digests(zones, label)
+    words = np.empty((len(zones), count), dtype=np.uint64) if out is None else out
+    if count == 1:
+        words[:, 0] = _philox_words(base_seed, halves, start)
+        return words
     bitgen = _bit_generator()
     lane = start % _LANES
     counter = [start // _LANES, 0, 0, 0]
@@ -142,11 +192,8 @@ def _raw_words(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    suffix = b"\x1f" + label.encode("utf-8")
-    words = np.empty((len(zones), count), dtype=np.uint64) if out is None else out
-    for row, zone in enumerate(zones):
-        digest = hashlib.blake2b(zone.encode("utf-8") + suffix, digest_size=16).digest()
-        counter[2], counter[3] = _HALVES.unpack(digest)
+    for row, (h0, h1) in enumerate(halves.tolist()):
+        counter[2], counter[3] = h0, h1
         bitgen.state = state
         words[row] = bitgen.random_raw(lane + count)[lane:]
     return words

@@ -6,10 +6,12 @@ import stat
 import tempfile
 from collections.abc import Mapping
 from decimal import Decimal
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcoverage import io
@@ -393,3 +395,113 @@ def test_readers_agree_with_the_reference_reader(form, zones, edits, data):
         assert _columns(found) == expected
     if not edits:
         assert not isinstance(expected, str)
+
+
+# ------------------------------------------------ the split pass against the csv.reader pass
+
+PLAIN_FIELDS = {
+    "counts": ["1", "0", "x", "-4", "12"],
+    "households": ["50", "0", "many", "7"],
+    "release": ["0.500", "0.5", "", "1.5", "x"],
+    "private-counts": ["1.5", "0", "-2.5", "x", "4"],
+}
+PERTURBATIONS = ["quoted field", "CRLF", "lone CR", "blank line", "NUL", "no final newline",
+                 "extra comma", "missing comma", "field over the limit", "not UTF-8"]
+FIELD_LIMIT = 100  # the csv module's field limit while the property runs: above every header line, and cheap to pass
+
+
+def _table_bytes(form, data):
+    """A small table of one format as bytes, and whether it was left plain."""
+    read, header, good, _ = READERS[form]
+    zones = data.draw(st.lists(st.sampled_from(["00001", "00002", "00003", "0004", "00005"]), max_size=5))
+    tail = good.split(",")[1:]
+    lines = [",".join(header)] + [
+        ",".join([zone, *(data.draw(st.sampled_from([text, *PLAIN_FIELDS[form]])) for text in tail)]) for zone in zones
+    ]
+    if form in ("release", "private-counts"):  # the epsilon column
+        lines[1:] = [line.rsplit(",", 1)[0] + "," + data.draw(st.sampled_from(["0.2", "0.20", "abc"])) for line in lines[1:]]
+    perturbations = data.draw(st.lists(st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 99)), max_size=2))
+    ending, final = "\n", True
+    for kind, at in perturbations:
+        line = at % len(lines)
+        if kind == "quoted field":
+            fields = lines[line].split(",")
+            fields[at % len(fields)] = f'"{fields[at % len(fields)]}"'
+            lines[line] = ",".join(fields)
+        elif kind == "CRLF":
+            ending = "\r\n"
+        elif kind == "lone CR":
+            lines[line] += "\r"
+        elif kind == "blank line":
+            lines.insert(line + 1, "")
+        elif kind == "NUL":
+            lines[line] += "\x00"
+        elif kind == "no final newline":
+            final = False
+        elif kind == "extra comma":
+            lines[line] += ","
+        elif kind == "missing comma":
+            lines[line] = lines[line].replace(",", "", 1)
+        elif kind == "field over the limit":
+            lines[line] += "9" * (FIELD_LIMIT + 1)
+        else:  # the byte 0xff
+            lines[line] += "\udcff"
+    text = ending.join(lines) + (ending if final else "")
+    return text.encode("utf-8", errors="surrogateescape"), not perturbations
+
+
+@pytest.mark.parametrize("form", sorted(READERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_split_pass_agrees_with_the_csv_reader_pass(form, data):
+    # a plain file is split with str.split, any other read by csv.reader:
+    # both must give the same columns, line numbers and diagnostics
+    read, header, _, _ = READERS[form]
+    content, plain = _table_bytes(form, data)
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "table.csv"
+            path.write_bytes(content)
+            found = _outcome(read, path)
+            with mock.patch.object(io, "_split_columns", lambda text, header: None):
+                expected = _outcome(read, path)
+            try:
+                split = io._split_columns(content.decode("utf-8"), header)
+            except UnicodeDecodeError:
+                split = None
+            if split is not None:
+                texts, lines, stop = io._csv_columns(path, header)
+                assert (split, stop) == (texts, None)
+                assert lines == list(range(2, len(texts[0]) + 2))
+    finally:
+        csv.field_size_limit(limit)
+    if plain:
+        assert split is not None
+    if isinstance(expected, str) or isinstance(found, str):
+        assert found == expected
+    else:
+        assert _columns(found) == _columns(expected)
+
+
+TEXTS = st.text(alphabet=["a", "7", ",", '"', "\r", "\n", "\x00", " "], max_size=4)
+FIELDS = st.one_of(TEXTS, TEXTS, TEXTS, st.integers(-5, 5), st.floats(allow_nan=False), st.none())
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=[["a,b", "c"]], chunk=1)
+@example(rows=[['a"b', "c"]], chunk=1)
+@example(rows=[["a\rb", "c"]], chunk=1)
+@example(rows=[["a\nb", "c"]], chunk=1)
+@example(rows=[["a\x00b", "c"]], chunk=1)
+@example(rows=[["a", "b"], [""], ["c", "d"]], chunk=4)
+@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=3), max_size=12), chunk=st.integers(1, 4))
+def test_the_joined_writer_writes_what_csv_writer_writes(rows, chunk):
+    # fields holding commas, quotes, CR or LF, and fields that are not str,
+    # go through csv.writer; chunks of plain str fields are joined
+    expected = StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([io.COUNTS_HEADER, *rows])
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(io, "WRITE_CHUNK_ROWS", chunk):
+        path = Path(directory) / "table.csv"
+        io._write_table(path, io.COUNTS_HEADER, rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

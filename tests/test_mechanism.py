@@ -14,7 +14,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpcoverage import mechanism
 from dpcoverage.mechanism import (
     LaplaceParams,
     NoiseSeed,
@@ -167,14 +170,19 @@ def test_stream_start_count_domain():
 FORMAT2_DOMAIN = 0x323066766F637064  # b"dpcovf02" read little-endian
 
 
-def _format2_draw(scale, base_seed, zone, label, iteration):
+def _fresh_philox_word(base_seed, zone, label, iteration):
+    """Word iteration of a substream, from a Philox numpy builds at the stream's address."""
     digest = hashlib.blake2b(f"{zone}\x1f{label}".encode("utf-8"), digest_size=16).digest()
     h0, h1 = int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
     philox = np.random.Philox(
         key=np.array([base_seed, FORMAT2_DOMAIN], dtype=np.uint64),
         counter=np.array([iteration // 4, 0, h0, h1], dtype=np.uint64),
     )
-    word = int(philox.random_raw(iteration % 4 + 1)[iteration % 4])
+    return int(philox.random_raw(iteration % 4 + 1)[iteration % 4])
+
+
+def _format2_draw(scale, base_seed, zone, label, iteration):
+    word = _fresh_philox_word(base_seed, zone, label, iteration)
     u = (2 * (word >> 12) + 1) / 2**53 - 0.5
     assert u != 0.0 and abs(u) < 0.5
     return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
@@ -330,3 +338,21 @@ def test_is_real_is_a_finite_int_or_float_and_no_bool():
 
     assert all(is_real(value) for value in (0, -3, 2.5, np.float64(0.1), 10**18))
     assert not any(is_real(value) for value in (True, False, math.inf, math.nan, "1", None, np.int64(1)))
+
+
+# ------------------------------------------------ array Philox against numpy's generator
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base_seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    # lanes 0-3; 2**62; the last block, where counter word 0 wraps and carries into word 1
+    start=st.one_of(st.integers(0, 3), st.sampled_from([2**62, 2**66 - 4, 2**66 - 1]), st.integers(0, 2**66 - 1)),
+    streams=st.one_of(st.integers(0, 5), st.sampled_from([100, 257])),
+    label=st.text(max_size=4),
+)
+def test_array_philox_matches_numpys_generator_bit_for_bit(base_seed, start, streams, label):
+    zones = [f"{row:05d}" for row in range(streams)]
+    expected = [_fresh_philox_word(base_seed, zone, label, start) for zone in zones]
+    assert mechanism._philox_words(base_seed, mechanism._digests(zones, label), start).tolist() == expected
+    assert mechanism._raw_words(base_seed, zones, label, start, 1)[:, 0].tolist() == expected

@@ -27,6 +27,10 @@ outputs and diagnostics agree:
   edited broadband_usage, with the other release's sidecar and with
   --epsilon 0.2; and a budget read of a journal whose line 2 has the
   epsilon abc;
+- releases from inputs that the readers' plain-text split pass leaves to
+  csv.reader, each of which must publish what the plain file gives: a
+  households file with CRLF line endings, a counts file without a final
+  newline, and a households file whose zones are quoted;
 - refusals while the arguments are parsed, and --version: release with
   --seed -1 and with --seed 2**64, budget with --budget 0, and no
   subcommand;
@@ -120,6 +124,16 @@ def _write_bad_inputs(work: Path) -> None:
     _edit(work / "released.csv", work / "edited.csv", defined, 1, "0.000")
 
 
+def _write_csv_reader_inputs(work: Path) -> None:
+    """Good inputs that are not plain text: the readers parse them with csv.reader."""
+    households = (work / "households.csv").read_bytes()
+    (work / "households-crlf.csv").write_bytes(households.replace(b"\n", b"\r\n"))
+    (work / "counts-no-final-newline.csv").write_bytes((work / "counts.csv").read_bytes()[:-1])
+    header, *rows = households.splitlines(keepends=True)
+    quoted = (b'"%s",%s' % tuple(row.split(b",", 1)) for row in rows)
+    (work / "households-quoted.csv").write_bytes(header + b"".join(quoted))
+
+
 BUDGET_READ = ["budget", "--journal", "journal.tsv", "--budget", BUDGET]
 
 # (step name, argv), or (step name, function of the work directory) for a step run in this process
@@ -152,6 +166,10 @@ STEPS = [
     ("refused-edited-coverage", _simulate("edited.csv", "bad.csv", "--private-counts", "released.csv.private-counts.csv")),
     ("refused-other-sidecar", _simulate("released.csv", "bad.csv", "--private-counts", "rounded.csv.private-counts.csv")),
     ("refused-epsilon", _simulate("released.csv", "bad.csv", epsilon="0.2")),
+    ("write-csv-reader-inputs", _write_csv_reader_inputs),
+    ("release-crlf-households", _release(11, "crlf.csv", households="households-crlf.csv")),
+    ("release-counts-no-final-newline", _release(11, "no-final-newline.csv", counts="counts-no-final-newline.csv")),
+    ("release-quoted-zones", _release(11, "quoted.csv", households="households-quoted.csv")),
     ("refused-negative-seed", _release(-1, "bad.csv")),
     ("refused-seed-over-64-bits", _release(1 << 64, "bad.csv")),
     ("refused-zero-budget", ["budget", "--journal", "journal.tsv", "--budget", "0"]),
