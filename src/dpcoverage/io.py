@@ -7,14 +7,15 @@ written with repr, which round-trips exactly; only the published
 broadband_usage column is fixed to 3 decimal places.
 
 Readers parse a file into columns (release.Columns; households become a
-zone -> figure dict of ints, the shape the API takes them in). The
-columns come from one of two sources. A plain file (no quote, CR or NUL,
-a final newline, the same number of commas on every line, no line over
-the csv module's field limit, and the right header) is split with
-str.split; any other is read by csv.reader, which gives the same columns
-and line numbers, and names the same problems. A column pass then only
-tells whether the table is good. A bad table is walked row by row, to
-name its first bad row in file order and that row's line number.
+zone -> figure dict of ints, the shape the API takes them in). Each file
+is read and decoded once; one that is not UTF-8 text is refused as such.
+A plain file (no quote, CR or NUL, a final newline, the same number of
+commas on every line, no line over the csv module's field limit, and the
+right header) is split with str.split and checked column by column.
+Every other file, and every plain file that check refuses, is read row
+by row by csv.reader, which names the first bad row in file order and
+its line number.
+
 Writers take Columns, or a list of records that they convert once, and
 replace their target atomically: a crash mid-write leaves the old file,
 never a truncated one. They write WRITE_CHUNK_ROWS rows at a time: a
@@ -32,6 +33,7 @@ import csv
 import functools
 import itertools
 import os
+from io import StringIO
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -177,44 +179,6 @@ def _split_columns(text: str, header: list[str]) -> list[list[str]] | None:
     return [fields[column::width] for column in range(width)]
 
 
-def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], list[int], str | None]:
-    """The columns csv.reader reads from a file, each row's line, and why reading stopped early, if it did.
-
-    Past the rows read, lines holds the line reading stopped on.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                first = next(reader, None)
-            except csv.Error as exc:
-                raise _row_error(path, reader.line_num, str(exc))
-            if first is None:
-                raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
-            if first != header:
-                raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
-            texts: list[list[str]] = [[] for _ in header]
-            lines: list[int] = []  # each row's last line: a quoted field may span lines
-            stop = None  # why reading ended before the end of the file
-            try:
-                for row in reader:
-                    if len(row) != len(header):
-                        stop = f"expected {len(header)} fields, got {len(row)}"
-                        break
-                    lines.append(reader.line_num)
-                    for column, field in zip(texts, row):
-                        column.append(field)
-            except csv.Error as exc:
-                # the csv module's own parse errors, such as a field over its size limit
-                stop = str(exc)
-            if stop is not None:
-                lines.append(reader.line_num)
-    except UnicodeDecodeError:
-        # the decoder reads in chunks: its offset and the reader's line number may both miss the bad byte
-        raise CsvFormatError(f"{path}: not UTF-8 text") from None
-    return texts, lines, stop
-
-
 def _read_table(
     path: str | Path,
     header: list[str],
@@ -224,55 +188,70 @@ def _read_table(
     """Checked columns of values from a CSV file with the given header, zones first.
 
     Each parser converts one column after the zone; rule, the record's row
-    rule, runs over the converted columns. Rejects an empty file, a wrong
+    rule, runs over the converted values. Rejects an empty file, a wrong
     header, a row with the wrong number of fields, a value a parser or the
     rule refuses, a row the csv module cannot parse, a zone seen on an
-    earlier row, and a file that is not UTF-8 text. A plain file is split
-    into columns with str.split; any other is read by csv.reader, which
-    gives the same columns and names a bad row the same way. The column
-    pass only answers whether the table is good; if not, _first_problem
-    finds what a row-by-row reader would raise.
+    earlier row, and a file that is not UTF-8 text (as such, naming no
+    line). The file is read and decoded once. A plain file is split into
+    columns with str.split and checked column by column; any other file,
+    and a plain one that check refuses, is read row by row by _read_rows.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            texts = _split_columns(handle.read(), header)
+            text = handle.read()
     except UnicodeDecodeError:
-        texts = None  # the csv.reader pass names the error
+        raise CsvFormatError(f"{path}: not UTF-8 text") from None
+    texts = _split_columns(text, header)
     if texts is not None:
-        lines, stop = range(2, len(texts[0]) + 2), None  # a plain row i is on line i + 2
-    else:
-        texts, lines, stop = _csv_columns(path, header)
-
-    zones = texts[0]
-    try:
-        values = [zones, *(list(map(convert, column)) for (convert, _), column in zip(parsers, texts[1:]))]
-    except ValueError:
-        values = None
-    if values is None or stop is not None or any(map(rule, *values)) or first_duplicate(zones) is not None:
-        row, problem = _first_problem(texts, parsers, rule, stop)
-        raise _row_error(path, lines[row], problem)
-    return values
+        del text  # held beside the values, it raised summarize's peak RSS by 3 MB; a plain text is rebuilt below
+        zones = texts[0]
+        try:
+            values = [zones, *(list(map(convert, column)) for (convert, _), column in zip(parsers, texts[1:]))]
+        except ValueError:
+            values = None
+        if values is not None and not any(map(rule, *values)) and first_duplicate(zones) is None:
+            return values
+        text = "\n".join(map(",".join, [header, *zip(*texts)])) + "\n"
+    return _read_rows(path, text, header, parsers, rule)
 
 
-def _first_problem(texts: list[list[str]], parsers: Sequence[Parser], rule: Callable, stop: str | None) -> tuple:
-    """The first bad row and its problem, as a row-by-row reader meets them.
+def _read_rows(
+    path: str | Path, text: str, header: list[str], parsers: Sequence[Parser], rule: Callable[..., str | None]
+) -> list[list]:
+    """_read_table's columns from csv.reader, row by row, or the first problem in file order.
 
-    Within a row: each field's parse in column order, then the rule, then
-    a repeated zone. Past the last row read, why reading stopped.
+    Within a row: its field count, each field's parse in column order,
+    then the rule, then a repeated zone. A problem names the row's last
+    line, since a quoted field may span lines.
     """
+    reader = csv.reader(StringIO(text, newline=""))
+    columns: list[list] = [[] for _ in header]
     seen: set[str] = set()
-    for row, (zone, *fields) in enumerate(zip(*texts)):
-        values = [zone]
-        for (convert, message), text in zip(parsers, fields):
-            try:
-                values.append(convert(text))
-            except ValueError as exc:
-                return row, message(text, exc)
-        problem = rule(*values) or (f"duplicate zone {zone}" if zone in seen else None)
-        if problem is not None:
-            return row, problem
-        seen.add(zone)
-    return len(texts[0]), stop
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise CsvFormatError(f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        for row in reader:
+            if len(row) != len(header):
+                raise _row_error(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            zone, *fields = row
+            values = [zone]
+            for (convert, message), field in zip(parsers, fields):
+                try:
+                    values.append(convert(field))
+                except ValueError as exc:
+                    raise _row_error(path, reader.line_num, message(field, exc)) from None
+            problem = rule(*values) or (f"duplicate zone {zone}" if zone in seen else None)
+            if problem is not None:
+                raise _row_error(path, reader.line_num, problem)
+            seen.add(zone)
+            for column, value in zip(columns, values):
+                column.append(value)
+    except csv.Error as exc:  # the csv module's own parse errors, such as a field over its size limit
+        raise _row_error(path, reader.line_num, str(exc)) from None
+    return columns
 
 
 def _integers(name: str) -> Parser:

@@ -79,7 +79,9 @@ class LaplaceParams:
     The noise scale is always sensitivity / epsilon. It is exposed as a
     derived property rather than a stored field so the relationship cannot
     drift; count queries use sensitivity 1 (one user changes any count by
-    at most 1). An epsilon so small that the scale overflows is refused.
+    at most 1). An epsilon so small that the scale overflows is refused,
+    and so is one whose draws can overflow what the pipeline adds them to:
+    a count below 2**63 plus its release draw plus a simulation trial's.
     """
 
     sensitivity: float
@@ -92,6 +94,8 @@ class LaplaceParams:
             raise ParameterError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
         if not math.isfinite(self.scale):
             raise ParameterError(f"noise scale {self.sensitivity!r} / {self.epsilon!r} is not finite")
+        if not math.isfinite(2.0**63 + 2 * self.scale * MAX_DRAW_SCALES):
+            raise ParameterError(f"noise scale {self.scale!r} can overflow a noisy count")
 
     @property
     def scale(self) -> float:
@@ -197,6 +201,11 @@ def _raw_words(
         bitgen.state = state
         words[row] = bitgen.random_raw(lane + count)[lane:]
     return words
+
+
+# A draw of _laplace_from_words is at most scale * MAX_DRAW_SCALES in size: 1 - 2|u| is
+# at least 2**-52, so |x| <= scale * 52 ln 2, and one ln 2 more covers the rounding.
+MAX_DRAW_SCALES = 53 * math.log(2)
 
 
 def _laplace_from_words(

@@ -741,6 +741,20 @@ def test_release_refuses_before_charging(tmp_path, capsys, case):
     assert _tree(tmp_path) == before  # the journal's bytes included
 
 
+def test_an_epsilon_whose_noise_can_overflow_a_count_is_refused_before_anything_is_charged(tmp_path, capsys):
+    # at epsilon 1e-308 the noise scale 1e308 is finite, but a draw reaches
+    # about 36 times the scale, which overflows a noisy count
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal, out = tmp_path / "journal.tsv", tmp_path / "r.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["release", "--counts", str(counts), "--households", str(households), "--epsilon", "1e-308",
+                    "--seed", "42", "--journal", str(journal), "--budget", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --epsilon 1e-308: noise scale 1e+308 can overflow a noisy count\n"
+    assert not journal.exists() and not out.exists()
+
+
 def test_a_release_whose_coverage_overflows_is_undefined_there_and_every_reader_takes_it(tmp_path, capsys):
     # at epsilon 1e-160 the noise has scale 1e160, and high_speed * (services
     # + non_services) overflows wherever both are positive: those zones are
@@ -913,7 +927,8 @@ def test_simulate_error_names_a_malformed_epsilon_as_the_epsilon(tmp_path, capsy
 @pytest.mark.parametrize("epsilon,message", [
     ("abc", "--epsilon must be a positive finite decimal, got 'abc'"),
     ("1e-320", "--epsilon 1e-320: noise scale 1.0 / 1e-320 is not finite"),  # 1 / 1e-320 is inf
-], ids=["malformed", "noise scale overflows"])
+    ("1e-308", "--epsilon 1e-308: noise scale 1e+308 can overflow a noisy count"),
+], ids=["malformed", "noise scale overflows", "noise overflows"])
 def test_simulate_error_parses_the_epsilon_before_it_reads_anything(tmp_path, capsys, epsilon, message):
     # no input exists: a malformed epsilon is refused before the first read
     missing = tmp_path / "missing.csv"

@@ -155,6 +155,7 @@ SPLIT_ROWS = {
 }
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["LF", "CRLF"])  # CRLF: never plain, read row by row
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("case,match", [
     ("empty", "empty file"),
@@ -165,9 +166,10 @@ SPLIT_ROWS = {
     ("duplicate zone", "line 3: duplicate zone 00001"),
     ("oversized field", "line 3: field larger than field limit"),
     ("zone with a trailing newline", "line 4: zone must be a 5-digit zip string"),
-    ("not UTF-8", "not UTF-8 text$"),  # no offset or line: the decoder reads in chunks
+    ("not UTF-8", "not UTF-8 text$"),  # no line: the file is refused for its bytes
+    ("not UTF-8 past a short row", "not UTF-8 text$"),  # ... even where the bad byte is past the decoder's first 8 KB
 ])
-def test_reader_diagnostics(tmp_path, reader, case, match):
+def test_reader_diagnostics(tmp_path, reader, case, match, ending):
     read, header, good, bad = READERS[reader]
     lines = {
         "empty": [],
@@ -179,9 +181,11 @@ def test_reader_diagnostics(tmp_path, reader, case, match):
         "oversized field": [",".join(header), good, '00002,"' + "x" * 200_000 + '"' + good[5:]],
         "zone with a trailing newline": [",".join(header), good, '"00002\n"' + good[5:]],  # lines 3-4
         "not UTF-8": [",".join(header), good, good + "\udcff"],  # the byte 0xff
+        "not UTF-8 past a short row": [",".join(header), good, good.rsplit(",", 1)[0],
+                                       *(f"{zone:05d}{good[5:]}" for zone in range(3, 1000)), good + "\udcff"],
     }[case]
     path = tmp_path / "in.csv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
+    path.write_bytes("".join(line + ending for line in lines).encode("utf-8", errors="surrogateescape"))
     with pytest.raises(CsvFormatError, match=match) as caught:
         read(path)
     assert str(caught.value).startswith(f"{path}: ")
@@ -397,7 +401,7 @@ def test_readers_agree_with_the_reference_reader(form, zones, edits, data):
         assert not isinstance(expected, str)
 
 
-# ------------------------------------------------ the split pass against the csv.reader pass
+# ------------------------------------------------ the split pass against the row reader
 
 PLAIN_FIELDS = {
     "counts": ["1", "0", "x", "-4", "12"],
@@ -454,8 +458,8 @@ def _table_bytes(form, data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_the_split_pass_agrees_with_the_csv_reader_pass(form, data):
-    # a plain file is split with str.split, any other read by csv.reader:
-    # both must give the same columns, line numbers and diagnostics
+    # a plain file is split with str.split, any other read row by row by
+    # csv.reader: both must give the same columns, line numbers and diagnostics
     read, header, _, _ = READERS[form]
     content, plain = _table_bytes(form, data)
     limit = csv.field_size_limit(FIELD_LIMIT)
@@ -470,10 +474,6 @@ def test_the_split_pass_agrees_with_the_csv_reader_pass(form, data):
                 split = io._split_columns(content.decode("utf-8"), header)
             except UnicodeDecodeError:
                 split = None
-            if split is not None:
-                texts, lines, stop = io._csv_columns(path, header)
-                assert (split, stop) == (texts, None)
-                assert lines == list(range(2, len(texts[0]) + 2))
     finally:
         csv.field_size_limit(limit)
     if plain:

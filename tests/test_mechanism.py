@@ -40,6 +40,7 @@ def test_scale_is_derived_from_sensitivity_and_epsilon():
     (0.0, 0.1), (-1.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1),
     (1.0, 0.0), (1.0, -0.1), (1.0, float("nan")), (1.0, float("inf")),
     (1.0, 1e-320), (1e300, 1e-10),  # each is finite, but the scale sensitivity / epsilon is inf
+    (1.0, 1e-308), (1e300, 1e-8),  # a finite scale whose draws can overflow a count below 2**63
 ])
 def test_parameter_domain_errors(sensitivity, epsilon):
     with pytest.raises(ParameterError):

@@ -28,9 +28,11 @@ outputs and diagnostics agree:
   --epsilon 0.2; and a budget read of a journal whose line 2 has the
   epsilon abc;
 - releases from inputs that the readers' plain-text split pass leaves to
-  csv.reader, each of which must publish what the plain file gives: a
-  households file with CRLF line endings, a counts file without a final
-  newline, and a households file whose zones are quoted;
+  the row-by-row csv.reader, each of which must publish what the plain
+  file gives: a households file with CRLF line endings, a counts file
+  without a final newline, and a households file whose zones are quoted;
+  and a refusal by that reader: the CRLF households file with the figure
+  0 on line 1001;
 - refusals while the arguments are parsed, and --version: release with
   --seed -1 and with --seed 2**64, budget with --budget 0, and no
   subcommand;
@@ -125,9 +127,13 @@ def _write_bad_inputs(work: Path) -> None:
 
 
 def _write_csv_reader_inputs(work: Path) -> None:
-    """Good inputs that are not plain text: the readers parse them with csv.reader."""
+    """Inputs that are not plain text, all good but one: the readers parse them row by row with csv.reader."""
     households = (work / "households.csv").read_bytes()
-    (work / "households-crlf.csv").write_bytes(households.replace(b"\n", b"\r\n"))
+    crlf = households.replace(b"\n", b"\r\n")
+    (work / "households-crlf.csv").write_bytes(crlf)
+    rows = crlf.splitlines(keepends=True)
+    rows[1000] = rows[1000].split(b",")[0] + b",0\r\n"
+    (work / "households-crlf-zero.csv").write_bytes(b"".join(rows))
     (work / "counts-no-final-newline.csv").write_bytes((work / "counts.csv").read_bytes()[:-1])
     header, *rows = households.splitlines(keepends=True)
     quoted = (b'"%s",%s' % tuple(row.split(b",", 1)) for row in rows)
@@ -170,6 +176,7 @@ STEPS = [
     ("release-crlf-households", _release(11, "crlf.csv", households="households-crlf.csv")),
     ("release-counts-no-final-newline", _release(11, "no-final-newline.csv", counts="counts-no-final-newline.csv")),
     ("release-quoted-zones", _release(11, "quoted.csv", households="households-quoted.csv")),
+    ("refused-crlf-households-zero", _release(11, "bad.csv", households="households-crlf-zero.csv")),
     ("refused-negative-seed", _release(-1, "bad.csv")),
     ("refused-seed-over-64-bits", _release(1 << 64, "bad.csv")),
     ("refused-zero-budget", ["budget", "--journal", "journal.tsv", "--budget", "0"]),
