@@ -18,9 +18,10 @@ its line number.
 
 Writers take Columns, or a list of records that they convert once, and
 replace their target atomically: a crash mid-write leaves the old file,
-never a truncated one. They write WRITE_CHUNK_ROWS rows at a time: a
-chunk of plain str fields as comma-joined lines, any other through
-csv.writer, with the same bytes either way.
+never a truncated one. They write WRITE_CHUNK_ROWS rows at a time as
+plain comma-joined lines, which the plain-file split reads back; a row
+with a field that would need quoting (a comma, quote, CR, LF or NUL) is
+refused, not quoted, and the target keeps its old bytes.
 
 This module holds only the formats: the records it reads and writes, and
 their validity rules, belong to dpcoverage.release and dpcoverage.errorsim.
@@ -110,41 +111,25 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _joined(rows: list[Sequence]) -> str | None:
-    """The lines csv.writer writes for rows, as one text; None if it would quote or convert a field.
+def _write_table(path: str | Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """header and rows as comma-joined lines, WRITE_CHUNK_ROWS rows to each write.
 
-    Each line is its fields joined by commas. That is csv.writer's line
-    for str fields with no comma, quote, CR, LF or NUL, unless the row is
-    one empty field, which it writes as "".
-    """
-    try:
-        text = "\n".join(map(",".join, rows)) + "\n"
-    except TypeError:  # a field that is not a str
-        return None
-    fields = sum(map(len, rows))
-    plain = (
-        text.count(",") == fields - len(rows) and text.count("\n") == len(rows)
-        and '"' not in text and "\r" not in text and "\x00" not in text
-        and not text.startswith("\n") and "\n\n" not in text
-    )
-    return text if plain else None
-
-
-def _write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    """header and rows as csv.writer writes them, WRITE_CHUNK_ROWS rows to each write.
-
-    A chunk whose fields are plain str is written as joined lines; any
-    other goes through csv.writer, so the bytes are the same either way.
+    These are the csv module's lines for rows of str fields, as wide as
+    the header, with no comma, quote, CR, LF or NUL. Any other chunk is
+    refused with a ValueError naming path, which keeps its old bytes.
     """
     rows = itertools.chain([header], rows)
+    width = len(header)
     with atomic_writer(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
         while chunk := list(itertools.islice(rows, WRITE_CHUNK_ROWS)):
-            text = _joined(chunk)
-            if text is None:
-                writer.writerows(chunk)
-            else:
-                handle.write(text)
+            text = "\n".join(map(",".join, chunk)) + "\n"
+            if not (
+                set(map(len, chunk)) == {width}
+                and text.count(",") == len(chunk) * (width - 1) and text.count("\n") == len(chunk)
+                and '"' not in text and "\r" not in text and "\x00" not in text
+            ):
+                raise ValueError(f"{path}: a row is not {width} fields wide or a field would need quoting")
+            handle.write(text)
 
 
 def _row_error(path: str | Path, line_num: int, problem: str) -> CsvFormatError:
@@ -347,7 +332,7 @@ def read_private_counts_csv(path: str | Path) -> Columns[PrivateZipRecord]:
 
 def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> None:
     rows = (
-        [s.low, "" if s.high is None else s.high, s.zone_count,
+        [str(s.low), "" if s.high is None else str(s.high), str(s.zone_count),
          *_format_floats(np.array([s.mean_mae, s.mean_msd, s.mean_p95], dtype=np.float64))]
         for s in summaries
     )

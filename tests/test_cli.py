@@ -1,24 +1,29 @@
 """CLI: pipeline wiring, manifests, exit codes, and diagnostics."""
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from decimal import Decimal
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpcoverage import cli, errorsim, io
-from dpcoverage.accountant import LedgerEntry, append_journal, load_journal
+from dpcoverage.accountant import LedgerEntry, append_journal, load_journal, seq, total_epsilon
 from dpcoverage.cli import run
 from dpcoverage.mechanism import LaplaceParams, laplace_stream
-from dpcoverage.release import COUNT_LABELS
+from dpcoverage.release import COUNT_LABELS, HouseholdRecord, RawZipRecord, release_query_plan
 
 
 def make_inputs(tmp_path, zones=20, seed=7):
@@ -1160,3 +1165,66 @@ def test_a_name_wrapped_before_any_command_is_the_one_the_command_calls(tmp_path
     # the numpy layers after it, and must keep it
     make_inputs(tmp_path, zones=3)
     fresh_python(tmp_path, WRAPPED_RELEASE)
+
+
+# every text form of an epsilon the flag takes: repr, every digit written
+# out, and exponents with few digits; the exponent is drawn over the whole
+# range and, as often, over the last decades of the floats, where a noise
+# scale or a draw overflows
+_EPSILON_FORMS = [repr, lambda value: format(Decimal(repr(value)), "f"), "{:.2g}".format, "{:.1E}".format]
+_EXPONENTS = st.one_of(st.floats(-310, 6), st.floats(-310, -300))
+epsilon_texts = st.one_of(
+    st.builds(lambda form, exponent: form(10.0**exponent), st.sampled_from(_EPSILON_FORMS), _EXPONENTS),
+    st.decimals(min_value="0.001", max_value="10", places=3).map(str),
+)
+
+
+def _accepted_or_refused(argv, journal):
+    """The exit status of one in-process command, which exits 0 or prints one error: line and leaves the journal."""
+    before = journal.read_bytes() if journal.exists() else b""  # a refused first charge may leave it empty
+    stderr = StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(StringIO()):
+        status = run([str(arg) for arg in argv])
+    if status != 0:
+        assert status == 1 and stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+        assert (journal.read_bytes() if journal.exists() else b"") == before
+    return status
+
+
+@settings(max_examples=30, deadline=None)
+@example(zones=[("00001", (1, 2, 3, 4), 5)], round_counts=False, seed=1, budget="1", epsilons=["1e-308"])
+@given(
+    zones=st.lists(st.tuples(st.integers(0, 99999).map("{:05d}".format), st.tuples(*[st.integers(0, 2**63 - 1)] * 4),
+                             st.one_of(st.none(), st.integers(1, 2**63 - 1))),
+                   min_size=1, max_size=5, unique_by=lambda zone: zone[0]),
+    round_counts=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    budget=epsilon_texts,
+    epsilons=st.lists(epsilon_texts, min_size=1, max_size=3),
+)
+def test_every_release_a_command_accepts_writes_what_the_next_command_reads(zones, round_counts, seed, budget, epsilons):
+    # each charge is refused before the journal changes, or its release is
+    # read by simulate-error and summarize, and the journal spends exactly
+    # the charges that exited 0; any warning fails the run
+    with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        work = Path(directory)
+        counts, households, journal = work / "counts.csv", work / "households.csv", work / "journal.tsv"
+        io.write_counts_csv(counts, [RawZipRecord(zone, *figures) for zone, figures, _ in zones])
+        io.write_households_csv(households, [HouseholdRecord(zone, figure) for zone, _, figure in zones
+                                             if figure is not None])
+        charged = []
+        for index, epsilon in enumerate(epsilons):
+            out, final = work / f"r{index}.csv", work / f"final{index}.csv"
+            release = ["release", "--counts", counts, "--households", households, "--epsilon", epsilon,
+                       "--seed", seed, "--out", out, "--journal", journal, "--budget", budget]
+            if _accepted_or_refused(release + ["--round-counts"] * round_counts, journal) != 0:
+                continue
+            charged.append(epsilon)
+            assert _accepted_or_refused(["simulate-error", "--release", out, "--households", households,
+                                         "--epsilon", epsilon, "--k", 3, "--seed", 1, "--out", final], journal) == 0
+            assert _accepted_or_refused(["summarize", "--in", final, "--households", households,
+                                         "--out", work / f"buckets{index}.csv"], journal) == 0
+        spent = total_epsilon(seq(*map(release_query_plan, charged))) if charged else Decimal(0)
+        entries = load_journal(journal) if journal.exists() else []
+        assert sum((entry.epsilon for entry in entries), Decimal(0)) == spent

@@ -10,13 +10,16 @@ from io import StringIO
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcoverage import io
 from dpcoverage.io import CsvFormatError, ReleaseRow
-from dpcoverage.release import HouseholdRecord, PrivateZipRecord, RawZipRecord
+from dpcoverage.cli import run
+from dpcoverage.release import COUNT_LABELS, Columns, HouseholdRecord, PrivateZipRecord, RawZipRecord
+from dpcoverage.synth import SynthSpec, generate
 from oracles import read_table
 
 
@@ -486,6 +489,16 @@ def test_the_split_pass_agrees_with_the_csv_reader_pass(form, data):
 
 TEXTS = st.text(alphabet=["a", "7", ",", '"', "\r", "\n", "\x00", " "], max_size=4)
 FIELDS = st.one_of(TEXTS, TEXTS, TEXTS, st.integers(-5, 5), st.floats(allow_nan=False), st.none())
+PLAIN_ROWS = st.lists(st.text(alphabet=["a", "7", " ", "\u00e9"], max_size=4), min_size=2, max_size=2)
+
+
+def _plain(rows):
+    """Rows of str fields, as wide as the households header, none holding a comma, quote, CR, LF or NUL."""
+    return all(
+        len(row) == len(io.HOUSEHOLDS_HEADER)
+        and all(isinstance(field, str) and not set(field) & set(',"\r\n\x00') for field in row)
+        for row in rows
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -495,13 +508,75 @@ FIELDS = st.one_of(TEXTS, TEXTS, TEXTS, st.integers(-5, 5), st.floats(allow_nan=
 @example(rows=[["a\nb", "c"]], chunk=1)
 @example(rows=[["a\x00b", "c"]], chunk=1)
 @example(rows=[["a", "b"], [""], ["c", "d"]], chunk=4)
-@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=3), max_size=12), chunk=st.integers(1, 4))
-def test_the_joined_writer_writes_what_csv_writer_writes(rows, chunk):
-    # fields holding commas, quotes, CR or LF, and fields that are not str,
-    # go through csv.writer; chunks of plain str fields are joined
-    expected = StringIO()
-    csv.writer(expected, lineterminator="\n").writerows([io.COUNTS_HEADER, *rows])
+@given(rows=st.lists(st.one_of(PLAIN_ROWS, PLAIN_ROWS, st.lists(FIELDS, min_size=1, max_size=3)), max_size=12),
+       chunk=st.integers(1, 4))
+def test_the_writer_writes_plain_rows_as_csv_writer_does_and_refuses_any_other(rows, chunk):
+    # every chunk is written as comma-joined lines: csv.writer's lines for
+    # plain rows; any other rows are refused, not quoted, and the old file stays
     with tempfile.TemporaryDirectory() as directory, mock.patch.object(io, "WRITE_CHUNK_ROWS", chunk):
         path = Path(directory) / "table.csv"
-        io._write_table(path, io.COUNTS_HEADER, rows)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        path.write_bytes(b"old bytes\n")
+        if _plain(rows):
+            expected = StringIO()
+            csv.writer(expected, lineterminator="\n").writerows([io.HOUSEHOLDS_HEADER, *rows])
+            io._write_table(path, io.HOUSEHOLDS_HEADER, rows)
+            assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        else:
+            with pytest.raises((ValueError, TypeError)) as refusal:  # TypeError: a field that is not a str
+                io._write_table(path, io.HOUSEHOLDS_HEADER, rows)
+            assert refusal.type is TypeError or str(path) in str(refusal.value)
+            assert path.read_bytes() == b"old bytes\n"
+            assert os.listdir(directory) == ["table.csv"]
+
+
+@pytest.mark.parametrize("character", [",", '"', "\r", "\n", "\x00"], ids=["comma", "quote", "CR", "LF", "NUL"])
+def test_a_field_that_would_need_quoting_is_refused_and_the_old_file_kept(tmp_path, character):
+    path = tmp_path / "households.csv"
+    io.write_households_csv(path, [HouseholdRecord("00001", 7)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as refusal:
+        io._write_table(path, io.HOUSEHOLDS_HEADER, [["00002", "8"], ["00003", f"9{character}9"]])
+    assert str(path) in str(refusal.value)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_public_writer_refuses_a_zone_that_would_need_quoting(tmp_path):
+    # Columns built directly skip the record rule; a quoted "0,001" is a zone the readers refuse
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, [RawZipRecord("00001", 1, 2, 3, 4)])
+    before = path.read_bytes()
+    table = Columns(RawZipRecord, zone=["0,001"], **{label: np.array([1]) for label in COUNT_LABELS})
+    with pytest.raises(ValueError) as refusal:
+        io.write_counts_csv(path, table)
+    assert str(path) in str(refusal.value)
+    assert path.read_bytes() == before
+
+
+def test_every_table_the_pipeline_writes_takes_the_split_pass(tmp_path, monkeypatch):
+    # the benchmark's reads stay on the split pass only while every table
+    # the package writes is plain; every 7th zone has no household row, so
+    # some zones are UNDEFINED
+    monkeypatch.chdir(tmp_path)
+    counts, households = generate(SynthSpec(200, (50, 200000), (0.1, 0.95), (0.5, 0.9), seed=5))
+    io.write_counts_csv("counts.csv", counts)
+    io.write_households_csv("households.csv", [record for index, record in enumerate(households) if index % 7])
+    assert run(["release", "--counts", "counts.csv", "--households", "households.csv", "--seed", "1",
+                "--out", "r.csv"]) == 0
+    assert run(["simulate-error", "--release", "r.csv", "--households", "households.csv", "--k", "3", "--seed", "1",
+                "--out", "final.csv"]) == 0
+    tables = {
+        "counts.csv": io.COUNTS_HEADER,
+        "households.csv": io.HOUSEHOLDS_HEADER,
+        "r.csv": io.RELEASE_HEADER,
+        "r.csv.private-counts.csv": io.PRIVATE_COUNTS_HEADER,
+        "final.csv": io.RELEASE_HEADER,
+    }
+    split = {name: io._split_columns(Path(name).read_text(encoding="utf-8"), header) for name, header in tables.items()}
+    assert None not in split.values()
+    assert "" in split["r.csv"][1] and set(split["r.csv"][3]) == {""}  # UNDEFINED zones, no error columns
+    assert "" in split["final.csv"][3] and set(split["final.csv"][3]) != {""}
+    for table in ("r.csv", "final.csv"):  # buckets of ints and empty means, then of the error columns' means
+        assert run(["summarize", "--in", table, "--households", "households.csv", "--out", "buckets.csv"]) == 0
+        lines = Path("buckets.csv").read_text(encoding="utf-8").splitlines()
+        assert all(line.count(",") == 5 and '"' not in line for line in lines)

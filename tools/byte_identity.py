@@ -15,6 +15,8 @@ outputs and diagnostics agree:
 - simulate-error --k 200 and summarize on each release, and simulate-error
   --k 1000 on the charged release: blocks of 65 zones, run by as many
   worker processes as the machine gives (2 on a 2-CPU host);
+- summarize on the charged release itself, which has no error columns, so
+  every bucket row is ints and empty means, such as 100,1000,3,,,;
 - a second charge, a third that the budget refuses, and a budget read
   after each charge;
 - refusals, compared by exit status and stderr: counts files with a bad
@@ -155,6 +157,7 @@ STEPS = [
     ("simulate-k1000", _simulate("released.csv", "final-k1000.csv", k="1000")),
     ("summarize", _summarize("final.csv", "buckets.csv")),
     ("summarize-rounded", _summarize("rounded-final.csv", "rounded-buckets.csv")),
+    ("summarize-release", _summarize("released.csv", "release-buckets.csv")),
     ("release-second", _charge(13, "second.csv")),
     ("budget-2", BUDGET_READ),
     ("release-refused", _charge(14, "third.csv")),
