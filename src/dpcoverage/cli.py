@@ -13,7 +13,10 @@ records the same epsilon and the noisy-count sidecar it resolved as
 environment-variable override, so a release manifest records the
 `--seed` that keeps the release's noise secret. That seed and the
 noisy-count sidecar give back the raw counts: the manifest and the
-sidecar are safe to publish only while it is secret.
+sidecar are safe to publish only while it is secret. A command deletes
+the manifest of an earlier run to the same output before its first
+output moves into place, so a run that fails after that leaves no
+manifest, never one that describes other files.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
@@ -47,7 +50,7 @@ from pathlib import Path
 
 from dpcoverage import __version__
 from dpcoverage.accountant import (
-    ParameterError, PlanError, append_journal, as_epsilon, check_seed, load_ledger, total_epsilon,
+    ParameterError, PlanError, append_journal, as_epsilon, check_seed, load_ledger, sync_directory, total_epsilon,
 )
 
 
@@ -200,6 +203,16 @@ def _recorded(value: object) -> object:
     return value
 
 
+def _retire_manifest(first_output: str | Path) -> None:
+    """Delete, durably, the manifest an earlier run left beside first_output; called before any output moves."""
+    path = _manifest_path(first_output)
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return
+    sync_directory(path)
+
+
 def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, changes: dict | None = None) -> Path:
     """Reproducibility sidecar written next to a command's first output.
 
@@ -241,6 +254,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     counts, households = generate(spec)
+    _retire_manifest(args.out_counts)
     io.write_counts_csv(args.out_counts, counts)
     io.write_households_csv(args.out_households, households)
     write_manifest(args, [], outputs)
@@ -266,6 +280,10 @@ def _cmd_release(args: argparse.Namespace) -> int:
     figures = household_column(zones, io.read_households_csv(args.households))
 
     if args.journal is not None:
+        if not os.path.exists(args.journal):
+            # a first charge that an empty ledger refuses creates no journal;
+            # the check under the lock below is still the one that counts
+            load_ledger(args.journal, budget).charge(plan)
         # hold the journal's lock from the budget check to the append, so two
         # releases at once cannot both pass the check
         with open(args.journal, "a") as lock:
@@ -279,6 +297,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)
     _warn_missing(zones, figures, "are released with UNDEFINED coverage")
     rows = coverage_rows(privs, figures)
+    _retire_manifest(args.out)
     io.write_release_csv(args.out, rows)
     io.write_private_counts_csv(sidecar, privs)
     write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
@@ -359,6 +378,7 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
+    _retire_manifest(args.out)
     io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
     write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
@@ -375,6 +395,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     # warned only once the bucketing has not refused the run, so a refusal is one line
     figures = household_column(rows.column("zone"), households)
     _warn_missing(rows.column("zone"), figures, "were not bucketed")
+    _retire_manifest(args.out)
     io.write_bucket_csv(args.out, summaries)
     write_manifest(args, inputs, outputs)
     print(f"summarized {np.count_nonzero(figures)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)

@@ -216,18 +216,16 @@ def _laplace_from_words(
     out is (scratch, draws), two float64 arrays of words' shape; the
     variates are written into draws and returned.
     """
-    u, x = (np.empty(words.shape), np.empty(words.shape)) if out is None else out
+    t, x = (np.empty(words.shape), np.empty(words.shape)) if out is None else out
     np.right_shift(words, np.uint64(11), out=words)
-    np.bitwise_or(words, np.uint64(1), out=words)
-    u[...] = words  # 2m + 1
-    u *= 2.0**-53
-    u -= 0.5
-    np.abs(u, out=x)
-    x *= -2.0
-    x += 1.0  # 1 - 2|u|, exact, in (0, 1)
+    np.bitwise_or(words, np.uint64(1), out=words)  # 2m + 1, below 2**53, so exact as a float
+    np.subtract(words, 2.0**52, out=t)  # 2**53 u, exact, never 0
+    np.abs(t, out=x)
+    np.subtract(2.0**52, x, out=x)
+    x *= 2.0**-52  # 1 - 2|u|, exact, in (0, 1)
     np.log(x, out=x)
     x *= -scale
-    return np.copysign(x, u, out=x)
+    return np.copysign(x, t, out=x)
 
 
 def laplace_stream(

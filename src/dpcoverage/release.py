@@ -455,6 +455,12 @@ def release_dataset(
     Duplicate zones are rejected up front. Each zone's output is a pure
     function of its record and the base seed, whatever the order or
     company of the other records.
+
+    epsilon protects one device's contribution: a device moves one count
+    of each parallel pair by 1, so the release costs 2 * per_query_epsilon
+    per device. A household with D measured devices is protected at
+    2 * D * per_query_epsilon only, by group privacy, and per-zone totals
+    cannot bound D: that bound is the upstream count step's to enforce.
     """
     table = as_columns(records, RawZipRecord)
     zones = table.column("zone")

@@ -9,10 +9,16 @@ reference.
 read_table is the same for the CSV readers: one row at a time with the
 csv module, each field converted with its documented message, then the
 record's public row rule, then the repeated zone.
+
+laplace_from_words keeps the noise kernel's transform from words to
+draws as it was first written, in eleven array steps, so that any
+rewrite of mechanism._laplace_from_words is held to it bit for bit.
 """
 
 import csv
 import math
+
+import numpy as np
 
 from dpcoverage.accountant import as_epsilon
 from dpcoverage.io import COUNTS_HEADER, HOUSEHOLDS_HEADER, PRIVATE_COUNTS_HEADER, RELEASE_HEADER, CsvFormatError
@@ -81,6 +87,21 @@ def simulate_once(priv: PrivateZipRecord, households: int, per_query_epsilon: fl
         for label in SIMULATED_LABELS
     ]
     return deviation_from_noise(priv, households, *etas)
+
+
+def laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(0, scale) variates of 64-bit words: u = (2m + 1) / 2**53 - 1/2, x = -scale sgn(u) ln(1 - 2|u|)."""
+    words = words >> np.uint64(11)
+    words |= np.uint64(1)  # 2m + 1, m the top 52 bits
+    u = words.astype(np.float64)
+    u *= 2.0**-53
+    u -= 0.5
+    x = np.abs(u)
+    x *= -2.0
+    x += 1.0  # 1 - 2|u|, exact
+    np.log(x, out=x)
+    x *= -scale
+    return np.copysign(x, u, out=x)
 
 
 def summarize_deviations(deviations: list[float]) -> tuple[float, float, float]:

@@ -819,6 +819,52 @@ def test_an_overspent_journal_is_not_reported_as_a_charge(tmp_path, capsys):
     assert _tree(tmp_path) == before
 
 
+def test_a_refused_first_charge_creates_no_journal(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "journal.tsv"), "--budget", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: charge of 0.2 exceeds remaining budget 0.1\n"
+    assert _tree(tmp_path) == before  # no journal file and no output
+
+
+@pytest.mark.parametrize("command", ["synth", "release", "simulate-error", "summarize"])
+def test_a_run_that_fails_before_its_manifest_leaves_no_manifest_of_the_run_before(
+    tmp_path, monkeypatch, capsys, command
+):
+    counts, households = make_inputs(tmp_path)
+    released = tmp_path / "released.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+                "--out", str(released)]) == 0
+
+    def argv(seed, epsilon):  # two runs to one output that differ in their seed or, for summarize, thresholds
+        return {
+            "synth": ["synth", "--zones", "20", "--seed", seed, "--out-counts", str(tmp_path / "c.csv"),
+                      "--out-households", str(tmp_path / "h.csv")],
+            "release": ["release", "--counts", str(counts), "--households", str(households), "--seed", seed,
+                        "--epsilon", epsilon, "--out", str(tmp_path / "r.csv"),
+                        "--journal", str(tmp_path / "journal.tsv"), "--budget", "1"],
+            "simulate-error": ["simulate-error", "--release", str(released), "--households", str(households),
+                               "--k", "5", "--seed", seed, "--out", str(tmp_path / "f.csv")],
+            "summarize": ["summarize", "--in", str(released), "--households", str(households),
+                          "--thresholds", f"0,{seed}000", "--out", str(tmp_path / "b.csv")],
+        }[command]
+
+    first = argv("5", "0.1")
+    manifest = cli._manifest_path(first[first.index("--out-counts" if command == "synth" else "--out") + 1])
+    assert run(first) == 0 and manifest.exists()
+
+    def fail(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "write_manifest", fail)
+    capsys.readouterr()
+    assert run(argv("6", "0.3")) == 1
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert not manifest.exists()  # the outputs are the second run's, and no manifest says they are the first's
+
+
 @pytest.mark.parametrize("case", [
     "release into a directory",
     "simulate-error into a directory",

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import laplace_from_words
 
 from dpcoverage import mechanism
 from dpcoverage.mechanism import (
@@ -357,3 +358,24 @@ def test_array_philox_matches_numpys_generator_bit_for_bit(base_seed, start, str
     expected = [_fresh_philox_word(base_seed, zone, label, start) for zone in zones]
     assert mechanism._philox_words(base_seed, mechanism._digests(zones, label), start).tolist() == expected
     assert mechanism._raw_words(base_seed, zones, label, start, 1)[:, 0].tolist() == expected
+
+
+# ------------------------------------------------ the kernel's transform against its first form
+
+
+def _edge_words():
+    """Words whose top 52 bits m give the largest and smallest |u|, each with its low 12 bits all 0 and all 1."""
+    tops = [0, 2**51 - 1, 2**51, 2**52 - 1]
+    return np.array([(m << 12) | low for m in tops for low in (0, 0xFFF)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("scale", [10.0, 1 / 0.37])
+def test_the_kernel_gives_the_bits_of_the_eleven_step_transform(scale):
+    random = np.random.default_rng(20261020).integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    for words in (random, _edge_words()):
+        expected = laplace_from_words(words, scale)
+        found = mechanism._laplace_from_words(words.copy(), scale)
+        assert np.array_equal(found.view(np.uint64), expected.view(np.uint64))
+    # the edge words give the largest draws, which MAX_DRAW_SCALES bounds, and the smallest, never 0
+    edges = np.abs(mechanism._laplace_from_words(_edge_words(), scale))
+    assert edges.max() <= scale * mechanism.MAX_DRAW_SCALES and edges.min() > 0

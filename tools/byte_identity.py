@@ -15,6 +15,8 @@ outputs and diagnostics agree:
 - simulate-error --k 200 and summarize on each release, and simulate-error
   --k 1000 on the charged release: blocks of 65 zones, run by as many
   worker processes as the machine gives (2 on a 2-CPU host);
+- a release without a journal at --epsilon 0.37 and its simulate-error
+  --k 200, so that the noise kernel is compared at a scale other than 10;
 - summarize on the charged release itself, which has no error columns, so
   every bucket row is ints and empty means, such as 100,1000,3,,,;
 - a second charge, a third that the budget refuses, and a budget read
@@ -155,6 +157,8 @@ STEPS = [
     ("simulate", _simulate("released.csv", "final.csv")),
     ("simulate-rounded", _simulate("rounded.csv", "rounded-final.csv")),
     ("simulate-k1000", _simulate("released.csv", "final-k1000.csv", k="1000")),
+    ("release-epsilon-0.37", _release(16, "eps037.csv", epsilon="0.37")),
+    ("simulate-epsilon-0.37", _simulate("eps037.csv", "eps037-final.csv", epsilon="0.37")),
     ("summarize", _summarize("final.csv", "buckets.csv")),
     ("summarize-rounded", _summarize("rounded-final.csv", "rounded-buckets.csv")),
     ("summarize-release", _summarize("released.csv", "release-buckets.csv")),
