@@ -280,10 +280,11 @@ def _cmd_release(args: argparse.Namespace) -> int:
     figures = household_column(zones, io.read_households_csv(args.households))
 
     if args.journal is not None:
+        description = f"release {args.out}"
         if not os.path.exists(args.journal):
-            # a first charge that an empty ledger refuses creates no journal;
-            # the check under the lock below is still the one that counts
-            load_ledger(args.journal, budget).charge(plan)
+            # a first charge that an empty ledger refuses, for its cost or its description,
+            # creates no journal; the check under the lock below is still the one that counts
+            load_ledger(args.journal, budget).charge(plan, description=description)
         # hold the journal's lock from the budget check to the append, so two
         # releases at once cannot both pass the check
         with open(args.journal, "a") as lock:
@@ -291,7 +292,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
             ledger = load_ledger(args.journal, budget)
             # record the charge before releasing anything, so a crash mid-run
             # never leaves spent epsilon unaccounted for
-            entry = ledger.charge(plan, description=f"release {args.out}")
+            entry = ledger.charge(plan, description=description)
             append_journal(args.journal, entry)
 
     privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)

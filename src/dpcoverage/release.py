@@ -271,8 +271,10 @@ class Columns(Sequence[R]):
     record holds a NaN: the row rules refuse non-finite values, and the
     kernels make none); other fields, such as zones and epsilons, are
     lists. len() is free. Indexing a row or iterating builds each row's
-    record, and so runs its checks, only for the rows read; indexing with a
-    slice selects rows as Columns.
+    record, and so runs its checks, only for the rows read; indexing a row
+    converts its one-row slice as iterating does, so it builds the same
+    record or raises the same error. Indexing with a slice selects rows as
+    Columns.
     """
 
     def __init__(self, record: type[R], **columns: Sequence) -> None:
@@ -288,19 +290,12 @@ class Columns(Sequence[R]):
     def __getitem__(self, index):
         """The record of row index; for a slice, those rows as Columns."""
         if isinstance(index, (int, np.integer)):  # tested first: the common case
-            return self.record(*(_value(column[index]) for column in self.columns.values()))
+            row = slice(index, index + 1 or None)  # the last row's slice, from -1, runs to the end
+            return self.record(*(_values(column[row])[0] for column in self.columns.values()))
         return Columns(self.record, **{name: column[index] for name, column in self.columns.items()})
 
     def __iter__(self) -> Iterator[R]:
         return map(self.record, *map(_values, self.columns.values()))
-
-
-def _value(value: object) -> object:
-    """One column entry as a Python object, None for NaN."""
-    if isinstance(value, np.generic):
-        value = value.item()
-        return None if value != value else value
-    return value
 
 
 def _values(column: Sequence) -> list:

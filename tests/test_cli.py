@@ -1227,18 +1227,21 @@ epsilon_texts = st.one_of(
 
 def _accepted_or_refused(argv, journal):
     """The exit status of one in-process command, which exits 0 or prints one error: line and leaves the journal."""
-    before = journal.read_bytes() if journal.exists() else b""  # a refused first charge may leave it empty
+    before = journal.read_bytes() if journal.exists() else None  # a refused first charge leaves no journal
     stderr = StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(StringIO()):
         status = run([str(arg) for arg in argv])
     if status != 0:
         assert status == 1 and stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
-        assert (journal.read_bytes() if journal.exists() else b"") == before
+        assert (journal.read_bytes() if journal.exists() else None) == before
     return status
 
 
 @settings(max_examples=30, deadline=None)
-@example(zones=[("00001", (1, 2, 3, 4), 5)], round_counts=False, seed=1, budget="1", epsilons=["1e-308"])
+@example(zones=[("00001", (1, 2, 3, 4), 5)], round_counts=False, seed=1, budget="1", epsilons=["1e-308"],
+         outs=["r{}.csv"] * 3)
+@example(zones=[("00001", (1, 2, 3, 4), 5)], round_counts=False, seed=1, budget="1", epsilons=["0.1"],
+         outs=["r{}\t.csv"] * 3)
 @given(
     zones=st.lists(st.tuples(st.integers(0, 99999).map("{:05d}".format), st.tuples(*[st.integers(0, 2**63 - 1)] * 4),
                              st.one_of(st.none(), st.integers(1, 2**63 - 1))),
@@ -1247,11 +1250,15 @@ def _accepted_or_refused(argv, journal):
     seed=st.integers(0, 2**64 - 1),
     budget=epsilon_texts,
     epsilons=st.lists(epsilon_texts, min_size=1, max_size=3),
+    outs=st.lists(st.sampled_from(["r{}.csv", "r{}\t.csv", "r\n{}.csv"]), min_size=3, max_size=3),
 )
-def test_every_release_a_command_accepts_writes_what_the_next_command_reads(zones, round_counts, seed, budget, epsilons):
+def test_every_release_a_command_accepts_writes_what_the_next_command_reads(
+    zones, round_counts, seed, budget, epsilons, outs
+):
     # each charge is refused before the journal changes, or its release is
     # read by simulate-error and summarize, and the journal spends exactly
-    # the charges that exited 0; any warning fails the run
+    # the charges that exited 0; an --out name with a tab or a newline makes
+    # a description the journal refuses; any warning fails the run
     with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
         warnings.simplefilter("error")
         work = Path(directory)
@@ -1261,7 +1268,7 @@ def test_every_release_a_command_accepts_writes_what_the_next_command_reads(zone
                                              if figure is not None])
         charged = []
         for index, epsilon in enumerate(epsilons):
-            out, final = work / f"r{index}.csv", work / f"final{index}.csv"
+            out, final = work / outs[index].format(index), work / f"final{index}.csv"
             release = ["release", "--counts", counts, "--households", households, "--epsilon", epsilon,
                        "--seed", seed, "--out", out, "--journal", journal, "--budget", budget]
             if _accepted_or_refused(release + ["--round-counts"] * round_counts, journal) != 0:

@@ -10,10 +10,13 @@ high * (services + non_services) / (services * households):
 import inspect
 import logging
 import math
+from dataclasses import fields
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpcoverage.accountant import PlanError
 from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
@@ -27,6 +30,7 @@ from dpcoverage.release import (
     ReleaseRow,
     as_columns,
     clip_unit,
+    columns_of,
     compute_coverage,
     coverage_columns,
     coverage_rows,
@@ -338,3 +342,53 @@ def test_columns_build_checked_records_on_access():
     with pytest.raises(IngestionError, match="coverage must lie in"):
         broken[0]  # the row is checked when its record is built
     assert broken[1] == rows[1]
+
+
+# one strategy per field annotation; a None in a float field is held as NaN,
+# and some values of each kind break their record's rules
+_field_values = {
+    "str": st.integers(0, 99999).map("{:05d}".format),
+    "int": st.integers(-1, 2**63 - 1),
+    "float": st.one_of(st.none(), st.floats(-1.0, 1e300)),
+    "float | None": st.one_of(st.none(), st.floats(-0.5, 1.5)),
+    "Decimal": st.sampled_from(["0", "0.25", "2"]).map(Decimal),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one record type built by columns_of, perhaps with one numeric field a list of numpy scalars."""
+    record = draw(st.sampled_from([RawZipRecord, HouseholdRecord, PrivateZipRecord, ReleaseRow]))
+    rows = draw(st.lists(st.tuples(*(_field_values[field.type] for field in fields(record))), max_size=4))
+    table = columns_of(record, *([row[i] for row in rows] for i in range(len(fields(record)))))
+    numeric = [name for name, column in table.columns.items() if isinstance(column, np.ndarray)]
+    name = draw(st.one_of(st.none(), st.sampled_from(numeric)))
+    if name is None:
+        return table
+    return Columns(record, **{**table.columns, name: list(table.column(name))})
+
+
+_undefined = as_columns([ReleaseRow("00001", None, None, None, None, None, Decimal("0.2"))], ReleaseRow)
+
+
+@settings(max_examples=200, deadline=None)
+@example(Columns(ReleaseRow, **{**_undefined.columns, "mae": list(_undefined.column("mae"))}))
+@given(_tables())
+def test_indexing_a_row_builds_the_record_iterating_builds(table):
+    # a NaN numpy scalar is not None: iteration refuses it, and so must indexing
+    def outcome(read, key):
+        """The record read(key) builds, or the type of the exception it raises."""
+        try:
+            return read(key)
+        except Exception as error:
+            return type(error)
+
+    n = len(table)
+    iterated = [outcome(lambda row: next(iter(table[row:row + 1])), row) for row in range(n)]
+    if not any(isinstance(record, type) for record in iterated):
+        assert list(table) == iterated
+    for index in range(-n, n):
+        assert outcome(table.__getitem__, index) == outcome(table.__getitem__, np.int64(index)) == iterated[index]
+    for index in (n, -n - 1, np.int64(n), np.int64(-n - 1)):
+        with pytest.raises(IndexError):
+            table[index]
