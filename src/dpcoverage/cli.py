@@ -13,10 +13,12 @@ records the same epsilon and the noisy-count sidecar it resolved as
 environment-variable override, so a release manifest records the
 `--seed` that keeps the release's noise secret. That seed and the
 noisy-count sidecar give back the raw counts: the manifest and the
-sidecar are safe to publish only while it is secret. A command deletes
-the manifest of an earlier run to the same output before its first
-output moves into place, so a run that fails after that leaves no
-manifest, never one that describes other files.
+sidecar are safe to publish only while it is secret. Before its first
+output moves into place, a command deletes the manifest and every later
+output an earlier run left (`release`'s sidecar, `synth`'s households
+file). So a run that fails after that leaves none of the earlier run's
+files beside its own, and the next command that needs one refuses,
+naming it.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
@@ -31,8 +33,8 @@ Exit codes: 0 on success, 2 for usage errors, 1 for anything else, with
 a one-line diagnostic on stderr; running out of memory is one of those.
 
 `budget`, `--version`, `--help` and usage errors start without numpy:
-this module imports only numpy-free modules, and the other commands load
-the numpy layers on first use.
+this module imports only numpy-free modules, and `run` loads the numpy
+layers for every other command.
 """
 
 from __future__ import annotations
@@ -203,14 +205,22 @@ def _recorded(value: object) -> object:
     return value
 
 
-def _retire_manifest(first_output: str | Path) -> None:
-    """Delete, durably, the manifest an earlier run left beside first_output; called before any output moves."""
-    path = _manifest_path(first_output)
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        return
-    sync_directory(path)
+def _retire(outputs: list[str | Path]) -> None:
+    """Delete, durably, the manifest beside outputs[0] and every later output an earlier run left.
+
+    Called before the first output moves, so a run that fails part-way
+    leaves none of an earlier run's files beside its own: the next command
+    that reads a missing one refuses, naming it.
+    """
+    deleted = {}
+    for path in map(Path, [_manifest_path(outputs[0]), *outputs[1:]]):
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            continue
+        deleted[path.parent] = path
+    for path in deleted.values():  # one fsync per directory that lost a file
+        sync_directory(path)
 
 
 def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, changes: dict | None = None) -> Path:
@@ -243,7 +253,6 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    _bind_layers()
     outputs = [args.out_counts, args.out_households]
     _check_outputs([], outputs)
     spec = SynthSpec(
@@ -254,7 +263,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     counts, households = generate(spec)
-    _retire_manifest(args.out_counts)
+    _retire(outputs)
     io.write_counts_csv(args.out_counts, counts)
     io.write_households_csv(args.out_households, households)
     write_manifest(args, [], outputs)
@@ -263,7 +272,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_release(args: argparse.Namespace) -> int:
-    _bind_layers()
     if (args.journal is None) != (args.budget is None):
         print("error: --journal and --budget must be given together", file=sys.stderr)
         return 2
@@ -298,7 +306,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)
     _warn_missing(zones, figures, "are released with UNDEFINED coverage")
     rows = coverage_rows(privs, figures)
-    _retire_manifest(args.out)
+    _retire(outputs)
     io.write_release_csv(args.out, rows)
     io.write_private_counts_csv(sidecar, privs)
     write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
@@ -330,16 +338,13 @@ def _check_publication(
     found = coverage_rows(privs, household_column(zones, households))
 
     # a sidecar written for another release would simulate this release's
-    # errors around that release's counts and epsilon; an epsilon is a
+    # errors around that release's counts and epsilon, and a wrong --epsilon
+    # would re-noise at a scale the release never had; an epsilon is a
     # value, whichever way the file writes it
-    for zone, recorded, other in zip(zones, rows.column("epsilon"), privs.column("epsilon_total")):
-        if recorded != other:
-            raise IngestionError(f"{args.release} records epsilon {recorded} for zone {zone}, but {sidecar} records {other}")
-
-    # the trials must re-noise at the release's own scale: a wrong --epsilon
-    # would publish error ranges for noise the release never had
     implied = total_epsilon(release_query_plan(eps))
-    for zone, spent in zip(zones, privs.column("epsilon_total")):
+    for zone, recorded, spent in zip(zones, rows.column("epsilon"), privs.column("epsilon_total")):
+        if recorded != spent:
+            raise IngestionError(f"{args.release} records epsilon {recorded} for zone {zone}, but {sidecar} records {spent}")
         if spent != implied:
             raise IngestionError(
                 f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
@@ -367,7 +372,6 @@ def _check_publication(
 
 
 def _cmd_simulate_error(args: argparse.Namespace) -> int:
-    _bind_layers()
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
     inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
@@ -379,7 +383,7 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
-    _retire_manifest(args.out)
+    _retire(outputs)
     io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
     write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
@@ -387,7 +391,6 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    _bind_layers()
     inputs, outputs = [getattr(args, "in"), args.households], [args.out]
     _check_outputs(inputs, outputs)
     rows = io.read_release_csv(getattr(args, "in"))
@@ -396,7 +399,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     # warned only once the bucketing has not refused the run, so a refusal is one line
     figures = household_column(rows.column("zone"), households)
     _warn_missing(rows.column("zone"), figures, "were not bucketed")
-    _retire_manifest(args.out)
+    _retire(outputs)
     io.write_bucket_csv(args.out, summaries)
     write_manifest(args, inputs, outputs)
     print(f"summarized {np.count_nonzero(figures)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
@@ -472,6 +475,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.handler is not _cmd_budget:
+            _bind_layers()
         return args.handler(args)
     except (OSError, RuntimeError, ValueError) as exc:
         # CsvFormatError, IngestionError, PlanError and ParameterError are all ValueErrors;

@@ -57,6 +57,7 @@ from dpcoverage.accountant import check_seed, is_int
 from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
     COUNT_SENSITIVITY,
+    COVERAGE_LABELS,
     Columns,
     PrivateZipRecord,
     as_columns,
@@ -66,10 +67,6 @@ from dpcoverage.release import (
     coverage_rows,
     household_column,
 )
-
-# Substreams re-noised per trial; same labels as the release, which uses
-# iteration 0 of each. Trials use iterations 1..k.
-SIMULATED_LABELS = ("high_speed", "services", "non_services")
 
 # Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
 # (zones x k) working array of 8-byte elements holds at most 0.5 MB while
@@ -186,8 +183,8 @@ def _trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
-    counts holds each zone's (high_speed, services, non_services) noisy
-    counts and released their published coverage; a trial is defined
+    counts holds each zone's noisy counts of COVERAGE_LABELS, in order,
+    and released their published coverage; a trial is defined
     where coverage_columns is finite. Every step runs in the leading rows
     of workspace, and the results are views of them: the deviations in
     workspace.non_services, the mask in workspace.defined.
@@ -195,7 +192,8 @@ def _trials(
     params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
     work = workspace.head(len(zones))
     trials = work.high_speed, work.services, work.non_services
-    for label, column, trial in zip(SIMULATED_LABELS, counts.T, trials):
+    # trials draw iterations 1..k of each count's substream; the release drew iteration 0
+    for label, column, trial in zip(COVERAGE_LABELS, counts.T, trials):
         laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k,
                        out=(work.words, work.scratch, trial))
         np.add(trial, column[:, None], out=trial)
@@ -210,11 +208,11 @@ def trial_deviations(priv: PrivateZipRecord, households: int, config: Simulation
 
     Undefined trials are dropped, so the result can be shorter than k.
     """
+    counts = [getattr(priv, f"{label}_dp") for label in COVERAGE_LABELS]
     # raises when the release itself has no coverage or households is not a positive integer
-    released = clip_unit(compute_coverage(priv.high_speed_dp, priv.services_dp, priv.non_services_dp, households))
-    counts = np.array([[priv.high_speed_dp, priv.services_dp, priv.non_services_dp]])
+    released = clip_unit(compute_coverage(*counts, households))
     workspace = _Workspace.allocate(1, config.k)
-    d, defined = _trials([priv.zone], counts, np.array([households]), np.array([released]), config, workspace)
+    d, defined = _trials([priv.zone], np.array([counts]), np.array([households]), np.array([released]), config, workspace)
     return d[0][defined[0]]
 
 
@@ -341,7 +339,7 @@ def error_reports_for_release(
 
     table = as_columns(privs, PrivateZipRecord)
     zones = table.column("zone")
-    counts = np.column_stack([table.column(f"{label}_dp") for label in SIMULATED_LABELS]).astype(np.float64)
+    counts = np.column_stack([table.column(f"{label}_dp") for label in COVERAGE_LABELS]).astype(np.float64)
     figures = household_column(zones, households)
     released = coverage_rows(table, figures).column("coverage")
     # mae, msd and p95, then the defined trial counts, in one buffer that

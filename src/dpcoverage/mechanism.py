@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,8 +127,10 @@ class NoiseSeed:
 
 
 def is_real(value: object) -> bool:
-    """A finite int that is not a bool, or a finite float: True is no epsilon or count either."""
-    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    """A finite float, or an int in float range that is not a bool: True is no epsilon or count either."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_int(value) and abs(value) <= sys.float_info.max
 
 
 def _bit_generator() -> np.random.Philox:

@@ -60,6 +60,9 @@ from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_real, privatize_co
 # Substream labels for the four counts, in CSV column order.
 COUNT_LABELS = ("low_speed", "high_speed", "services", "non_services")
 
+# The counts the coverage formula reads, in coverage_columns' argument order.
+COVERAGE_LABELS = ("high_speed", "services", "non_services")
+
 COUNT_SENSITIVITY = 1.0  # one user moves any device count by at most 1
 
 
@@ -407,7 +410,7 @@ def coverage_rows(privs: Columns[PrivateZipRecord], figures: np.ndarray) -> Colu
     figure. A zone is UNDEFINED where coverage_columns is not finite: its
     raw coverage is NaN, and clip_unit carries the NaN into its coverage.
     """
-    counts = (privs.column(name) for name in ("high_speed_dp", "services_dp", "non_services_dp"))
+    counts = (privs.column(f"{label}_dp") for label in COVERAGE_LABELS)
     raw = coverage_columns(*counts, figures)
     raw[~np.isfinite(raw)] = np.nan
     absent = np.full(len(privs), np.nan)

@@ -433,6 +433,25 @@ def test_simulate_error_refuses_another_releases_sidecar(tmp_path, capsys):
     assert not final.exists()
 
 
+def test_simulate_error_names_the_first_zone_whose_epsilon_is_refused(tmp_path, capsys):
+    # zone 00002 records the same wrong total in both files, zone 00003 two different totals
+    counts, households = make_inputs(tmp_path, zones=5)
+    released = tmp_path / "r.csv"
+    sidecar = io.private_counts_path(released)
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--epsilon", "0.1",
+                "--seed", "42", "--out", str(released)]) == 0
+    for path, totals in ((released, {"00002": "0.4"}), (sidecar, {"00002": "0.4", "00003": "0.4"})):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edited = [line.rsplit(",", 1)[0] + "," + totals[line[:5]] if line[:5] in totals else line for line in lines]
+        path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households), "--epsilon", "0.1",
+                "--k", "5", "--seed", "1", "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --epsilon 0.1 implies a release total of 0.2, but {sidecar} records 0.4 for zone 00002\n"
+    )
+
+
 @pytest.mark.parametrize("row", [
     "00001,1.500,1.5,,,,0.2",  # coverage above 1
     "00001,1.000,inf,,,,0.2",  # raw coverage not finite
@@ -863,6 +882,38 @@ def test_a_run_that_fails_before_its_manifest_leaves_no_manifest_of_the_run_befo
     assert run(argv("6", "0.3")) == 1
     assert capsys.readouterr().err == "error: no space left on device\n"
     assert not manifest.exists()  # the outputs are the second run's, and no manifest says they are the first's
+
+
+@pytest.mark.parametrize("command, writer, missing", [
+    ("synth", "write_households_csv", "h.csv"),
+    ("release", "write_private_counts_csv", "r.csv.private-counts.csv"),
+])
+def test_a_run_that_fails_after_its_first_output_leaves_no_later_output_of_the_run_before(
+    tmp_path, monkeypatch, capsys, command, writer, missing
+):
+    counts, households = make_inputs(tmp_path)
+    c, h, r = (tmp_path / name for name in ("c.csv", "h.csv", "r.csv"))
+    synth = ["synth", "--households", "100:5000", "--out-counts", str(c), "--out-households", str(h)]
+    release = ["release", "--counts", str(counts), "--households", str(households), "--out", str(r)]
+    first, second, reader = {  # the reader would take the second run's first output with the first run's second
+        "synth": ([*synth, "--zones", "20", "--seed", "7"], [*synth, "--zones", "30", "--seed", "4"],
+                  ["release", "--counts", str(c), "--households", str(h), "--seed", "5", "--out", str(r)]),
+        "release": ([*release, "--seed", "5", "--epsilon", "0.1"], [*release, "--seed", "6", "--epsilon", "0.3"],
+                    ["simulate-error", "--release", str(r), "--households", str(households), "--epsilon", "0.3",
+                     "--k", "5", "--seed", "1", "--out", str(tmp_path / "f.csv")]),
+    }[command]
+    assert run(first) == 0 and (tmp_path / missing).exists()
+
+    def fail(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io, writer, fail)
+        assert run(second) == 1
+    assert not (tmp_path / missing).exists()
+    capsys.readouterr()
+    assert run(reader) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / missing}'\n"
 
 
 @pytest.mark.parametrize("case", [

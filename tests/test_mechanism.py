@@ -11,6 +11,7 @@ Statistical checks run on fixed seeds, so they are deterministic.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,9 +305,15 @@ def test_integer_parameters_refuse_bools_and_non_integers(case):
     "privatize_count count=True",
     "compute_coverage high_speed=True",
     "SimulationConfig per_query_epsilon=True",
+    "LaplaceParams sensitivity=10**400",
+    "PrivateZipRecord low_speed_dp=10**400",
+    "privatize_count count=10**400",
+    "privatize_count counts=[10**400]",
+    "compute_coverage high_speed=10**400",
 ])
 def test_real_parameters_refuse_bools(case):
-    # bool is an int subclass, but True is no epsilon, scale or count
+    # bool is an int subclass, but True is no epsilon, scale or count; nor
+    # is an int beyond float range, which math.isfinite cannot even convert
     from dpcoverage.accountant import PlanError, Query, as_epsilon, total_epsilon
     from dpcoverage.errorsim import SimulationConfig
     from dpcoverage.release import IngestionError, PrivateZipRecord, compute_coverage
@@ -328,6 +335,18 @@ def test_real_parameters_refuse_bools(case):
                                              "high_speed must be a nonnegative finite real, got True"),
         "SimulationConfig per_query_epsilon=True": (lambda: SimulationConfig(True, 1, k=5), ParameterError,
                                                     "epsilon must be a positive finite real, got True"),
+        "LaplaceParams sensitivity=10**400": (lambda: LaplaceParams(10**400, 1.0), ParameterError,
+                                              f"sensitivity must be a positive finite real, got {10**400}"),
+        "PrivateZipRecord low_speed_dp=10**400": (
+            lambda: PrivateZipRecord("00001", 10**400, 1.0, 1.0, 1.0, "0.2"), IngestionError,
+            f"low_speed_dp must be a nonnegative finite real, got {10**400}"),
+        "privatize_count count=10**400": (lambda: privatize_count(10**400, SCALE10, NoiseSeed(1, "00001", "x")),
+                                          ParameterError, f"count must be a nonnegative finite number, got {10**400}"),
+        "privatize_count counts=[10**400]": (
+            lambda: privatize_count([10**400], SCALE10, NoiseSeed(1, ("00001",), "x")), ParameterError,
+            "counts must be 1 nonnegative finite numbers"),
+        "compute_coverage high_speed=10**400": (lambda: compute_coverage(10**400, 1.0, 1.0, 5), ValueError,
+                                                f"high_speed must be a nonnegative finite real, got {10**400}"),
     }[case]
     with pytest.raises(error) as raised:
         make()
@@ -338,8 +357,9 @@ def test_real_parameters_refuse_bools(case):
 def test_is_real_is_a_finite_int_or_float_and_no_bool():
     from dpcoverage.mechanism import is_real
 
-    assert all(is_real(value) for value in (0, -3, 2.5, np.float64(0.1), 10**18))
-    assert not any(is_real(value) for value in (True, False, math.inf, math.nan, "1", None, np.int64(1)))
+    assert all(is_real(value) for value in (0, -3, 2.5, np.float64(0.1), 10**18, int(sys.float_info.max)))
+    assert not any(is_real(value) for value in (True, False, math.inf, math.nan, "1", None, np.int64(1),
+                                                10**400, -(10**400), int(sys.float_info.max) + 1))
 
 
 # ------------------------------------------------ array Philox against numpy's generator

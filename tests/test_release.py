@@ -72,6 +72,7 @@ def test_coverage_that_overflows_is_degenerate():
     (10, 10, 10, 0),
     (float("nan"), 10, 10, 100),
     (10, 10, 10, 1.5),
+    (10**400, 1.0, 1.0, 5),  # no float holds it
 ])
 def test_coverage_domain_errors(args):
     with pytest.raises(ValueError):
@@ -139,6 +140,8 @@ def test_private_record_validation():
         PrivateZipRecord("00501", -0.1, 1.5, 2.5, 0.0, Decimal("0.2"))
     with pytest.raises(IngestionError):
         PrivateZipRecord("00501", 0.0, float("inf"), 2.5, 0.0, Decimal("0.2"))
+    with pytest.raises(IngestionError):
+        PrivateZipRecord("00001", 10**400, 1.0, 1.0, 1.0, "0.2")  # no float holds it
 
 
 def test_release_row_validation():
