@@ -40,6 +40,7 @@ layers for every other command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import functools
 import hashlib
@@ -67,12 +68,12 @@ def _bind_layers() -> None:
 
     from dpcoverage import io
     from dpcoverage.errorsim import SimulationConfig, bucket_by_households, error_reports_for_release
-    from dpcoverage.mechanism import NOISE_FORMAT, LaplaceParams
+    from dpcoverage.mechanism import NOISE_FORMAT
     from dpcoverage.release import (
-        COUNT_SENSITIVITY,
         Columns,
         IngestionError,
         ReleaseRow,
+        count_noise,
         coverage_rows,
         household_column,
         release_dataset,
@@ -145,7 +146,7 @@ def _noise_epsilon(text: str) -> Decimal:
     """An --epsilon flag as an exact decimal of a finite noise scale, refused in a message that names the flag."""
     eps = _decimal("--epsilon", text)
     try:
-        LaplaceParams(COUNT_SENSITIVITY, float(eps))
+        count_noise(eps)
     except ParameterError as exc:
         raise ValueError(f"--epsilon {text}: {exc}") from None
     return eps
@@ -189,12 +190,23 @@ def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
             raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
 
-def _warn_missing(zones: list[str], figures: np.ndarray, outcome: str) -> None:
-    """One stderr line counting the zones whose household figure is 0 (none), naming the first five."""
-    missing = np.flatnonzero(figures == 0)
-    if missing.size:
-        named = ", ".join(zones[row] for row in missing[:5].tolist()) + (", ..." if missing.size > 5 else "")
-        print(f"warning: {missing.size} zone(s) have no household figure and {outcome}: {named}", file=sys.stderr)
+def _warn_missing(zones: list[str], households: dict[str, int], outcome: str) -> None:
+    """One stderr line counting the zones absent from households (no figure), naming the first five."""
+    missing = [zone for zone in zones if zone not in households]
+    if missing:
+        named = ", ".join(missing[:5]) + (", ..." if len(missing) > 5 else "")
+        print(f"warning: {len(missing)} zone(s) have no household figure and {outcome}: {named}", file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _locked(path: str | Path):
+    """Hold an exclusive flock on the directory of path, opened as sync_directory opens it, until the block ends."""
+    directory = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(directory, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(directory)  # which drops the lock
 
 
 def _recorded(value: object) -> object:
@@ -285,26 +297,20 @@ def _cmd_release(args: argparse.Namespace) -> int:
     spent = total_epsilon(plan)
     records = io.read_counts_csv(args.counts)
     zones = records.column("zone")
-    figures = household_column(zones, io.read_households_csv(args.households))
+    households = io.read_households_csv(args.households)
+    figures = household_column(zones, households)
 
     if args.journal is not None:
-        description = f"release {args.out}"
-        if not os.path.exists(args.journal):
-            # a first charge that an empty ledger refuses, for its cost or its description,
-            # creates no journal; the check under the lock below is still the one that counts
-            load_ledger(args.journal, budget).charge(plan, description=description)
-        # hold the journal's lock from the budget check to the append, so two
-        # releases at once cannot both pass the check
-        with open(args.journal, "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
+        # hold the journal directory's lock from the budget check to the append, so two releases
+        # at once cannot both pass the check; only an accepted charge creates the journal
+        with _locked(args.journal):
             ledger = load_ledger(args.journal, budget)
             # record the charge before releasing anything, so a crash mid-run
             # never leaves spent epsilon unaccounted for
-            entry = ledger.charge(plan, description=description)
-            append_journal(args.journal, entry)
+            append_journal(args.journal, ledger.charge(plan, description=f"release {args.out}"))
 
     privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)
-    _warn_missing(zones, figures, "are released with UNDEFINED coverage")
+    _warn_missing(zones, households, "are released with UNDEFINED coverage")
     rows = coverage_rows(privs, figures)
     _retire(outputs)
     io.write_release_csv(args.out, rows)
@@ -397,12 +403,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     households = io.read_households_csv(args.households)
     summaries = bucket_by_households(rows, households, args.thresholds)
     # warned only once the bucketing has not refused the run, so a refusal is one line
-    figures = household_column(rows.column("zone"), households)
-    _warn_missing(rows.column("zone"), figures, "were not bucketed")
+    _warn_missing(rows.column("zone"), households, "were not bucketed")
     _retire(outputs)
     io.write_bucket_csv(args.out, summaries)
     write_manifest(args, inputs, outputs)
-    print(f"summarized {np.count_nonzero(figures)} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
+    bucketed = sum(summary.zone_count for summary in summaries)
+    print(f"summarized {bucketed} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -54,15 +54,15 @@ from dpcoverage.accountant import check_seed, is_int
 # laplace_sample is not called here, since trials draw whole blocks through
 # laplace_stream; it stays importable as errorsim.laplace_sample because
 # bench/invoke.py wraps that name to time the simulation's noise draws.
-from dpcoverage.mechanism import LaplaceParams, laplace_sample, laplace_stream  # noqa: F401
+from dpcoverage.mechanism import laplace_sample, laplace_stream  # noqa: F401
 from dpcoverage.release import (
-    COUNT_SENSITIVITY,
     COVERAGE_LABELS,
     Columns,
     PrivateZipRecord,
     as_columns,
     clip_unit,
     compute_coverage,
+    count_noise,
     coverage_columns,
     coverage_rows,
     household_column,
@@ -98,9 +98,7 @@ class SimulationConfig:
         if not (is_int(self.k) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         check_seed(self.base_seed)
-        # delegate epsilon domain checks; float() would turn a bool into a number they accept
-        epsilon = self.per_query_epsilon
-        LaplaceParams(COUNT_SENSITIVITY, epsilon if isinstance(epsilon, bool) else float(epsilon))
+        count_noise(self.per_query_epsilon)  # the noise's own epsilon checks
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _trials(
     of workspace, and the results are views of them: the deviations in
     workspace.non_services, the mask in workspace.defined.
     """
-    params = LaplaceParams(COUNT_SENSITIVITY, float(config.per_query_epsilon))
+    params = count_noise(config.per_query_epsilon)
     work = workspace.head(len(zones))
     trials = work.high_speed, work.services, work.non_services
     # trials draw iterations 1..k of each count's substream; the release drew iteration 0

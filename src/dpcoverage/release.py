@@ -368,6 +368,14 @@ def release_query_plan(per_query_epsilon: EpsilonLike) -> Sequential:
     )
 
 
+def count_noise(epsilon: EpsilonLike) -> LaplaceParams:
+    """Every count query's noise at a per-query epsilon, which goes through float() unless it is an int or a bool.
+
+    LaplaceParams then refuses True and an int beyond float range as it refuses any other epsilon.
+    """
+    return LaplaceParams(COUNT_SENSITIVITY, epsilon if isinstance(epsilon, int) else float(epsilon))
+
+
 def coverage_columns(
     high_speed: np.ndarray,
     services: np.ndarray,
@@ -468,7 +476,7 @@ def release_dataset(
 
     eps = as_epsilon(per_query_epsilon)
     epsilon_total = total_epsilon(release_query_plan(eps))
-    params = LaplaceParams(COUNT_SENSITIVITY, float(eps))
+    params = count_noise(eps)
     noisy = {}
     for label in COUNT_LABELS:
         column = privatize_count(table.column(label), params, NoiseSeed(base_seed, tuple(zones), label, 0))
