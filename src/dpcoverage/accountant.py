@@ -218,7 +218,8 @@ class BudgetLedger:
     would round), and a charge that would exceed the budget is rejected
     without touching the ledger.
     Single-writer: callers serialize concurrent charges to one journal
-    (the release command holds an exclusive flock on it from load to append).
+    (the release command holds an exclusive flock on the journal's
+    directory from load to append, so only an accepted charge creates it).
     """
 
     def __init__(self, budget: EpsilonLike, entries: Iterable[LedgerEntry] = ()) -> None:

@@ -18,7 +18,11 @@ output moves into place, a command deletes the manifest and every later
 output an earlier run left (`release`'s sidecar, `synth`'s households
 file). So a run that fails after that leaves none of the earlier run's
 files beside its own, and the next command that needs one refuses,
-naming it.
+naming it. From that first delete until its manifest is written, a
+command holds an exclusive flock on the directory of each output, so a
+second run to the same outputs waits and the files left are one run's.
+`release` charges its journal under the same kind of lock on the
+journal's directory, given up before it computes, so it never holds both.
 
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
@@ -199,14 +203,25 @@ def _warn_missing(zones: list[str], households: dict[str, int], outcome: str) ->
 
 
 @contextlib.contextmanager
-def _locked(path: str | Path):
-    """Hold an exclusive flock on the directory of path, opened as sync_directory opens it, until the block ends."""
-    directory = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        fcntl.flock(directory, fcntl.LOCK_EX)
+def _locked(paths: list[str | Path]):
+    """Hold an exclusive flock on the directory of each of paths until the block ends.
+
+    A directory is opened as sync_directory opens it, so its lock adds no
+    file. Each directory is locked once, by its (st_dev, st_ino), since a
+    second flock on it would wait for the first even in this process, and
+    the locks are taken in sorted order, so no two runs each hold a lock the
+    other waits for.
+    """
+    with contextlib.ExitStack() as stack:
+        directories = {}
+        for path in paths:
+            directory = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
+            stack.callback(os.close, directory)  # which drops its lock
+            status = os.fstat(directory)
+            directories.setdefault((status.st_dev, status.st_ino), directory)
+        for key in sorted(directories):
+            fcntl.flock(directories[key], fcntl.LOCK_EX)
         yield
-    finally:
-        os.close(directory)  # which drops the lock
 
 
 def _recorded(value: object) -> object:
@@ -217,22 +232,28 @@ def _recorded(value: object) -> object:
     return value
 
 
-def _retire(outputs: list[str | Path]) -> None:
-    """Delete, durably, the manifest beside outputs[0] and every later output an earlier run left.
+@contextlib.contextmanager
+def _replacing(outputs: list[str | Path]):
+    """Hold the outputs' directory locks while the block writes the outputs and the manifest.
 
-    Called before the first output moves, so a run that fails part-way
-    leaves none of an earlier run's files beside its own: the next command
-    that reads a missing one refuses, naming it.
+    Under the locks, before the block, it deletes durably the manifest
+    beside outputs[0] and every later output an earlier run left. So a run
+    that fails part-way leaves none of an earlier run's files beside its
+    own: the next command that reads a missing one refuses, naming it. The
+    manifest is in outputs[0]'s directory, so a second run to the same files
+    waits, before its first delete, until this run's manifest is written.
     """
-    deleted = {}
-    for path in map(Path, [_manifest_path(outputs[0]), *outputs[1:]]):
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            continue
-        deleted[path.parent] = path
-    for path in deleted.values():  # one fsync per directory that lost a file
-        sync_directory(path)
+    with _locked(outputs):
+        deleted = {}
+        for path in map(Path, [_manifest_path(outputs[0]), *outputs[1:]]):
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue
+            deleted[path.parent] = path
+        for path in deleted.values():  # one fsync per directory that lost a file
+            sync_directory(path)
+        yield
 
 
 def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, changes: dict | None = None) -> Path:
@@ -275,10 +296,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     counts, households = generate(spec)
-    _retire(outputs)
-    io.write_counts_csv(args.out_counts, counts)
-    io.write_households_csv(args.out_households, households)
-    write_manifest(args, [], outputs)
+    with _replacing(outputs):
+        io.write_counts_csv(args.out_counts, counts)
+        io.write_households_csv(args.out_households, households)
+        write_manifest(args, [], outputs)
     print(f"synthesized {len(counts)} zones -> {args.out_counts}, {args.out_households}", file=sys.stderr)
     return 0
 
@@ -303,7 +324,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     if args.journal is not None:
         # hold the journal directory's lock from the budget check to the append, so two releases
         # at once cannot both pass the check; only an accepted charge creates the journal
-        with _locked(args.journal):
+        with _locked([args.journal]):
             ledger = load_ledger(args.journal, budget)
             # record the charge before releasing anything, so a crash mid-run
             # never leaves spent epsilon unaccounted for
@@ -312,10 +333,10 @@ def _cmd_release(args: argparse.Namespace) -> int:
     privs = release_dataset(records, eps, args.seed, round_counts=args.round_counts)
     _warn_missing(zones, households, "are released with UNDEFINED coverage")
     rows = coverage_rows(privs, figures)
-    _retire(outputs)
-    io.write_release_csv(args.out, rows)
-    io.write_private_counts_csv(sidecar, privs)
-    write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
+    with _replacing(outputs):  # never inside the journal's lock, which may be on the same directory
+        io.write_release_csv(args.out, rows)
+        io.write_private_counts_csv(sidecar, privs)
+        write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
     undefined = int(np.isnan(rows.column("coverage")).sum())
     print(f"total_epsilon={spent}", file=sys.stderr)
     print(f"released {len(rows)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
@@ -389,9 +410,9 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
     reports = error_reports_for_release(privs, households, config)
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
-    _retire(outputs)
-    io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
-    write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
+    with _replacing(outputs):
+        io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
+        write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
     return 0
 
@@ -404,9 +425,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     summaries = bucket_by_households(rows, households, args.thresholds)
     # warned only once the bucketing has not refused the run, so a refusal is one line
     _warn_missing(rows.column("zone"), households, "were not bucketed")
-    _retire(outputs)
-    io.write_bucket_csv(args.out, summaries)
-    write_manifest(args, inputs, outputs)
+    with _replacing(outputs):
+        io.write_bucket_csv(args.out, summaries)
+        write_manifest(args, inputs, outputs)
     bucketed = sum(summary.zone_count for summary in summaries)
     print(f"summarized {bucketed} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0

@@ -2,13 +2,17 @@
 
 import argparse
 import contextlib
+import fcntl
 import json
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from decimal import Decimal
 from io import StringIO
@@ -846,6 +850,116 @@ def test_a_refused_first_charge_creates_no_journal(tmp_path, capsys):
                 "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "journal.tsv"), "--budget", "0.1"]) == 1
     assert capsys.readouterr().err == "error: charge of 0.2 exceeds remaining budget 0.1\n"
     assert _tree(tmp_path) == before  # no journal file and no output
+
+
+def test_a_journal_without_a_directory_is_refused_before_the_charge(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "nodir" / "j.tsv"), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
+    assert _tree(tmp_path) == before  # no journal, no directory and no output
+
+
+CHARGE_BESIDE_OUTPUTS = """
+from dpcoverage import cli
+from dpcoverage.accountant import load_journal
+
+assert cli.run(["synth", "--zones", "3", "--seed", "1", "--out-counts", "c.csv", "--out-households", "h.csv"]) == 0
+assert cli.run(["release", "--counts", "c.csv", "--households", "h.csv", "--seed", "1",
+                "--out", "r.csv", "--journal", "journal.tsv", "--budget", "1"]) == 0
+assert [entry.description for entry in load_journal("journal.tsv")] == ["release r.csv"]
+"""
+
+
+def test_a_release_charging_a_journal_in_its_output_directory_finishes(tmp_path):
+    # every lock here is on one directory, and a second flock on it waits even
+    # in the same process: a command that locked it twice, or held the
+    # journal's lock and the outputs' at once, would wait for itself, so the
+    # commands run in a fresh interpreter under a timeout
+    fresh_python(tmp_path, CHARGE_BESIDE_OUTPUTS)
+
+
+def test_two_releases_to_one_out_leave_the_files_of_one_run(tmp_path, monkeypatch):
+    # a forked child parks inside its publication window, after its table and
+    # before its sidecar, while a second release to the same --out runs here;
+    # the table, the sidecar and the manifest must then all be one run's
+    counts, households = make_inputs(tmp_path, zones=30)
+    names = ["r.csv", "r.csv.private-counts.csv", "r.csv.manifest.json"]
+
+    def argv(seed, epsilon):
+        return ["release", "--counts", str(counts), "--households", str(households), "--seed", seed,
+                "--epsilon", epsilon, "--out", "r.csv"]
+
+    first, second = argv("5", "0.1"), argv("6", "0.3")
+    alone = []
+    for name, args in (("first", first), ("second", second)):  # each run's files, written with no other run
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(args) == 0
+        alone.append([Path(file).read_bytes() for file in names])
+    (tmp_path / "race").mkdir()
+    monkeypatch.chdir(tmp_path / "race")
+
+    parked_read, parked_write = os.pipe()
+    go_read, go_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: the first release, parked until the parent writes to the go pipe
+        status = 1
+        try:
+            os.close(parked_read)
+            os.close(go_write)
+            write = io.write_private_counts_csv
+
+            def park(*args):
+                os.write(parked_write, b"p")
+                os.read(go_read, 1)  # the parent's byte, or end of file if the parent is gone
+                write(*args)
+
+            io.write_private_counts_csv = park
+            status = run(first)
+        finally:
+            os._exit(status)
+    os.close(parked_write)
+    os.close(go_read)
+    waiting = threading.Event()  # set when the second release asks for a lock, or ends without one
+    done: list[int] = []
+    flock = fcntl.flock
+
+    def wait_then_lock(descriptor, operation):
+        waiting.set()
+        flock(descriptor, operation)
+
+    def second_release():
+        try:
+            done.append(run(second))
+        finally:
+            waiting.set()
+
+    exited = 0  # the child's pid once it is reaped
+    try:
+        assert select.select([parked_read], [], [], 60)[0] and os.read(parked_read, 1) == b"p", "the child never parked"
+        monkeypatch.setattr(fcntl, "flock", wait_then_lock)
+        racer = threading.Thread(target=second_release, daemon=True)
+        racer.start()
+        assert waiting.wait(60)
+        os.write(go_write, b"g")
+        deadline = time.monotonic() + 60
+        while exited == 0 and time.monotonic() < deadline:
+            exited, status = os.waitpid(pid, os.WNOHANG)
+            time.sleep(0.01)
+        assert exited == pid and os.waitstatus_to_exitcode(status) == 0
+        racer.join(60)
+        assert not racer.is_alive() and done == [0]
+    finally:
+        os.close(go_write)
+        os.close(parked_read)
+        if exited == 0:  # only if an assertion above failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    published = [Path(file).read_bytes() for file in names]
+    assert published in alone, "the table, sidecar and manifest are not one run's"
 
 
 @pytest.mark.parametrize("command", ["synth", "release", "simulate-error", "summarize"])

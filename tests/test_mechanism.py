@@ -306,6 +306,7 @@ def test_integer_parameters_refuse_bools_and_non_integers(case):
     "compute_coverage high_speed=True",
     "SimulationConfig per_query_epsilon=True",
     "LaplaceParams sensitivity=10**400",
+    "SimulationConfig per_query_epsilon=10**400",
     "PrivateZipRecord low_speed_dp=10**400",
     "privatize_count count=10**400",
     "privatize_count counts=[10**400]",
@@ -337,6 +338,8 @@ def test_real_parameters_refuse_bools(case):
                                                     "epsilon must be a positive finite real, got True"),
         "LaplaceParams sensitivity=10**400": (lambda: LaplaceParams(10**400, 1.0), ParameterError,
                                               f"sensitivity must be a positive finite real, got {10**400}"),
+        "SimulationConfig per_query_epsilon=10**400": (lambda: SimulationConfig(10**400, 1, k=5), ParameterError,
+                                                       f"epsilon must be a positive finite real, got {10**400}"),
         "PrivateZipRecord low_speed_dp=10**400": (
             lambda: PrivateZipRecord("00001", 10**400, 1.0, 1.0, 1.0, "0.2"), IngestionError,
             f"low_speed_dp must be a nonnegative finite real, got {10**400}"),
