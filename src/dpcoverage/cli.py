@@ -27,7 +27,9 @@ journal's directory, given up before it computes, so it never holds both.
 A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
 directory, and each output's directory must exist and let this process
-create the output's temporary file.
+create the output's temporary file. Before it reads, `release` also
+refuses a --journal whose directory does not exist; the journal itself
+may be absent, and its first charge creates it.
 
 An --epsilon or --budget that is not a positive finite decimal is
 refused, before anything is read, by a message that names the flag; so
@@ -311,6 +313,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
     sidecar = io.private_counts_path(args.out)
     inputs, outputs = [args.counts, args.households], [args.out, sidecar]
     _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
+    if args.journal is not None:  # refuse a journal with no directory before reading, opening it as _locked will
+        os.close(os.open(Path(args.journal).parent, os.O_RDONLY | os.O_DIRECTORY))
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     eps = _noise_epsilon(args.epsilon)
     budget = None if args.budget is None else _decimal("--budget", args.budget)

@@ -22,12 +22,15 @@ post-processing of the released record and spends no privacy budget.
 
 The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
-p95 picked at the nearest rank of the sorted rows. Each process that runs
-blocks allocates its working arrays once, on its first block, and runs
-every step of every block in place in their leading rows: five arrays of
+p95 picked at the nearest rank of the sorted rows. The working arrays are
+allocated once per simulation, before any worker is forked, and every
+step of every block runs in place in their leading rows: five arrays of
 8 * rows * k bytes and one mask of rows * k bytes, rows being the zones
-of a full block. The reports come back as Columns; an ErrorReport is
-built only for a row the caller reads.
+of a full block, max(1, BLOCK_TRIALS // k). That is at most 0.5 MB an
+array and about 2.6 MB in all while k <= BLOCK_TRIALS, and 8 * k bytes
+an array beyond (4.1 MB in all at k = 100,000). A forked worker writes
+its own copy-on-write pages of them. The reports come back as Columns;
+an ErrorReport is built only for a row the caller reads.
 
 The blocks are cut into contiguous shares, one per worker process: as
 many workers as the process may use CPUs (os.sched_getaffinity), at most
@@ -68,12 +71,9 @@ from dpcoverage.release import (
     household_column,
 )
 
-# Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, so each
-# (zones x k) working array of 8-byte elements holds at most 0.5 MB while
-# k <= BLOCK_TRIALS, and the six arrays a process allocates once and reuses
-# for every block about 2.6 MB; for a larger k a block is one zone of k
-# trials, 8 * k bytes per array (0.8 MB at k = 100,000). Larger blocks were
-# measured to raise peak memory without saving time.
+# Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, which
+# bounds the working arrays (the module docstring gives their bytes). Larger
+# blocks were measured to raise peak memory without saving time.
 BLOCK_TRIALS = 1 << 16
 
 P95 = 0.95
@@ -147,7 +147,7 @@ def nearest_rank(values: Sequence[float] | np.ndarray, q: float) -> float:
 
 
 class _Workspace(NamedTuple):
-    """Working arrays of one process, each (zones x k), reused block after block.
+    """Working arrays of one simulation, each (zones x k), reused block after block.
 
     A block of n zones works in the leading n rows of each array, which
     are C-contiguous, so its sums are those of freshly allocated arrays.
@@ -349,12 +349,10 @@ def error_reports_for_release(
     trials = np.frombuffer(shared, np.int64, n, offset=24 * n)
     active = np.flatnonzero(~np.isnan(released))
     per_block = max(1, BLOCK_TRIALS // config.k)
-    workspace: _Workspace | None = None  # this process's, allocated on its first block
+    # allocated before the fork: each worker writes its own copy-on-write pages
+    workspace = _Workspace.allocate(min(per_block, len(active)), config.k)
 
     def simulate(rows: np.ndarray) -> None:
-        nonlocal workspace
-        if workspace is None:
-            workspace = _Workspace.allocate(min(per_block, len(active)), config.k)
         selected = [zones[i] for i in rows.tolist()]
         d, defined = _trials(selected, counts[rows], figures[rows], released[rows], config, workspace)
         mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)

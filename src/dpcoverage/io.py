@@ -36,12 +36,11 @@ import itertools
 import os
 from io import StringIO
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from dpcoverage.accountant import as_epsilon, sync_directory
-from dpcoverage.errorsim import BucketSummary
 from dpcoverage.release import (
     COUNT_LABELS,
     Columns,
@@ -57,6 +56,9 @@ from dpcoverage.release import (
     raw_zip_problem,
     release_row_problem,
 )
+
+if TYPE_CHECKING:  # for an annotation only, so that io stays below errorsim
+    from dpcoverage.errorsim import BucketSummary
 
 COUNTS_HEADER = ["zip", "low_speed_devices", "high_speed_devices", "services_devices", "non_services_devices"]
 HOUSEHOLDS_HEADER = ["zip", "households"]

@@ -22,10 +22,12 @@ any position of any substream costs O(1). A call reads its words one of
 two ways, by one rule. Streams of one word each (a release's draws) are
 computed as numpy uint64 arithmetic, Philox4x64-10 written out over the
 whole column at once. Longer streams (the error simulation's 1,000
-words) re-address one numpy generator per thread by setting its state,
-and read each stream with random_raw; no per-stream generator is built.
-The two give the same bits. Word 1 of the counter is always 0, so a
-substream has 2**66 positions; a read past the last one is refused.
+words) build one numpy generator per call, re-address it for each
+stream by setting its state, and read the stream with random_raw; no
+generator outlives the call, so the module holds no state and calls in
+several threads at once do not share one. The two give the same bits.
+Word 1 of the counter is always 0, so a substream has 2**66 positions;
+a read past the last one is refused.
 
 Sampling uses the inverse CDF of the Laplace distribution,
 
@@ -51,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,8 +70,6 @@ _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,6 @@ def is_real(value: object) -> bool:
     return is_int(value) and abs(value) <= sys.float_info.max
 
 
-def _bit_generator() -> np.random.Philox:
-    """This thread's Philox generator; callers re-address it before every read."""
-    bitgen = getattr(_local, "philox", None)
-    if bitgen is None:
-        bitgen = _local.philox = np.random.Philox(key=0)
-    return bitgen
-
-
 def _digests(zones: Sequence[str], label: str) -> np.ndarray:
     """(len(zones), 2) uint64: the halves h0, h1 of each zone's BLAKE2b digest, read at once."""
     suffix = b"\x1f" + label.encode("utf-8")
@@ -188,7 +179,7 @@ def _raw_words(
     if count == 1:
         words[:, 0] = _philox_words(base_seed, halves, start)
         return words
-    bitgen = _bit_generator()
+    bitgen = np.random.Philox(key=0)  # this call's own, re-addressed for every stream
     lane = start % _LANES
     counter = [start // _LANES, 0, 0, 0]
     state = {

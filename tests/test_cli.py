@@ -862,6 +862,15 @@ def test_a_journal_without_a_directory_is_refused_before_the_charge(tmp_path, ca
     assert _tree(tmp_path) == before  # no journal, no directory and no output
 
 
+def test_a_journal_without_a_directory_is_refused_before_the_inputs_are_read(tmp_path, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    counts.write_text("zone,bad\n", encoding="utf-8")  # a header the counts reader refuses
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "nodir" / "j.tsv"), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
+
+
 CHARGE_BESIDE_OUTPUTS = """
 from dpcoverage import cli
 from dpcoverage.accountant import load_journal
@@ -1331,6 +1340,11 @@ def test_budget_version_and_usage_errors_import_no_numpy(tmp_path, capsys):
     # budget reads a text file with decimal arithmetic: it must not pay for numpy's import
     append_journal(tmp_path / "journal.tsv", LedgerEntry("2026-01-01T00:00:00+00:00", "release r.csv", Decimal("0.2")))
     fresh_python(tmp_path, LIGHT_PATHS)
+
+
+def test_io_does_not_import_errorsim(tmp_path):
+    # io holds only the formats: it names errorsim's BucketSummary in an annotation, never imports it
+    fresh_python(tmp_path, "import sys, dpcoverage.io; assert 'dpcoverage.errorsim' not in sys.modules")
 
 
 # the names bench/invoke.py reads from the cli module and wraps, before any command runs

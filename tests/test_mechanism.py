@@ -12,6 +12,8 @@ Statistical checks run on fixed seeds, so they are deterministic.
 import hashlib
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,6 +249,24 @@ def test_zone_column_rows_match_single_streams():
         privatize_count(np.array([1.0, -1.0, 2.0]), SCALE10, seeds)
     with pytest.raises(ParameterError):
         privatize_count(np.array([1.0, 2.0]), SCALE10, seeds)
+
+
+def test_threads_reading_multiword_streams_at_once_get_the_bits_of_lone_calls():
+    # each call re-addresses a generator stream by stream: one that another
+    # thread shared could be re-addressed between a stream's state and its read
+    calls = [([f"{thread}{zone:04d}" for zone in range(6)], label)
+             for thread, label in enumerate(("high_speed", "services", "non_services", "low_speed"))]
+    alone = [laplace_stream(SCALE10, 9, zones, label, start=1, count=200) for zones, label in calls]
+    start = threading.Barrier(len(calls))
+
+    def read(call: tuple[list[str], str]) -> list[np.ndarray]:
+        start.wait(timeout=60)
+        return [laplace_stream(SCALE10, 9, *call, start=1, count=200) for _ in range(50)]
+
+    with ThreadPoolExecutor(len(calls)) as pool:
+        found = list(pool.map(read, calls))
+    for expected, draws in zip(alone, found):
+        assert all(block.tobytes() == expected.tobytes() for block in draws)
 
 
 @pytest.mark.parametrize("count", [
