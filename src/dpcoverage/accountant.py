@@ -283,13 +283,17 @@ def sync_directory(path: str | Path) -> None:
 def load_journal(path: str | Path) -> list[LedgerEntry]:
     """Parse a journal written by append_journal; malformed lines name their line number.
 
-    A journal that is not UTF-8 text is refused naming no line: the decoder
+    Every line ends in a newline, as append_journal writes it: a last line
+    without one is refused, since the next append would run on from it. A
+    journal that is not UTF-8 text is refused naming no line: the decoder
     reads in chunks, so the line it fails in is not known.
     """
     entries: list[LedgerEntry] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
+                if not line.endswith("\n"):
+                    raise PlanError(f"{path}: line {lineno}: no newline at the end of the journal")
                 line = line.rstrip("\n")
                 if not line:
                     continue

@@ -22,15 +22,14 @@ post-processing of the released record and spends no privacy budget.
 
 The simulation runs over blocks of zones held as (zones x k) arrays:
 one noise-kernel call per label and block, undefined trials masked, the
-p95 picked at the nearest rank of the sorted rows. The working arrays are
-allocated once per simulation, before any worker is forked, and every
-step of every block runs in place in their leading rows: five arrays of
-8 * rows * k bytes and one mask of rows * k bytes, rows being the zones
-of a full block, max(1, BLOCK_TRIALS // k). That is at most 0.5 MB an
-array and about 2.6 MB in all while k <= BLOCK_TRIALS, and 8 * k bytes
-an array beyond (4.1 MB in all at k = 100,000). A forked worker writes
-its own copy-on-write pages of them. The reports come back as Columns;
-an ErrorReport is built only for a row the caller reads.
+p95 picked at the nearest rank of the sorted rows. Each block allocates
+its own arrays, and every step after the draws runs in place in them: at
+most five arrays of 8 * rows * k bytes and one mask of rows * k bytes
+are live at once, rows being the zones of a full block,
+max(1, BLOCK_TRIALS // k). That is at most 0.5 MB an array and about
+2.6 MB in all while k <= BLOCK_TRIALS, and 8 * k bytes an array beyond
+(4.1 MB in all at k = 100,000). The reports come back as Columns; an
+ErrorReport is built only for a row the caller reads.
 
 The blocks are cut into contiguous shares, one per worker process: as
 many workers as the process may use CPUs (os.sched_getaffinity), at most
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -72,7 +71,7 @@ from dpcoverage.release import (
 )
 
 # Trials per block: a block holds max(1, BLOCK_TRIALS // k) zones, which
-# bounds the working arrays (the module docstring gives their bytes). Larger
+# bounds each block's arrays (the module docstring gives their bytes). Larger
 # blocks were measured to raise peak memory without saving time.
 BLOCK_TRIALS = 1 << 16
 
@@ -146,58 +145,32 @@ def nearest_rank(values: Sequence[float] | np.ndarray, q: float) -> float:
     return float(data[math.ceil(q * data.size) - 1])
 
 
-class _Workspace(NamedTuple):
-    """Working arrays of one simulation, each (zones x k), reused block after block.
-
-    A block of n zones works in the leading n rows of each array, which
-    are C-contiguous, so its sums are those of freshly allocated arrays.
-    """
-
-    words: np.ndarray  # uint64, the noise kernel's raw words
-    scratch: np.ndarray
-    high_speed: np.ndarray  # the three trial arrays
-    services: np.ndarray
-    non_services: np.ndarray
-    defined: np.ndarray  # bool
-
-    @classmethod
-    def allocate(cls, zones: int, k: int) -> _Workspace:
-        shape = (zones, k)
-        floats = (np.empty(shape) for _ in range(4))
-        return cls(np.empty(shape, np.uint64), *floats, np.empty(shape, bool))
-
-    def head(self, zones: int) -> _Workspace:
-        """The leading rows of every array, one per zone."""
-        return _Workspace(*(array[:zones] for array in self))
-
-
 def _trials(
     zones: Sequence[str],
     counts: np.ndarray,
     households: np.ndarray,
     released: np.ndarray,
     config: SimulationConfig,
-    workspace: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deviations and their defined mask, both (zones x k), for zones with a defined release.
 
     counts holds each zone's noisy counts of COVERAGE_LABELS, in order,
     and released their published coverage; a trial is defined
-    where coverage_columns is finite. Every step runs in the leading rows
-    of workspace, and the results are views of them: the deviations in
-    workspace.non_services, the mask in workspace.defined.
+    where coverage_columns is finite. The three trial arrays come from the
+    noise kernel and one scratch array is allocated here; every later step
+    runs in place in them, and the deviations are written over the
+    non_services trials.
     """
     params = count_noise(config.per_query_epsilon)
-    work = workspace.head(len(zones))
-    trials = work.high_speed, work.services, work.non_services
     # trials draw iterations 1..k of each count's substream; the release drew iteration 0
-    for label, column, trial in zip(COVERAGE_LABELS, counts.T, trials):
-        laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k,
-                       out=(work.words, work.scratch, trial))
+    trials = []
+    for label, column in zip(COVERAGE_LABELS, counts.T):
+        trial = laplace_stream(params, config.base_seed, zones, label, start=1, count=config.k)
         np.add(trial, column[:, None], out=trial)
         np.maximum(0.0, trial, out=trial)  # the scalar first, as it decides signed zeros
-    coverage = coverage_columns(*trials, households[:, None], out=(work.scratch, work.non_services))
-    defined = np.isfinite(coverage, out=work.defined)  # before the clip, which turns inf into 1
+        trials.append(trial)
+    coverage = coverage_columns(*trials, households[:, None], out=(np.empty_like(trials[2]), trials[2]))
+    defined = np.isfinite(coverage)  # before the clip, which turns inf into 1
     return np.subtract(released[:, None], clip_unit(coverage, out=coverage), out=coverage), defined
 
 
@@ -209,8 +182,7 @@ def trial_deviations(priv: PrivateZipRecord, households: int, config: Simulation
     counts = [getattr(priv, f"{label}_dp") for label in COVERAGE_LABELS]
     # raises when the release itself has no coverage or households is not a positive integer
     released = clip_unit(compute_coverage(*counts, households))
-    workspace = _Workspace.allocate(1, config.k)
-    d, defined = _trials([priv.zone], np.array([counts]), np.array([households]), np.array([released]), config, workspace)
+    d, defined = _trials([priv.zone], np.array([counts]), np.array([households]), np.array([released]), config)
     return d[0][defined[0]]
 
 
@@ -349,12 +321,10 @@ def error_reports_for_release(
     trials = np.frombuffer(shared, np.int64, n, offset=24 * n)
     active = np.flatnonzero(~np.isnan(released))
     per_block = max(1, BLOCK_TRIALS // config.k)
-    # allocated before the fork: each worker writes its own copy-on-write pages
-    workspace = _Workspace.allocate(min(per_block, len(active)), config.k)
 
     def simulate(rows: np.ndarray) -> None:
         selected = [zones[i] for i in rows.tolist()]
-        d, defined = _trials(selected, counts[rows], figures[rows], released[rows], config, workspace)
+        d, defined = _trials(selected, counts[rows], figures[rows], released[rows], config)
         mae[rows], msd[rows], p95[rows], trials[rows] = _statistics(d, defined)
 
     _run_blocks(simulate, [active[lo : lo + per_block] for lo in range(0, len(active), per_block)])

@@ -170,12 +170,10 @@ def _philox_words(base_seed: int, halves: np.ndarray, start: int) -> np.ndarray:
     return (x0, x1, x2, x3)[start % _LANES]
 
 
-def _raw_words(
-    base_seed: int, zones: Sequence[str], label: str, start: int, count: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """uint64 words at positions start..start+count-1 of each zone's substream, in out if given."""
+def _raw_words(base_seed: int, zones: Sequence[str], label: str, start: int, count: int) -> np.ndarray:
+    """uint64 words at positions start..start+count-1 of each zone's substream."""
     halves = _digests(zones, label)
-    words = np.empty((len(zones), count), dtype=np.uint64) if out is None else out
+    words = np.empty((len(zones), count), dtype=np.uint64)
     if count == 1:
         words[:, 0] = _philox_words(base_seed, halves, start)
         return words
@@ -202,15 +200,9 @@ def _raw_words(
 MAX_DRAW_SCALES = 53 * math.log(2)
 
 
-def _laplace_from_words(
-    words: np.ndarray, scale: float, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """Laplace(0, scale) variates, one per 64-bit word, elementwise; words is overwritten.
-
-    out is (scratch, draws), two float64 arrays of words' shape; the
-    variates are written into draws and returned.
-    """
-    t, x = (np.empty(words.shape), np.empty(words.shape)) if out is None else out
+def _laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(0, scale) variates, one per 64-bit word, elementwise; words is overwritten."""
+    t, x = np.empty(words.shape), np.empty(words.shape)
     np.right_shift(words, np.uint64(11), out=words)
     np.bitwise_or(words, np.uint64(1), out=words)  # 2m + 1, below 2**53, so exact as a float
     np.subtract(words, 2.0**52, out=t)  # 2**53 u, exact, never 0
@@ -230,19 +222,12 @@ def laplace_stream(
     *,
     start: int = 0,
     count: int = 1,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Laplace draws at positions start..start+count-1 of one substream.
 
     Cost is O(count) wherever the positions lie. Given a sequence of
     zones, returns a (len(zones), count) array whose row i is zones[i]'s
     stream; every row is bit-identical to the single-zone call.
-
-    out, if given, is (words, scratch, draws): a uint64 array and two
-    float64 arrays, each of shape (number of zones, count), one zone
-    counting as 1. The call overwrites all three and returns draws (its
-    row for a single zone), so a caller that draws block after block can
-    reuse its buffers; without out, the call allocates them.
     """
     check_seed(base_seed)
     if not (is_int(start) and is_int(count)):
@@ -252,8 +237,7 @@ def laplace_stream(
     if start >= _POSITIONS or start + count > _POSITIONS:  # start names a position even for count 0
         raise ParameterError(f"a substream has 2**66 positions; start={start} count={count} reads past them")
     zones = [zone] if isinstance(zone, str) else zone
-    words, buffers = (None, None) if out is None else (out[0], out[1:])
-    draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count, words), params.scale, buffers)
+    draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count), params.scale)
     return draws[0] if isinstance(zone, str) else draws
 
 

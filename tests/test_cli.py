@@ -871,6 +871,22 @@ def test_a_journal_without_a_directory_is_refused_before_the_inputs_are_read(tmp
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
 
 
+def test_a_journal_without_a_final_newline_is_refused_before_the_charge(tmp_path, capsys):
+    # a charge appended to it would run on from its last line and corrupt it
+    counts, households = make_inputs(tmp_path, zones=3)
+    journal = tmp_path / "j.tsv"
+    journal.write_bytes(b"2026-01-01T00:00:00+00:00\trelease old.csv\t0.2")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    expected = f"error: {journal}: line 1: no newline at the end of the journal\n"
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(journal), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == expected
+    assert _tree(tmp_path) == before  # the journal keeps its bytes, and no output exists
+    assert run(["budget", "--journal", str(journal), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == expected
+
+
 CHARGE_BESIDE_OUTPUTS = """
 from dpcoverage import cli
 from dpcoverage.accountant import load_journal

@@ -241,9 +241,9 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_a_reused_workspace_carries_nothing_from_one_block_to_the_next(monkeypatch):
-    # each process works every block in the same arrays; a zone's report must
-    # be what a simulation of that zone alone gives, in the last partial block
-    # and after rows with undefined trials too
+    # np.empty may hand a block the memory an earlier block freed; a zone's
+    # report must be what a simulation of that zone alone gives, in the last
+    # partial block and after rows with undefined trials too
     privs, households, config = _split_case()
     chosen = range(0, len(privs), 23)
     active = [i for i, p in enumerate(privs) if p.zone in households and p.services_dp > 0]
