@@ -49,13 +49,13 @@ import argparse
 import contextlib
 import fcntl
 import functools
-import hashlib
 import json
 import os
 import sys
 from decimal import Decimal
 from itertools import zip_longest
 from pathlib import Path
+from typing import Iterable
 
 from dpcoverage import __version__
 from dpcoverage.accountant import (
@@ -158,14 +158,6 @@ def _noise_epsilon(text: str) -> Decimal:
     return eps
 
 
-def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest_path(out_path: str | Path) -> Path:
     return Path(f"{out_path}.manifest.json")
 
@@ -258,15 +250,14 @@ def _replacing(outputs: list[str | Path]):
         yield
 
 
-def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, changes: dict | None = None) -> Path:
-    """Reproducibility sidecar written next to a command's first output.
+def write_manifest(args: argparse.Namespace, inputs: Iterable, outputs: list, changes: dict | None = None) -> Path:
+    """Reproducibility sidecar written next to a command's first output; it opens no other file.
 
-    parameters are the parsed arguments under their flag names, ranges as
-    lo:hi and lists comma-joined, so each key maps back to its flag. changes
-    holds the exceptions, each replacing or adding a key; a key whose value
-    is None is left out. release leaves out --journal and --budget and
-    records the exact epsilon; simulate-error records that epsilon and the
-    private_counts it resolved.
+    inputs pairs each input path with the table an io reader read from it,
+    whose sha256 it records. parameters are the parsed arguments under their
+    flag names, ranges as lo:hi and lists comma-joined, so each key maps
+    back to its flag. changes holds the exceptions, each replacing or
+    adding a key; a key whose value is None is left out.
     """
     _bind_layers()
     parameters = {key: _recorded(value) for key, value in vars(args).items() if key not in ("subcommand", "handler")}
@@ -277,7 +268,7 @@ def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, change
         "noise_format": NOISE_FORMAT,
         "subcommand": args.subcommand,
         "parameters": {key: value for key, value in parameters.items() if value is not None},
-        "input_digests": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
+        "input_digests": {str(path): f"sha256:{table.sha256}" for path, table in inputs},
         "outputs": [str(p) for p in outputs],
     }
     path = _manifest_path(outputs[0])
@@ -340,7 +331,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
     with _replacing(outputs):  # never inside the journal's lock, which may be on the same directory
         io.write_release_csv(args.out, rows)
         io.write_private_counts_csv(sidecar, privs)
-        write_manifest(args, inputs, outputs, {"journal": None, "budget": None, "epsilon": str(eps)})
+        write_manifest(args, zip(inputs, [records, households]), outputs,
+                       {"journal": None, "budget": None, "epsilon": str(eps)})
     undefined = int(np.isnan(rows.column("coverage")).sum())
     print(f"total_epsilon={spent}", file=sys.stderr)
     print(f"released {len(rows)} zones ({undefined} undefined) -> {args.out}", file=sys.stderr)
@@ -416,7 +408,8 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     statistics = {name: reports.column(name) for name in ("mae", "msd", "p95")}
     with _replacing(outputs):
         io.write_release_csv(args.out, Columns(ReleaseRow, **{**rows.columns, **statistics}))
-        write_manifest(args, inputs, outputs, {"private_counts": str(sidecar), "epsilon": str(eps)})
+        write_manifest(args, zip(inputs, [rows, privs, households]), outputs,
+                       {"private_counts": str(sidecar), "epsilon": str(eps)})
     print(f"simulated k={args.k} trials for {len(rows)} zones -> {args.out}", file=sys.stderr)
     return 0
 
@@ -431,7 +424,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     _warn_missing(rows.column("zone"), households, "were not bucketed")
     with _replacing(outputs):
         io.write_bucket_csv(args.out, summaries)
-        write_manifest(args, inputs, outputs)
+        write_manifest(args, zip(inputs, [rows, households]), outputs)
     bucketed = sum(summary.zone_count for summary in summaries)
     print(f"summarized {bucketed} zones into {len(summaries)} buckets -> {args.out}", file=sys.stderr)
     return 0

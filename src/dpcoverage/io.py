@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import hashlib
 import itertools
 import os
 from io import StringIO
@@ -171,23 +172,24 @@ def _read_table(
     header: list[str],
     parsers: Sequence[Parser],
     rule: Callable[..., str | None],
-) -> list[list]:
-    """Checked columns of values from a CSV file with the given header, zones first.
+) -> tuple[str, list[list]]:
+    """The sha256 of a CSV file's bytes and its checked columns of values, zones first, for the given header.
 
     Each parser converts one column after the zone; rule, the record's row
     rule, runs over the converted values. Rejects an empty file, a wrong
     header, a row with the wrong number of fields, a value a parser or the
     rule refuses, a row the csv module cannot parse, a zone seen on an
     earlier row, and a file that is not UTF-8 text (as such, naming no
-    line). The file is read and decoded once. A plain file is split into
-    columns with str.split and checked column by column; any other file,
-    and a plain one that check refuses, is read row by row by _read_rows.
+    line). The file is read, hashed and decoded once. A plain file is split
+    into columns with str.split and checked column by column; any other
+    file, and a plain one that check refuses, is read row by row.
     """
+    data = Path(path).read_bytes()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
+        digest, text = hashlib.sha256(data).hexdigest(), data.decode("utf-8")
     except UnicodeDecodeError:
         raise CsvFormatError(f"{path}: not UTF-8 text") from None
+    del data  # held beside the text and the values, it would raise each read's peak by the file's size
     texts = _split_columns(text, header)
     if texts is not None:
         del text  # held beside the values, it raised summarize's peak RSS by 3 MB; a plain text is rebuilt below
@@ -197,9 +199,9 @@ def _read_table(
         except ValueError:
             values = None
         if values is not None and not any(map(rule, *values)) and first_duplicate(zones) is None:
-            return values
+            return digest, values
         text = "\n".join(map(",".join, [header, *zip(*texts)])) + "\n"
-    return _read_rows(path, text, header, parsers, rule)
+    return digest, _read_rows(path, text, header, parsers, rule)
 
 
 def _read_rows(
@@ -257,10 +259,20 @@ def _epsilons() -> Parser:
     return functools.lru_cache(maxsize=None)(as_epsilon), lambda _, exc: str(exc)
 
 
+class _Households(dict):
+    """read_households_csv's zone -> figure dict, which can carry its file's sha256."""
+
+
+def _digested(table, digest: str):
+    table.sha256 = digest  # of the bytes the table was read from
+    return table
+
+
 def read_counts_csv(path: str | Path) -> Columns[RawZipRecord]:
     """True per-zone device counts. Duplicate zones are rejected."""
     parsers = [_integers(name) for name in COUNTS_HEADER[1:]]
-    return columns_of(RawZipRecord, *_read_table(path, COUNTS_HEADER, parsers, raw_zip_problem))
+    digest, values = _read_table(path, COUNTS_HEADER, parsers, raw_zip_problem)
+    return _digested(columns_of(RawZipRecord, *values), digest)
 
 
 def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
@@ -271,8 +283,8 @@ def write_counts_csv(path: str | Path, records: Sequence[RawZipRecord]) -> None:
 
 def read_households_csv(path: str | Path) -> dict[str, int]:
     """Public household totals, zone -> figure. Duplicate zones are rejected."""
-    zones, figures = _read_table(path, HOUSEHOLDS_HEADER, [_integers("households")], household_problem)
-    return dict(zip(zones, figures))
+    digest, (zones, figures) = _read_table(path, HOUSEHOLDS_HEADER, [_integers("households")], household_problem)
+    return _digested(_Households(zip(zones, figures)), digest)
 
 
 def write_households_csv(path: str | Path, records: Sequence[HouseholdRecord]) -> None:
@@ -316,7 +328,8 @@ def write_release_csv(path: str | Path, rows: Sequence[ReleaseRow]) -> None:
 
 def read_release_csv(path: str | Path) -> Columns[ReleaseRow]:
     parsers = [*map(_optional_reals, RELEASE_HEADER[1:6]), _epsilons()]
-    return columns_of(ReleaseRow, *_read_table(path, RELEASE_HEADER, parsers, release_row_problem))
+    digest, values = _read_table(path, RELEASE_HEADER, parsers, release_row_problem)
+    return _digested(columns_of(ReleaseRow, *values), digest)
 
 
 def write_private_counts_csv(path: str | Path, privs: Sequence[PrivateZipRecord]) -> None:
@@ -329,7 +342,8 @@ def write_private_counts_csv(path: str | Path, privs: Sequence[PrivateZipRecord]
 
 def read_private_counts_csv(path: str | Path) -> Columns[PrivateZipRecord]:
     parsers = [_REALS] * len(COUNT_LABELS) + [_epsilons()]
-    return columns_of(PrivateZipRecord, *_read_table(path, PRIVATE_COUNTS_HEADER, parsers, private_zip_problem))
+    digest, values = _read_table(path, PRIVATE_COUNTS_HEADER, parsers, private_zip_problem)
+    return _digested(columns_of(PrivateZipRecord, *values), digest)
 
 
 def write_bucket_csv(path: str | Path, summaries: Sequence[BucketSummary]) -> None:
