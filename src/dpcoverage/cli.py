@@ -2,14 +2,16 @@
 
 Every run that writes an output also writes a `<out>.manifest.json`
 sidecar recording the tool version, the noise format, the parameters,
-sha256 digests of the input files and the output paths, so any output
+the sha256 of the bytes the command read from each input (hashed as it
+read them: no input is opened twice) and the output paths, so any output
 can be reproduced byte for byte by rerunning with the recorded
 parameters. The parameters are the parsed arguments under their flag
 names (`out_counts` is `--out-counts`), ranges as `lo:hi` and lists
 comma-joined. The exceptions: `release` leaves out `--journal` and
 `--budget` and records `epsilon` as the exact decimal; `simulate-error`
-records the same epsilon and the noisy-count sidecar it resolved as
-`private_counts`. Seeds are always explicit flags, with no
+records the same epsilon, which without --epsilon is the one whose
+release plan total the sidecar records, and the noisy-count sidecar it
+resolved as `private_counts`. Seeds are always explicit flags, with no
 environment-variable override, so a release manifest records the
 `--seed` that keeps the release's noise secret. That seed and the
 noisy-count sidecar give back the raw counts: the manifest and the
@@ -28,8 +30,9 @@ A writing command checks its outputs before it reads, charges or writes
 anything: no output may be an input, another output or an existing
 directory, and each output's directory must exist and let this process
 create the output's temporary file. Before it reads, `release` also
-refuses a --journal whose directory does not exist; the journal itself
-may be absent, and its first charge creates it.
+refuses a --journal whose directory does not exist or that is a
+directory; the journal itself may be absent, and its first charge
+creates it.
 
 An --epsilon or --budget that is not a positive finite decimal is
 refused, before anything is read, by a message that names the flag; so
@@ -155,6 +158,17 @@ def _noise_epsilon(text: str) -> Decimal:
         count_noise(eps)
     except ParameterError as exc:
         raise ValueError(f"--epsilon {text}: {exc}") from None
+    return eps
+
+
+def _sidecar_epsilon(sidecar: str | Path, privs: Columns) -> Decimal:
+    """The per-query epsilon whose release_query_plan total the sidecar's first row records, exact or refused."""
+    if not len(privs):
+        raise IngestionError(f"{sidecar} has no rows to take the per-query epsilon from: give --epsilon")
+    total = privs.column("epsilon_total")[0]
+    eps = total / total_epsilon(release_query_plan(1))  # the plan's total is linear in its per-query epsilon
+    if total_epsilon(release_query_plan(eps)) != total:
+        raise IngestionError(f"{sidecar} records a release total of {total}, which no exact per-query epsilon gives")
     return eps
 
 
@@ -306,6 +320,8 @@ def _cmd_release(args: argparse.Namespace) -> int:
     _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
     if args.journal is not None:  # refuse a journal with no directory before reading, opening it as _locked will
         os.close(os.open(Path(args.journal).parent, os.O_RDONLY | os.O_DIRECTORY))
+        if Path(args.journal).is_dir():  # it is appended to, so refused as _check_outputs refuses an output
+            raise ValueError(f"cannot write {args.journal}: it is a directory")
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     eps = _noise_epsilon(args.epsilon)
     budget = None if args.budget is None else _decimal("--budget", args.budget)
@@ -369,9 +385,8 @@ def _check_publication(
         if recorded != spent:
             raise IngestionError(f"{args.release} records epsilon {recorded} for zone {zone}, but {sidecar} records {spent}")
         if spent != implied:
-            raise IngestionError(
-                f"--epsilon {eps} implies a release total of {implied}, but {sidecar} records {spent} for zone {zone}"
-            )
+            given = f"--epsilon {eps} implies" if args.epsilon is not None else f"{sidecar} records for zone {zones[0]}"
+            raise IngestionError(f"{given} a release total of {implied}, but {sidecar} records {spent} for zone {zone}")
 
     # each published value must be the value of the text the release
     # writes for it, so an edit within broadband_usage's rounding is
@@ -398,9 +413,10 @@ def _cmd_simulate_error(args: argparse.Namespace) -> int:
     sidecar = args.private_counts if args.private_counts is not None else io.private_counts_path(args.release)
     inputs, outputs = [args.release, sidecar, args.households], [args.out]
     _check_outputs(inputs, outputs)
-    eps = _noise_epsilon(args.epsilon)
+    eps = None if args.epsilon is None else _noise_epsilon(args.epsilon)
     rows = io.read_release_csv(args.release)
     privs = io.read_private_counts_csv(sidecar)
+    eps = eps or _sidecar_epsilon(sidecar, privs)
     households = io.read_households_csv(args.households)
     _check_publication(args, eps, sidecar, rows, privs, households)
     config = SimulationConfig(per_query_epsilon=float(eps), base_seed=args.seed, k=args.k)
@@ -468,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-error", help="fill error columns of a released table")
     p.add_argument("--release", required=True)
     p.add_argument("--households", required=True)
-    p.add_argument("--epsilon", default="0.1",
-                   help="per-query epsilon of the release (decimal string); must match the sidecar")
+    p.add_argument("--epsilon", help="per-query epsilon of the release (decimal string); must match the sidecar "
+                                     "(default: the one the sidecar's release total implies)")
     p.add_argument("--k", type=_at_least(1, "positive"), default=1000)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)

@@ -8,7 +8,9 @@ broadband_usage column is fixed to 3 decimal places.
 
 Readers parse a file into columns (release.Columns; households become a
 zone -> figure dict of ints, the shape the API takes them in). Each file
-is read and decoded once; one that is not UTF-8 text is refused as such.
+is read, hashed and decoded once, and the reader's result carries the
+sha256 of those bytes as its sha256, which a manifest records; a file
+that is not UTF-8 text is refused as such.
 A plain file (no quote, CR or NUL, a final newline, the same number of
 commas on every line, no line over the csv module's field limit, and the
 right header) is split with str.split and checked column by column.
@@ -182,7 +184,8 @@ def _read_table(
     earlier row, and a file that is not UTF-8 text (as such, naming no
     line). The file is read, hashed and decoded once. A plain file is split
     into columns with str.split and checked column by column; any other
-    file, and a plain one that check refuses, is read row by row.
+    file, and a plain one that check refuses, is read row by row by
+    _read_rows.
     """
     data = Path(path).read_bytes()
     try:

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -83,6 +84,88 @@ def test_manifest_records_params_and_digests(tmp_path):
     assert "k" not in manifest["parameters"]  # release never fills the error columns
     assert set(manifest["input_digests"]) == {str(counts), str(households)}
     assert all(d.startswith("sha256:") for d in manifest["input_digests"].values())
+
+
+def _digest(path):
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _tables(tmp_path):
+    """Every table a numpy command reads: synth's inputs, a release r.csv and its simulate-error f.csv."""
+    counts, households = make_inputs(tmp_path, zones=5)
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv")]) == 0
+    assert run(["simulate-error", "--release", str(tmp_path / "r.csv"), "--households", str(households),
+                "--k", "5", "--seed", "1", "--out", str(tmp_path / "f.csv")]) == 0
+    return counts, households
+
+
+# the commands that read tables, each with the tables it reads; every one writes o.csv
+READING_COMMANDS = {
+    "release": (["--counts", "counts.csv", "--households", "households.csv", "--seed", "1"],
+                ["counts.csv", "households.csv"]),
+    "simulate-error": (["--release", "r.csv", "--households", "households.csv", "--k", "5", "--seed", "1"],
+                       ["r.csv", "r.csv.private-counts.csv", "households.csv"]),
+    "summarize": (["--in", "f.csv", "--households", "households.csv"], ["f.csv", "households.csv"]),
+}
+
+
+@pytest.mark.parametrize("command, reader, name", [
+    ("release", "read_counts_csv", "counts.csv"),
+    ("simulate-error", "read_release_csv", "r.csv"),
+    ("simulate-error", "read_private_counts_csv", "r.csv.private-counts.csv"),
+    ("simulate-error", "read_households_csv", "households.csv"),
+    ("summarize", "read_release_csv", "f.csv"),
+    ("summarize", "read_households_csv", "households.csv"),
+])
+def test_a_manifest_records_the_digest_of_the_bytes_its_reader_decoded(tmp_path, monkeypatch, command, reader, name):
+    # a row is appended to the input once its reader has returned: the
+    # manifest must vouch for the bytes the command read, not those left
+    _tables(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    flags, names = READING_COMMANDS[command]
+    expected = {other: _digest(other) for other in names}
+    read = getattr(io, reader)
+
+    def read_then_grow(path):
+        table = read(path)
+        if str(path) == name:
+            assert table.sha256 == expected[name][len("sha256:"):]
+            last = Path(path).read_text(encoding="utf-8").splitlines()[-1]
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("99999" + last[len("00001"):] + "\n")
+        return table
+
+    monkeypatch.setattr(io, reader, read_then_grow)
+    assert run([command, *flags, "--out", "o.csv"]) == 0
+    assert _digest(name) != expected[name]
+    assert json.loads(Path("o.csv.manifest.json").read_text(encoding="utf-8"))["input_digests"] == expected
+
+
+OPENS = """
+import collections, json, os, sys
+from dpcoverage import cli
+
+commands = json.loads(sys.argv[1])
+opened = collections.Counter()
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        opened[os.fspath(args[0])] += 1
+
+sys.addaudithook(count)
+for command, (flags, names) in commands.items():
+    opened.clear()
+    assert cli.run([command, *flags, "--out", command + ".csv"]) == 0
+    counts = {name: opened[name] for name in names}
+    assert counts == dict.fromkeys(names, 1), (command, counts)
+"""
+
+
+def test_each_numpy_command_opens_each_of_its_inputs_once(tmp_path):
+    # an open is counted by its audit event, in a fresh interpreter, since an audit hook cannot be removed
+    _tables(tmp_path)
+    fresh_python(tmp_path, OPENS, json.dumps(READING_COMMANDS))
 
 
 def _replay(manifest):
@@ -198,6 +281,63 @@ def test_simulate_error_refuses_epsilon_other_than_the_release(tmp_path, capsys)
     assert captured.err.startswith("error:") and "0.2" in captured.err
     assert not final.exists()
     assert run([*base, "--epsilon", "0.10"]) == 0  # the same decimal, written differently
+
+
+@pytest.mark.parametrize("epsilon", ["0.37", "0.1"])
+def test_simulate_error_without_an_epsilon_takes_the_sidecars(tmp_path, epsilon):
+    counts, households = make_inputs(tmp_path)
+    released = tmp_path / "r.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--epsilon", epsilon,
+                "--seed", "42", "--out", str(released)]) == 0
+    written = []
+    for name, given in (("flag", ["--epsilon", epsilon]), ("sidecar", [])):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "f.csv"
+        assert run(["simulate-error", "--release", str(released), "--households", str(households), *given,
+                    "--k", "20", "--seed", "1", "--out", str(out)]) == 0
+        written.append([out.read_bytes(), cli._manifest_path(out).read_text(encoding="utf-8")])
+    assert json.loads(written[1][1])["parameters"]["epsilon"] == epsilon
+    assert written[0][0] == written[1][0]
+    assert written[0][1] == written[1][1].replace(str(tmp_path / "sidecar"), str(tmp_path / "flag"))
+
+
+@pytest.mark.parametrize("totals, message", [
+    ({"00003": "0.4"}, "{sidecar} records for zone 00001 a release total of 0.2, but {sidecar} records 0.4 for zone 00003"),
+    ({zone: "0.3000000000000000000000000001" for zone in ("00001", "00002", "00003")},  # halved, it has 29 digits
+     "{sidecar} records a release total of 0.3000000000000000000000000001, which no exact per-query epsilon gives"),
+], ids=["another total", "a total to round"])
+def test_simulate_error_without_an_epsilon_refuses_a_total_that_gives_none(tmp_path, capsys, totals, message):
+    counts, households = make_inputs(tmp_path, zones=3)
+    released = tmp_path / "r.csv"
+    sidecar = io.private_counts_path(released)
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(released)]) == 0
+    for path in (released, sidecar):  # both files record each total, so only the sidecar's can be refused
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edited = [line.rsplit(",", 1)[0] + "," + totals[line[:5]] if line[:5] in totals else line for line in lines]
+        path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "5", "--seed", "1", "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(sidecar=sidecar)}\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_simulate_error_without_an_epsilon_refuses_a_sidecar_without_rows(tmp_path, capsys):
+    counts, households = tmp_path / "counts.csv", tmp_path / "households.csv"
+    io.write_counts_csv(counts, [])
+    io.write_households_csv(households, [])
+    released = tmp_path / "r.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "1",
+                "--out", str(released)]) == 0
+    base = ["simulate-error", "--release", str(released), "--households", str(households), "--seed", "1",
+            "--out", str(tmp_path / "f.csv")]
+    capsys.readouterr()
+    assert run(base) == 1
+    assert capsys.readouterr().err == (
+        f"error: {io.private_counts_path(released)} has no rows to take the per-query epsilon from: give --epsilon\n"
+    )
+    assert run([*base, "--epsilon", "0.1"]) == 0
 
 
 def test_empty_counts_file_releases_header_only(tmp_path):
@@ -721,7 +861,7 @@ def test_cli_path_builds_no_record_per_zone(tmp_path, monkeypatch):
 
 
 def _tree(directory):
-    return {path: path.read_bytes() for path in directory.rglob("*")}
+    return {path: path.read_bytes() if path.is_file() else None for path in directory.rglob("*")}
 
 
 def test_epsilon_arithmetic_that_would_round_is_refused(tmp_path, capsys):
@@ -871,6 +1011,21 @@ def test_a_journal_without_a_directory_is_refused_before_the_inputs_are_read(tmp
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
 
 
+@pytest.mark.parametrize("counts_text", [None, "zone,bad\n"], ids=["good counts", "a bad header"])
+def test_a_journal_that_is_a_directory_is_refused_before_the_inputs_are_read(tmp_path, capsys, counts_text):
+    counts, households = make_inputs(tmp_path, zones=3)
+    if counts_text is not None:
+        counts.write_text(counts_text, encoding="utf-8")
+    journal = tmp_path / "jdir"
+    journal.mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(journal), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {journal}: it is a directory\n"
+    assert _tree(tmp_path) == before
+
+
 def test_a_journal_without_a_final_newline_is_refused_before_the_charge(tmp_path, capsys):
     # a charge appended to it would run on from its last line and corrupt it
     counts, households = make_inputs(tmp_path, zones=3)
@@ -985,6 +1140,35 @@ def test_two_releases_to_one_out_leave_the_files_of_one_run(tmp_path, monkeypatc
             os.waitpid(pid, 0)
     published = [Path(file).read_bytes() for file in names]
     assert published in alone, "the table, sidecar and manifest are not one run's"
+
+
+def test_simulate_error_refuses_a_table_and_a_sidecar_of_two_releases(tmp_path, monkeypatch, capsys):
+    # a second release with another seed rewrites --out and its sidecar just
+    # after simulate-error has read the table, so it reads the first run's
+    # table beside the second run's sidecar: the publication check refuses them
+    counts, households = make_inputs(tmp_path, zones=5)
+    released, final = tmp_path / "r.csv", tmp_path / "f.csv"
+
+    def release(seed):
+        return run(["release", "--counts", str(counts), "--households", str(households), "--seed", seed,
+                    "--out", str(released)])
+
+    assert release("1") == 0
+    read = io.read_release_csv
+
+    def read_then_release(path):
+        table = read(path)
+        assert release("2") == 0
+        return table
+
+    monkeypatch.setattr(io, "read_release_csv", read_then_release)
+    capsys.readouterr()
+    assert run(["simulate-error", "--release", str(released), "--households", str(households),
+                "--k", "5", "--seed", "1", "--out", str(final)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]  # after the second release's own lines
+    assert re.fullmatch(rf"error: {re.escape(str(households))} and the noisy counts give zone 00001 a raw coverage "
+                        rf"of [0-9.e-]+, but {re.escape(str(released))} published [0-9.e-]+", last), last
+    assert not final.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "release", "simulate-error", "summarize"])
