@@ -352,18 +352,20 @@ def bucket_by_households(
     ErrorReports. households is a zone -> int mapping, as for
     error_reports_for_release: a figure that household_column refuses
     raises IngestionError naming its zone, and a zone with no figure is
-    left out of every bucket. thresholds must be strictly ascending; they
-    induce buckets [t0, t1), ..., [t_{n-2}, t_{n-1}), plus an unbounded
-    [t_{n-1}, inf), so every zone with a figure at or above the first
-    threshold lands in exactly one bucket. A figure below the first
-    threshold is an error. Zones with absent statistics count toward
-    zone_count but not toward the means.
+    left out of every bucket. thresholds must be strictly ascending signed
+    64-bit integers; they induce buckets [t0, t1), ..., [t_{n-2}, t_{n-1}),
+    plus an unbounded [t_{n-1}, inf), so every zone with a figure at or
+    above the first threshold lands in exactly one bucket. A figure below
+    the first threshold is an error. Zones with absent statistics count
+    toward zone_count but not toward the means.
     """
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("at least one threshold is required")
     if not all(map(is_int, thresholds)):
         raise ValueError(f"thresholds must be integers, got {thresholds!r}")
+    if not all(-2**63 <= threshold < 2**63 for threshold in thresholds):  # the figures are int64
+        raise ValueError(f"thresholds must be signed 64-bit integers, got {thresholds!r}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError(f"thresholds must be strictly ascending, got {thresholds!r}")
 

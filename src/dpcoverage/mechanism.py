@@ -1,9 +1,13 @@
 """Seeded Laplace noise for privatizing count queries.
 
-Every noise draw is addressed by a (base_seed, zone, label, iteration)
-tuple, and a draw is a pure function of its address: zones can be
-privatized in any order, or in any grouping, without changing a single
-output bit.
+Every noise draw is addressed by four values, (base_seed, zone, label,
+iteration), which laplace_stream, laplace_sample and privatize_count take
+in that order (laplace_stream names the iteration start). A draw is a
+pure function of its address: zones can be privatized in any order, or in
+any grouping, without changing a single output bit. laplace_stream alone
+checks an address, so every entry point refuses a bad one with the same
+message: base_seed is an unsigned 64-bit integer, and the iteration an
+integer position below 2**66.
 
 Noise format 2 (recorded as "noise_format": 2 in every manifest) reads
 the draws from the counter-based generator Philox4x64-10 (Salmon et al.,
@@ -43,9 +47,9 @@ floating-point attacks that exploit the bit patterns of naively sampled
 Laplace noise (Mironov, CCS 2012); use a discrete mechanism if that is
 part of your threat model.
 
-Functions that take a zone also take a sequence of zones: the result then
-gains a leading axis with one row per zone, which is how the release and
-the error simulation draw a whole column of zones in one call.
+Each of the three takes a zone or a sequence of zones: given a sequence,
+the result gains a leading axis with one row per zone, which is how the
+release and the error simulation draw a whole column of zones in one call.
 """
 
 from __future__ import annotations
@@ -100,29 +104,6 @@ class LaplaceParams:
     @property
     def scale(self) -> float:
         return self.sensitivity / self.epsilon
-
-
-@dataclass(frozen=True)
-class NoiseSeed:
-    """Address of a single noise draw, or of one draw per zone.
-
-    base_seed is the 64-bit unsigned master seed of the whole run. zone
-    and label name the substream (for example a zip code and the count
-    being privatized); iteration is the position within the substream.
-    Identical addresses reproduce the same draw bit for bit; distinct
-    addresses give statistically independent draws. A tuple of zones
-    addresses the same label and iteration in each of them.
-    """
-
-    base_seed: int
-    zone: str | tuple[str, ...]
-    label: str
-    iteration: int = 0
-
-    def __post_init__(self) -> None:
-        check_seed(self.base_seed)
-        if not (is_int(self.iteration) and self.iteration >= 0):
-            raise ParameterError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
 
 def is_real(value: object) -> bool:
@@ -241,28 +222,33 @@ def laplace_stream(
     return draws[0] if isinstance(zone, str) else draws
 
 
-def laplace_sample(params: LaplaceParams, seed: NoiseSeed) -> float | np.ndarray:
-    """One draw from Laplace(0, params.scale) per zone of the seed, a pure function of it."""
-    draws = laplace_stream(params, seed.base_seed, seed.zone, seed.label, start=seed.iteration, count=1)
-    return float(draws[0]) if isinstance(seed.zone, str) else draws[:, 0]
+def laplace_sample(
+    params: LaplaceParams, base_seed: int, zone: str | Sequence[str], label: str, iteration: int = 0
+) -> float | np.ndarray:
+    """One draw from Laplace(0, params.scale) per zone, at position iteration: laplace_stream's, count 1."""
+    draws = laplace_stream(params, base_seed, zone, label, start=iteration, count=1)
+    return float(draws[0]) if isinstance(zone, str) else draws[:, 0]
 
 
-def privatize_count(count: int | float | np.ndarray, params: LaplaceParams, seed: NoiseSeed) -> float | np.ndarray:
-    """Noisy nonnegative count: max(0, count + Laplace noise).
+def privatize_count(
+    count: int | float | np.ndarray, params: LaplaceParams, base_seed: int, zone: str | Sequence[str], label: str,
+    iteration: int = 0,
+) -> float | np.ndarray:
+    """Noisy nonnegative count: max(0, count + laplace_sample at the address), the count checked first.
 
     The result is real-valued; rounding to integers is left to callers
     that need it. Clamping negatives to zero is post-processing of the
-    noisy value and costs no additional privacy. With a tuple of zones in
-    the seed, count holds one count per zone: an integer or float array,
-    or a sequence of ints and floats, never a bool.
+    noisy value and costs no additional privacy. Given a sequence of
+    zones, count holds one count per zone: an integer or float array, or
+    a sequence of ints and floats, never a bool.
     """
-    if isinstance(seed.zone, str):
+    if isinstance(zone, str):
         if not (is_real(count) and count >= 0):
             raise ParameterError(f"count must be a nonnegative finite number, got {count!r}")
-        return max(0.0, float(count) + laplace_sample(params, seed))
+        return max(0.0, float(count) + laplace_sample(params, base_seed, zone, label, iteration))
     numbers = (count.dtype.kind in "iuf" if isinstance(count, np.ndarray)  # no bool, string or object column
                else isinstance(count, Sequence) and all(map(is_real, count)))  # np.asarray([True, 2.0]) is float64
     counts = np.asarray(count, dtype=np.float64) if numbers else None
-    if counts is None or counts.shape != (len(seed.zone),) or not np.all(np.isfinite(counts) & (counts >= 0)):
-        raise ParameterError(f"counts must be {len(seed.zone)} nonnegative finite numbers")
-    return np.maximum(0.0, counts + laplace_sample(params, seed))
+    if counts is None or counts.shape != (len(zone),) or not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ParameterError(f"counts must be {len(zone)} nonnegative finite numbers")
+    return np.maximum(0.0, counts + laplace_sample(params, base_seed, zone, label, iteration))

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from dpcoverage.accountant import EpsilonLike, Query, Sequential, as_epsilon, is_int, par, seq, total_epsilon
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, is_real, privatize_count
+from dpcoverage.mechanism import LaplaceParams, is_real, privatize_count
 
 # Substream labels for the four counts, in CSV column order.
 COUNT_LABELS = ("low_speed", "high_speed", "services", "non_services")
@@ -435,8 +435,10 @@ def privatize_record(
 ) -> PrivateZipRecord:
     """Privatize one zone's four counts: release_dataset([raw], ...)[0].
 
-    Noise draws use substreams (zone, "low_speed"/"high_speed"/"services"/"non_services") at iteration 0, so
-    a zone's output depends only on its own record and the base seed.
+    Each count's noise is the draw at address (base_seed, zone, label, 0),
+    the label being the count's name ("low_speed", "high_speed", "services"
+    or "non_services"), so a zone's output depends only on its own record
+    and the base seed.
     round_counts optionally rounds the clamped counts to whole devices
     (ties to even); the default publishes real values.
     """
@@ -479,7 +481,7 @@ def release_dataset(
     params = count_noise(eps)
     noisy = {}
     for label in COUNT_LABELS:
-        column = privatize_count(table.column(label), params, NoiseSeed(base_seed, tuple(zones), label, 0))
+        column = privatize_count(table.column(label), params, base_seed, zones, label)
         # rint rounds ties to even, as round() does
         noisy[f"{label}_dp"] = np.rint(column) if round_counts else column
     return Columns(PrivateZipRecord, zone=zones, **noisy, epsilon_total=[epsilon_total] * len(zones))

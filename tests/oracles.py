@@ -22,7 +22,7 @@ import numpy as np
 
 from dpcoverage.accountant import as_epsilon
 from dpcoverage.io import COUNTS_HEADER, HOUSEHOLDS_HEADER, PRIVATE_COUNTS_HEADER, RELEASE_HEADER, CsvFormatError
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_sample
+from dpcoverage.mechanism import LaplaceParams, laplace_sample
 from dpcoverage.release import (
     PrivateZipRecord,
     ReleaseRow,
@@ -75,17 +75,16 @@ def deviation_from_noise(
     return released - _clip(_coverage(high, services, non_services, households))
 
 
-def simulate_once(priv: PrivateZipRecord, households: int, per_query_epsilon: float, seed: NoiseSeed) -> float | None:
-    """One re-noised trial at the seed's iteration index.
+def simulate_once(
+    priv: PrivateZipRecord, households: int, per_query_epsilon: float, base_seed: int, iteration: int
+) -> float | None:
+    """One re-noised trial at position iteration.
 
     The three draws come from substreams (priv.zone, "high_speed"/"services"/"non_services") at
-    seed.iteration; only base_seed and iteration are read from the seed.
+    that position, under base_seed.
     """
     params = LaplaceParams(1.0, float(per_query_epsilon))
-    etas = [
-        laplace_sample(params, NoiseSeed(seed.base_seed, priv.zone, label, seed.iteration))
-        for label in SIMULATED_LABELS
-    ]
+    etas = [laplace_sample(params, base_seed, priv.zone, label, iteration) for label in SIMULATED_LABELS]
     return deviation_from_noise(priv, households, *etas)
 
 

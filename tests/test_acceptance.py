@@ -30,7 +30,7 @@ from dpcoverage.errorsim import (
     nearest_rank,
     trial_deviations,
 )
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, laplace_stream, privatize_count
+from dpcoverage.mechanism import LaplaceParams, laplace_stream, privatize_count
 from dpcoverage.release import (
     PrivateZipRecord,
     RawZipRecord,
@@ -75,7 +75,7 @@ def test_c03_clamp_probability():
     noise = laplace_stream(params, 77, "00000", "clamp", count=n)
     # cross-check the stream against the scalar privatization on a prefix
     for i in range(50):
-        single = privatize_count(2.0, params, NoiseSeed(77, "00000", "clamp", i))
+        single = privatize_count(2.0, params, 77, "00000", "clamp", i)
         assert single == max(0.0, 2.0 + noise[i])
     outputs = np.maximum(0.0, 2.0 + noise)
     zero_fraction = float(np.count_nonzero(outputs == 0.0)) / n

@@ -1414,6 +1414,18 @@ def test_a_refused_summarize_prints_one_line_even_with_zones_missing(tmp_path, c
     assert not buckets.exists()
 
 
+@pytest.mark.parametrize("thresholds", ["0,9223372036854775808", "-9223372036854775809,0"])
+def test_summarize_refuses_a_threshold_outside_int64_in_one_line(tmp_path, capsys, thresholds):
+    released, partial = _release_with_partial_households(tmp_path)
+    buckets = tmp_path / "buckets.csv"
+    capsys.readouterr()
+    assert run(["summarize", "--in", str(released), "--households", str(partial), f"--thresholds={thresholds}",
+                "--out", str(buckets)]) == 1
+    values = [int(part) for part in thresholds.split(",")]
+    assert capsys.readouterr().err == f"error: thresholds must be signed 64-bit integers, got {values!r}\n"
+    assert not buckets.exists() and not cli._manifest_path(buckets).exists()
+
+
 def test_running_out_of_memory_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     households, released = _three_zone_release(tmp_path)
 

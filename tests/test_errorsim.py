@@ -24,7 +24,7 @@ from dpcoverage.errorsim import (
     nearest_rank,
     trial_deviations,
 )
-from dpcoverage.mechanism import NoiseSeed, ParameterError
+from dpcoverage.mechanism import LaplaceParams, ParameterError, laplace_stream
 from dpcoverage.release import (
     PrivateZipRecord,
     RawZipRecord,
@@ -63,7 +63,7 @@ def test_simulate_once_matches_vectorized_trials():
     record = priv()
     config = SimulationConfig(per_query_epsilon=0.1, base_seed=42, k=8)
     batch = trial_deviations(record, 200, config)
-    singles = [simulate_once(record, 200, 0.1, NoiseSeed(42, record.zone, "", i)) for i in range(1, 9)]
+    singles = [simulate_once(record, 200, 0.1, 42, i) for i in range(1, 9)]
     defined = [s for s in singles if s is not None]
     assert list(batch) == defined
 
@@ -145,7 +145,7 @@ def test_simulation_config_refuses_a_seed_the_noise_kernel_refuses(seed):
     with pytest.raises(ParameterError):
         SimulationConfig(per_query_epsilon=0.1, base_seed=seed, k=5)
     with pytest.raises(ParameterError):
-        NoiseSeed(seed, "00001", "high_speed")
+        laplace_stream(LaplaceParams(1.0, 0.1), seed, "00001", "high_speed")
 
 
 def test_nearest_rank_domain():
@@ -174,14 +174,14 @@ def test_doubling_epsilon_halves_mae():
 def test_first_order_deviation_for_huge_services_count():
     # with services ~ 1e9 the noise on services and non_services is
     # negligible and d_i ~ -eta_H / households
-    from dpcoverage.mechanism import LaplaceParams, laplace_sample
+    from dpcoverage.mechanism import laplace_sample
 
     record = priv(low=0.0, high=1e6, services=1e9, non=0.0)
     households = 2_000_000
     params = LaplaceParams(1.0, 0.1)
     for iteration in range(1, 6):
-        d = simulate_once(record, households, 0.1, NoiseSeed(42, record.zone, "", iteration))
-        eta_high = laplace_sample(params, NoiseSeed(42, record.zone, "high_speed", iteration))
+        d = simulate_once(record, households, 0.1, 42, iteration)
+        eta_high = laplace_sample(params, 42, record.zone, "high_speed", iteration)
         assert d == pytest.approx(-eta_high / households, rel=1e-2)
 
 
@@ -323,7 +323,7 @@ def test_worker_count_is_usable_cpus_capped_by_blocks_and_max(monkeypatch):
 def _scalar_report(record, households, config):
     """Reference: every trial through the scalar oracle, statistics by hand."""
     trials = [
-        simulate_once(record, households, config.per_query_epsilon, NoiseSeed(config.base_seed, record.zone, "", i))
+        simulate_once(record, households, config.per_query_epsilon, config.base_seed, i)
         for i in range(1, config.k + 1)
     ]
     defined = [t for t in trials if t is not None]
@@ -424,6 +424,11 @@ def test_bucket_threshold_validation():
     for thresholds in ([0, 1.5], [0, "100"], [True, 100]):
         with pytest.raises(ValueError, match="thresholds must be integers"):
             bucket_by_households([report], {"00001": 5}, thresholds)
+    for thresholds in ([0, 2**63], [-2**63 - 1, 0]):  # no household figure reaches 2**63
+        with pytest.raises(ValueError) as raised:
+            bucket_by_households([report], {"00001": 5}, thresholds)
+        assert str(raised.value) == f"thresholds must be signed 64-bit integers, got {thresholds!r}"
+    assert [s.zone_count for s in bucket_by_households([report], {"00001": 5}, [-2**63, 2**63 - 1])] == [1, 0]
 
 
 def test_a_zone_without_a_household_figure_is_in_no_bucket():

@@ -24,7 +24,6 @@ from oracles import laplace_from_words
 from dpcoverage import mechanism
 from dpcoverage.mechanism import (
     LaplaceParams,
-    NoiseSeed,
     ParameterError,
     laplace_sample,
     laplace_stream,
@@ -53,33 +52,32 @@ def test_parameter_domain_errors(sensitivity, epsilon):
 
 def test_noise_seed_domain():
     with pytest.raises(ParameterError):
-        NoiseSeed(-1, "00001", "high_speed")
+        laplace_sample(SCALE10, -1, "00001", "high_speed")
     with pytest.raises(ParameterError):
-        NoiseSeed(1 << 64, "00001", "high_speed")
+        privatize_count(1, SCALE10, 1 << 64, "00001", "high_speed")
     with pytest.raises(ParameterError):
-        NoiseSeed(0, "00001", "high_speed", iteration=-1)
-    NoiseSeed(7, "00001", "high_speed", 3)  # in the domain
+        laplace_sample(SCALE10, 0, "00001", "high_speed", iteration=-1)
+    laplace_sample(SCALE10, 7, "00001", "high_speed", 3)  # in the domain
 
 
 def test_identical_seed_identical_draw():
-    seed = NoiseSeed(123456789, "90210", "services", 5)
-    first = laplace_sample(SCALE10, seed)
-    again = laplace_sample(SCALE10, seed)
+    address = (123456789, "90210", "services", 5)
+    first = laplace_sample(SCALE10, *address)
+    again = laplace_sample(SCALE10, *address)
     assert first == again
 
 
 def test_distinct_streams_give_distinct_draws():
-    base = NoiseSeed(42, "00001", "high_speed", 0)
-    value = laplace_sample(SCALE10, base)
-    assert value != laplace_sample(SCALE10, NoiseSeed(42, "00002", "high_speed", 0))
-    assert value != laplace_sample(SCALE10, NoiseSeed(42, "00001", "services", 0))
-    assert value != laplace_sample(SCALE10, NoiseSeed(42, "00001", "high_speed", 1))
-    assert value != laplace_sample(SCALE10, NoiseSeed(43, "00001", "high_speed", 0))
+    value = laplace_sample(SCALE10, 42, "00001", "high_speed", 0)
+    assert value != laplace_sample(SCALE10, 42, "00002", "high_speed", 0)
+    assert value != laplace_sample(SCALE10, 42, "00001", "services", 0)
+    assert value != laplace_sample(SCALE10, 42, "00001", "high_speed", 1)
+    assert value != laplace_sample(SCALE10, 43, "00001", "high_speed", 0)
 
 
 def test_batch_matches_single_draws_bitwise():
     batch = laplace_stream(SCALE10, 42, "00001", "high_speed", start=0, count=20)
-    singles = [laplace_sample(SCALE10, NoiseSeed(42, "00001", "high_speed", i)) for i in range(20)]
+    singles = [laplace_sample(SCALE10, 42, "00001", "high_speed", i) for i in range(20)]
     assert list(batch) == singles
     # a batch starting mid-stream lines up too
     tail = laplace_stream(SCALE10, 42, "00001", "high_speed", start=7, count=5)
@@ -124,9 +122,8 @@ def test_doubling_epsilon_halves_noise():
 
 def test_privatize_count_is_clamped_formula():
     for i in range(50):
-        seed = NoiseSeed(7, "00001", "high_speed", i)
-        released = privatize_count(2, SCALE10, seed)
-        assert released == max(0.0, 2 + laplace_sample(SCALE10, seed))
+        released = privatize_count(2, SCALE10, 7, "00001", "high_speed", i)
+        assert released == max(0.0, 2 + laplace_sample(SCALE10, 7, "00001", "high_speed", i))
         assert released >= 0.0
 
 
@@ -140,7 +137,7 @@ def test_privatize_count_zero_count_clamps_half_the_time():
 
 def test_privatize_count_is_real_valued():
     # no rounding: released values keep their fractional part
-    values = [privatize_count(100, SCALE10, NoiseSeed(11, "00001", "services", i)) for i in range(10)]
+    values = [privatize_count(100, SCALE10, 11, "00001", "services", i) for i in range(10)]
     assert any(v != int(v) for v in values)
 
 
@@ -154,11 +151,10 @@ def test_clamp_probability_matches_analytic_value():
 
 
 def test_privatize_count_rejects_bad_counts():
-    seed = NoiseSeed(0, "00001", "high_speed", 0)
     with pytest.raises(ParameterError):
-        privatize_count(-1, SCALE10, seed)
+        privatize_count(-1, SCALE10, 0, "00001", "high_speed", 0)
     with pytest.raises(ParameterError):
-        privatize_count(float("nan"), SCALE10, seed)
+        privatize_count(float("nan"), SCALE10, 0, "00001", "high_speed", 0)
 
 
 def test_stream_start_count_domain():
@@ -166,6 +162,37 @@ def test_stream_start_count_domain():
         laplace_stream(SCALE10, 0, "00001", "high_speed", start=-1)
     with pytest.raises(ParameterError):
         laplace_stream(SCALE10, -1, "00001", "high_speed")
+
+
+@pytest.mark.parametrize("part,bad", [*(("seed", seed) for seed in (-1, 2**64, True, 1.0)),
+                                      *(("iteration", iteration) for iteration in (-1, True, 1.5, 2**66))])
+def test_a_bad_address_is_refused_in_one_place_with_one_message(part, bad):
+    # laplace_stream alone checks an address, so every entry point refuses it with the same words
+    from dpcoverage.release import RawZipRecord, release_dataset
+
+    seed, iteration = (bad, 0) if part == "seed" else (7, bad)
+    zones = ("00001", "00002")
+    calls = {
+        "laplace_stream": lambda: laplace_stream(SCALE10, seed, "00001", "x", start=iteration),
+        "laplace_sample": lambda: laplace_sample(SCALE10, seed, "00001", "x", iteration),
+        "privatize_count": lambda: privatize_count(3, SCALE10, seed, "00001", "x", iteration),
+        "privatize_count column": lambda: privatize_count([3, 4], SCALE10, seed, zones, "x", iteration),
+    }
+    if part == "seed":  # release_dataset draws at iteration 0 only
+        calls["release_dataset"] = lambda: release_dataset([RawZipRecord("00001", 1, 2, 3, 4)], 0.1, seed)
+    messages = {}
+    for name, call in calls.items():
+        with pytest.raises(ParameterError) as raised:
+            call()
+        assert type(raised.value) is ParameterError, name
+        messages[name] = str(raised.value)
+    assert repr(bad) in messages["laplace_stream"]
+    assert set(messages.values()) == {messages["laplace_stream"]}, messages
+    # a bad count is reported before the address
+    with pytest.raises(ParameterError, match="^count must be a nonnegative finite number, got -1$"):
+        privatize_count(-1, SCALE10, seed, "00001", "x", iteration)
+    with pytest.raises(ParameterError, match="^counts must be 2 nonnegative finite numbers$"):
+        privatize_count([3, -1], SCALE10, seed, zones, "x", iteration)
 
 
 # Noise format 2, transcribed independently of the kernel: key
@@ -203,13 +230,13 @@ def _format2_draw(scale, base_seed, zone, label, iteration):
 ])
 def test_known_answers_match_a_fresh_philox(base_seed, zone, label, iteration):
     expected = _format2_draw(SCALE10.scale, base_seed, zone, label, iteration)
-    assert laplace_sample(SCALE10, NoiseSeed(base_seed, zone, label, iteration)) == expected
+    assert laplace_sample(SCALE10, base_seed, zone, label, iteration) == expected
 
 
 def test_format2_known_answer_is_pinned():
     # a change of hash, domain, lattice or numpy's Philox shows here
     assert _format2_draw(10.0, 42, "00001", "high_speed", 0) == -1.6603883521197118
-    assert laplace_sample(SCALE10, NoiseSeed(42, "00001", "high_speed", 0)) == -1.6603883521197118
+    assert laplace_sample(SCALE10, 42, "00001", "high_speed", 0) == -1.6603883521197118
 
 
 def test_far_offset_seek_matches_the_oracle():
@@ -228,7 +255,7 @@ def test_a_substream_ends_at_position_2_to_the_66():
         with pytest.raises(ParameterError, match=f"start={start} count={count} reads past them"):
             laplace_stream(SCALE10, 5, "12345", "services", start=start, count=count)
     with pytest.raises(ParameterError, match=f"start={last + 1} count=1"):
-        laplace_sample(SCALE10, NoiseSeed(5, "12345", "services", last + 1))
+        laplace_sample(SCALE10, 5, "12345", "services", last + 1)
 
 
 def test_zone_column_rows_match_single_streams():
@@ -237,14 +264,14 @@ def test_zone_column_rows_match_single_streams():
     assert column.shape == (3, 6)
     for row, zone in zip(column, zones):
         assert list(row) == list(laplace_stream(SCALE10, 3, zone, "services", start=2, count=6))
-    seeds = NoiseSeed(3, zones, "services", 2)
-    assert list(laplace_sample(SCALE10, seeds)) == list(column[:, 0])
-    released = privatize_count(np.array([0.0, 5.0, 100.0]), SCALE10, seeds)
+    address = (3, zones, "services", 2)
+    assert list(laplace_sample(SCALE10, *address)) == list(column[:, 0])
+    released = privatize_count(np.array([0.0, 5.0, 100.0]), SCALE10, *address)
     assert list(released) == [max(0.0, c + x) for c, x in zip((0.0, 5.0, 100.0), column[:, 0])]
     with pytest.raises(ParameterError):
-        privatize_count(np.array([1.0, -1.0, 2.0]), SCALE10, seeds)
+        privatize_count(np.array([1.0, -1.0, 2.0]), SCALE10, *address)
     with pytest.raises(ParameterError):
-        privatize_count(np.array([1.0, 2.0]), SCALE10, seeds)
+        privatize_count(np.array([1.0, 2.0]), SCALE10, *address)
 
 
 def test_threads_reading_multiword_streams_at_once_get_the_bits_of_lone_calls():
@@ -277,13 +304,13 @@ def test_threads_reading_multiword_streams_at_once_get_the_bits_of_lone_calls():
 def test_a_column_of_counts_refuses_what_a_single_count_refuses(count):
     # numpy would read every one of these as two float counts
     with pytest.raises(ParameterError) as raised:
-        privatize_count(count, SCALE10, NoiseSeed(1, ("00001", "00002"), "x"))
+        privatize_count(count, SCALE10, 1, ("00001", "00002"), "x")
     assert str(raised.value) == "counts must be 2 nonnegative finite numbers"
 
 
 @pytest.mark.parametrize("case", [
     "check_seed(True)",
-    "NoiseSeed iteration=True",
+    "laplace_sample iteration=True",
     "SimulationConfig k=True",
     "SynthSpec zone_count=True",
     "SynthSpec household_range=(True, 5)",
@@ -299,7 +326,8 @@ def test_integer_parameters_refuse_bools_and_non_integers(case):
 
     make, error = {
         "check_seed(True)": (lambda: check_seed(True), ParameterError),
-        "NoiseSeed iteration=True": (lambda: NoiseSeed(1, "00001", "x", iteration=True), ParameterError),
+        "laplace_sample iteration=True": (lambda: laplace_sample(SCALE10, 1, "00001", "x", iteration=True),
+                                          ParameterError),
         "SimulationConfig k=True": (lambda: SimulationConfig(0.1, 1, k=True), ValueError),
         "SynthSpec zone_count=True": (lambda: SynthSpec(True, (1, 5), (0.1, 0.9), (0.5, 0.9), 1), ValueError),
         "SynthSpec household_range=(True, 5)": (lambda: SynthSpec(3, (True, 5), (0.1, 0.9), (0.5, 0.9), 1), ValueError),
@@ -346,7 +374,7 @@ def test_real_parameters_refuse_bools(case):
         "PrivateZipRecord low_speed_dp=True": (lambda: PrivateZipRecord("00001", True, 1.0, 1.0, 1.0, "0.2"),
                                                IngestionError,
                                                "low_speed_dp must be a nonnegative finite real, got True"),
-        "privatize_count count=True": (lambda: privatize_count(True, SCALE10, NoiseSeed(1, "00001", "x")),
+        "privatize_count count=True": (lambda: privatize_count(True, SCALE10, 1, "00001", "x"),
                                        ParameterError, "count must be a nonnegative finite number, got True"),
         "compute_coverage high_speed=True": (lambda: compute_coverage(True, True, 0.0, 5), ValueError,
                                              "high_speed must be a nonnegative finite real, got True"),
@@ -359,10 +387,10 @@ def test_real_parameters_refuse_bools(case):
         "PrivateZipRecord low_speed_dp=10**400": (
             lambda: PrivateZipRecord("00001", 10**400, 1.0, 1.0, 1.0, "0.2"), IngestionError,
             f"low_speed_dp must be a nonnegative finite real, got {10**400}"),
-        "privatize_count count=10**400": (lambda: privatize_count(10**400, SCALE10, NoiseSeed(1, "00001", "x")),
+        "privatize_count count=10**400": (lambda: privatize_count(10**400, SCALE10, 1, "00001", "x"),
                                           ParameterError, f"count must be a nonnegative finite number, got {10**400}"),
         "privatize_count counts=[10**400]": (
-            lambda: privatize_count([10**400], SCALE10, NoiseSeed(1, ("00001",), "x")), ParameterError,
+            lambda: privatize_count([10**400], SCALE10, 1, ("00001",), "x"), ParameterError,
             "counts must be 1 nonnegative finite numbers"),
         "compute_coverage high_speed=10**400": (lambda: compute_coverage(10**400, 1.0, 1.0, 5), ValueError,
                                                 f"high_speed must be a nonnegative finite real, got {10**400}"),

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcoverage.accountant import PlanError
-from dpcoverage.mechanism import LaplaceParams, NoiseSeed, privatize_count
+from dpcoverage.mechanism import LaplaceParams, privatize_count
 from dpcoverage.release import (
     Columns,
     DegenerateCountError,
@@ -194,7 +194,7 @@ def test_privatize_record_matches_hand_chained_steps():
     priv = privatize_record(raw, "0.1", base_seed)
     params = LaplaceParams(1.0, 0.1)
     by_hand = {
-        label: privatize_count(value, params, NoiseSeed(base_seed, "00007", label, 0))
+        label: privatize_count(value, params, base_seed, "00007", label, 0)
         for label, value in (("low_speed", 0), ("high_speed", 3), ("services", 2), ("non_services", 1))
     }
     assert priv.low_speed_dp == by_hand["low_speed"]
