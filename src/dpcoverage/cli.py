@@ -26,13 +26,14 @@ second run to the same outputs waits and the files left are one run's.
 `release` charges its journal under the same kind of lock on the
 journal's directory, given up before it computes, so it never holds both.
 
-A writing command checks its outputs before it reads, charges or writes
-anything: no output may be an input, another output or an existing
-directory, and each output's directory must exist and let this process
-create the output's temporary file. Before it reads, `release` also
-refuses a --journal whose directory does not exist or that is a
-directory; the journal itself may be absent, and its first charge
-creates it.
+A writing command checks every path it writes before it reads, charges
+or writes anything, by one rule for its outputs, its manifest and
+`release`'s --journal: none may be an input, an earlier one of them or
+an existing directory, and each one's directory must exist and open
+read-only, as the locks will open it. Each but the journal must let
+this process create its temporary file. The journal is appended in
+place, so it needs none. It may be absent, since its first charge
+creates it, or exist in a directory where this process creates no file.
 
 An --epsilon or --budget that is not a positive finite decimal is
 refused, before anything is read, by a message that names the flag; so
@@ -176,28 +177,30 @@ def _manifest_path(out_path: str | Path) -> Path:
     return Path(f"{out_path}.manifest.json")
 
 
-def _check_outputs(inputs: list[str | Path], outputs: list[str | Path]) -> None:
-    """Refuse, before anything is read, charged or written, an output that cannot be written in place.
+def _check_outputs(inputs: list[str | Path], outputs: list[str | Path], journal: str | Path | None = None) -> None:
+    """Refuse, before anything is read, charged or written, a path the command writes that cannot be written.
 
-    The first output's manifest is an output too. No output may be an input,
-    another output or an existing directory, and each one's directory must
-    exist and let this process create the output's temporary file.
+    The paths are the outputs, the first one's manifest and the journal. None may be an input, an earlier
+    path or a directory. Each one's directory must exist and open read-only, as the locks will open it, and
+    let this process create the path's temporary file, but for the journal, which is appended in place.
     """
-    outputs = [*outputs, _manifest_path(outputs[0])]
-    for index, output in enumerate(outputs):
+    paths = [*outputs, _manifest_path(outputs[0]), *([journal] if journal is not None else [])]
+    for index, output in enumerate(paths):
         if not Path(output).parent.is_dir():
             raise ValueError(f"cannot write {output}: no directory {Path(output).parent}")
         if Path(output).is_dir():
             raise ValueError(f"cannot write {output}: it is a directory")
-        for kind, others in (("input", inputs), ("output", outputs[:index])):
+        for kind, others in (("input", inputs), ("output", paths[:index])):
             for other in others:
                 if Path(output).resolve() == Path(other).resolve() or (
                     os.path.exists(output) and os.path.exists(other) and os.path.samefile(output, other)
                 ):
                     raise ValueError(f"output {output} would overwrite the {kind} {other}")
         try:
-            open(io.temporary_path(output), "w").close()
-            io.temporary_path(output).unlink()
+            os.close(os.open(Path(output).parent, os.O_RDONLY | os.O_DIRECTORY))
+            if index <= len(outputs):  # an output or the manifest, not the journal
+                open(io.temporary_path(output), "w").close()
+                io.temporary_path(output).unlink()
         except OSError as exc:  # its strerror, since its filename would show the pid
             raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
@@ -317,11 +320,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
         return 2
     sidecar = io.private_counts_path(args.out)
     inputs, outputs = [args.counts, args.households], [args.out, sidecar]
-    _check_outputs(inputs + ([args.journal] if args.journal is not None else []), outputs)
-    if args.journal is not None:  # refuse a journal with no directory before reading, opening it as _locked will
-        os.close(os.open(Path(args.journal).parent, os.O_RDONLY | os.O_DIRECTORY))
-        if Path(args.journal).is_dir():  # it is appended to, so refused as _check_outputs refuses an output
-            raise ValueError(f"cannot write {args.journal}: it is a directory")
+    _check_outputs(inputs, outputs, args.journal)
     # refuse, before anything is read or charged, an epsilon or budget the noise kernel or exact arithmetic refuses
     eps = _noise_epsilon(args.epsilon)
     budget = None if args.budget is None else _decimal("--budget", args.budget)

@@ -6,8 +6,8 @@ in that order (laplace_stream names the iteration start). A draw is a
 pure function of its address: zones can be privatized in any order, or in
 any grouping, without changing a single output bit. laplace_stream alone
 checks an address, so every entry point refuses a bad one with the same
-message: base_seed is an unsigned 64-bit integer, and the iteration an
-integer position below 2**66.
+message: base_seed is an unsigned 64-bit integer, the zone and the label
+strings, and the iteration an integer position below 2**66.
 
 Noise format 2 (recorded as "noise_format": 2 in every manifest) reads
 the draws from the counter-based generator Philox4x64-10 (Salmon et al.,
@@ -47,9 +47,10 @@ floating-point attacks that exploit the bit patterns of naively sampled
 Laplace noise (Mironov, CCS 2012); use a discrete mechanism if that is
 part of your threat model.
 
-Each of the three takes a zone or a sequence of zones: given a sequence,
-the result gains a leading axis with one row per zone, which is how the
-release and the error simulation draw a whole column of zones in one call.
+Each of the three takes a zone or a sequence of zones, any sequence but a
+str or bytes: given a sequence, the result gains a leading axis with one
+row per zone, which is how the release and the error simulation draw a
+whole column of zones in one call.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def is_real(value: object) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     return is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _is_column(zone: object) -> bool:
+    """Whether zone is a sequence of zones rather than one zone."""
+    return not isinstance(zone, (str, bytes)) and isinstance(zone, Sequence)
 
 
 def _digests(zones: Sequence[str], label: str) -> np.ndarray:
@@ -211,15 +217,22 @@ def laplace_stream(
     stream; every row is bit-identical to the single-zone call.
     """
     check_seed(base_seed)
+    zones = zone if _is_column(zone) else [zone]
+    try:
+        "".join(zones)  # a TypeError, at C speed, unless every zone is a string
+    except TypeError:
+        bad = next(value for value in zones if not isinstance(value, str))
+        raise ParameterError(f"a zone must be a string, got {bad!r}") from None
+    if not isinstance(label, str):
+        raise ParameterError(f"a label must be a string, got {label!r}")
     if not (is_int(start) and is_int(count)):
         raise ParameterError(f"start and count must be integers, got start={start!r} count={count!r}")
     if start < 0 or count < 0:
         raise ParameterError(f"start and count must be nonnegative, got start={start} count={count}")
     if start >= _POSITIONS or start + count > _POSITIONS:  # start names a position even for count 0
         raise ParameterError(f"a substream has 2**66 positions; start={start} count={count} reads past them")
-    zones = [zone] if isinstance(zone, str) else zone
     draws = _laplace_from_words(_raw_words(base_seed, zones, label, start, count), params.scale)
-    return draws[0] if isinstance(zone, str) else draws
+    return draws if _is_column(zone) else draws[0]
 
 
 def laplace_sample(
@@ -227,7 +240,7 @@ def laplace_sample(
 ) -> float | np.ndarray:
     """One draw from Laplace(0, params.scale) per zone, at position iteration: laplace_stream's, count 1."""
     draws = laplace_stream(params, base_seed, zone, label, start=iteration, count=1)
-    return float(draws[0]) if isinstance(zone, str) else draws[:, 0]
+    return draws[:, 0] if _is_column(zone) else float(draws[0])
 
 
 def privatize_count(
@@ -242,7 +255,7 @@ def privatize_count(
     zones, count holds one count per zone: an integer or float array, or
     a sequence of ints and floats, never a bool.
     """
-    if isinstance(zone, str):
+    if not _is_column(zone):
         if not (is_real(count) and count >= 0):
             raise ParameterError(f"count must be a nonnegative finite number, got {count!r}")
         return max(0.0, float(count) + laplace_sample(params, base_seed, zone, label, iteration))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import fcntl
 import hashlib
 import json
@@ -998,7 +999,7 @@ def test_a_journal_without_a_directory_is_refused_before_the_charge(tmp_path, ca
     capsys.readouterr()
     assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
                 "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "nodir" / "j.tsv"), "--budget", "1"]) == 1
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'nodir' / 'j.tsv'}: no directory {tmp_path / 'nodir'}\n"
     assert _tree(tmp_path) == before  # no journal, no directory and no output
 
 
@@ -1008,7 +1009,7 @@ def test_a_journal_without_a_directory_is_refused_before_the_inputs_are_read(tmp
     capsys.readouterr()
     assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
                 "--out", str(tmp_path / "r.csv"), "--journal", str(tmp_path / "nodir" / "j.tsv"), "--budget", "1"]) == 1
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir'}'\n"
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'nodir' / 'j.tsv'}: no directory {tmp_path / 'nodir'}\n"
 
 
 @pytest.mark.parametrize("counts_text", [None, "zone,bad\n"], ids=["good counts", "a bad header"])
@@ -1024,6 +1025,112 @@ def test_a_journal_that_is_a_directory_is_refused_before_the_inputs_are_read(tmp
                 "--out", str(tmp_path / "r.csv"), "--journal", str(journal), "--budget", "1"]) == 1
     assert capsys.readouterr().err == f"error: cannot write {journal}: it is a directory\n"
     assert _tree(tmp_path) == before
+
+
+def _recorded_reads(monkeypatch):
+    """The paths every io reader reads from here on, in a list that grows as they are read."""
+    reads, read_table = [], io._read_table
+
+    def recording(path, *args, **kwargs):
+        reads.append(path)
+        return read_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "_read_table", recording)
+    return reads
+
+
+_SKIPPED_AS_ROOT = pytest.mark.skipif(os.geteuid() == 0, reason="root opens and writes a directory whatever its mode")
+
+
+@pytest.mark.parametrize("refusal", ["os.open refused", pytest.param("mode 0o300", marks=_SKIPPED_AS_ROOT)])
+@pytest.mark.parametrize("command", ["synth", "release", "simulate-error", "summarize"])
+def test_an_output_directory_that_cannot_be_opened_is_refused_before_anything_is_read(
+    tmp_path, monkeypatch, capsys, command, refusal,
+):
+    # the locks and the fsyncs open an output's directory read-only, so a
+    # directory this process may write into but not read is refused first
+    counts, households = make_inputs(tmp_path, zones=3)
+    released = tmp_path / "released.csv"
+    assert run(["release", "--counts", str(counts), "--households", str(households),
+                "--seed", "42", "--out", str(released)]) == 0
+    directory = tmp_path / "wx"
+    directory.mkdir()
+    out = directory / "out.csv"
+    argv = {
+        "synth": ["synth", "--zones", "3", "--seed", "1", "--out-counts", str(out),
+                  "--out-households", str(directory / "h.csv")],
+        "release": ["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                    "--journal", str(tmp_path / "journal.tsv"), "--budget", "1", "--out", str(out)],
+        "simulate-error": ["simulate-error", "--release", str(released), "--households", str(households),
+                           "--k", "5", "--seed", "1", "--out", str(out)],
+        "summarize": ["summarize", "--in", str(released), "--households", str(households), "--out", str(out)],
+    }[command]
+    if refusal == "os.open refused":
+        os_open = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if flags & os.O_DIRECTORY and Path(path) == directory:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+    reads = _recorded_reads(monkeypatch)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    if refusal == "mode 0o300":
+        directory.chmod(0o300)  # write and search, but no read
+    try:
+        assert run(argv) == 1
+    finally:
+        directory.chmod(0o700)
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert reads == []
+    assert _tree(tmp_path) == before  # no output, and no journal line
+
+
+def test_a_journal_that_is_the_counts_file_is_refused_before_the_inputs_are_read(tmp_path, monkeypatch, capsys):
+    counts, households = make_inputs(tmp_path, zones=3)
+    reads = _recorded_reads(monkeypatch)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+                "--out", str(tmp_path / "r.csv"), "--journal", str(counts), "--budget", "1"]) == 1
+    assert capsys.readouterr().err == f"error: output {counts} would overwrite the input {counts}\n"
+    assert reads == []
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("refusal", ["temporary file refused", pytest.param("mode 0o555", marks=_SKIPPED_AS_ROOT)])
+def test_an_existing_journal_in_a_directory_without_new_files_is_charged(tmp_path, monkeypatch, capsys, refusal):
+    # a journal provisioned in a directory this process may not create files
+    # in is appended in place, so it is never probed with a temporary file
+    counts, households = make_inputs(tmp_path, zones=3)
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    journal = shared / "journal.tsv"
+    base = ["release", "--counts", str(counts), "--households", str(households), "--seed", "42",
+            "--journal", str(journal), "--budget", "1"]
+    assert run([*base, "--out", str(tmp_path / "r1.csv")]) == 0
+    if refusal == "temporary file refused":
+        builtin_open = open
+
+        def refusing(file, mode="r", *args, **kwargs):
+            if Path(file).parent == shared and "w" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+    probed, temporary_path = [], io.temporary_path
+    monkeypatch.setattr(io, "temporary_path", lambda path: probed.append(Path(path)) or temporary_path(path))
+    if refusal == "mode 0o555":
+        shared.chmod(0o555)
+    try:
+        assert run([*base, "--out", str(tmp_path / "r2.csv")]) == 0
+    finally:
+        shared.chmod(0o755)
+    assert [entry.description for entry in load_journal(journal)] == [
+        f"release {tmp_path / 'r1.csv'}", f"release {tmp_path / 'r2.csv'}"]
+    assert probed and journal not in probed
 
 
 def test_a_journal_without_a_final_newline_is_refused_before_the_charge(tmp_path, capsys):

@@ -195,6 +195,26 @@ def test_a_bad_address_is_refused_in_one_place_with_one_message(part, bad):
         privatize_count([3, -1], SCALE10, seed, zones, "x", iteration)
 
 
+@pytest.mark.parametrize("part,bad", [*(("zone", zone) for zone in (5, None, b"00001", 1.5)),
+                                      *(("label", label) for label in (5, None, b"x"))])
+@pytest.mark.parametrize("call", ["laplace_stream", "laplace_stream column", "laplace_sample", "laplace_sample column",
+                                  "privatize_count", "privatize_count column"])
+def test_a_zone_or_label_that_is_not_a_string_is_refused_naming_it(part, bad, call):
+    # a column holds the bad zone after a good one, so the refusal names the item, not the column
+    zone, zones, label = ("00001", ["00001", "00002"], bad) if part == "label" else (bad, ["00001", bad], "x")
+    make = {
+        "laplace_stream": lambda: laplace_stream(SCALE10, 7, zone, label),
+        "laplace_stream column": lambda: laplace_stream(SCALE10, 7, zones, label, count=3),
+        "laplace_sample": lambda: laplace_sample(SCALE10, 7, zone, label),
+        "laplace_sample column": lambda: laplace_sample(SCALE10, 7, zones, label),
+        "privatize_count": lambda: privatize_count(3, SCALE10, 7, zone, label),
+        "privatize_count column": lambda: privatize_count([3, 4], SCALE10, 7, zones, label),
+    }[call]
+    with pytest.raises(ParameterError) as raised:
+        make()
+    assert str(raised.value) == f"a {part} must be a string, got {bad!r}"
+
+
 # Noise format 2, transcribed independently of the kernel: key
 # (base_seed, "dpcovf02"), counter (i // 4, 0, h0, h1) with h0, h1 the
 # halves of BLAKE2b-128(zone \x1f label), lane i % 4 of the first block a

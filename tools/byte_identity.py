@@ -21,6 +21,11 @@ outputs and diagnostics agree:
   every bucket row is ints and empty means, such as 100,1000,3,,,;
 - a second charge, a third that the budget refuses, and a budget read
   after each charge;
+- releases refused for their --journal before they read an input, each
+  compared by exit status and stderr: a journal whose directory does not
+  exist, a journal that is a directory (made for that step and removed
+  after it, so that no directory is left among the files compared) and
+  a journal that names counts.csv;
 - refusals, compared by exit status and stderr: counts files with a bad
   field on line 1001, with a short row on line 2001, with a field over
   the csv module's 131,072-character limit on line 3001, and with a
@@ -166,6 +171,11 @@ STEPS = [
     ("budget-2", BUDGET_READ),
     ("release-refused", _charge(14, "third.csv")),
     ("budget-3", BUDGET_READ),
+    ("refused-journal-no-directory", _release(14, "third.csv", "--journal", "nodir/journal.tsv", "--budget", BUDGET)),
+    ("make-journal-directory", lambda work: (work / "journal-dir").mkdir()),
+    ("refused-journal-directory", _release(14, "third.csv", "--journal", "journal-dir", "--budget", BUDGET)),
+    ("remove-journal-directory", lambda work: (work / "journal-dir").rmdir()),
+    ("refused-journal-counts", _release(14, "third.csv", "--journal", "counts.csv", "--budget", BUDGET)),
     ("write-bad-inputs", _write_bad_inputs),
     ("refused-bad-field", _release(11, "bad.csv", counts="counts-bad.csv")),
     ("refused-short-row", _release(11, "bad.csv", counts="counts-short-row.csv")),
